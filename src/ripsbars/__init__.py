@@ -21,7 +21,6 @@ from .dice import (
 from .filtration import Filtration, Simplex, build_filtration, critical_thresholds
 from .metrics import (
     DistanceMatrix,
-    Point2,
     build_distance_matrix,
     euclidean,
     normalize,
@@ -50,7 +49,6 @@ __all__ = [
     "DiceSpace",
     "DistanceMatrix",
     "Filtration",
-    "Point2",
     "Region",
     "Simplex",
     "bar_stats",

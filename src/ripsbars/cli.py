@@ -8,7 +8,7 @@ Commands:
   stats    statistics tables from existing barcode CSVs
 
 Every output file begins with a metadata comment carrying the tool version
-and the complete run configuration (JSON), so outputs are self-describing
+and the options the command used (JSON), so outputs are self-describing
 and bit-reproducible: same config + inputs → identical bytes.
 
 Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 internal error.
@@ -37,6 +37,17 @@ class UsageError(Exception):
     """Bad command line or flag combination (exit code 1)."""
 
 
+#: The RunConfig fields each command sets from its flags (see
+#: ``_config_from_args``); output headers record only these.
+COMMAND_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "cloud": ("points", "seed"),
+    "dice": ("sides", "max_face", "face_sum", "tie_convention", "symmetry_pairing"),
+    "persist": ("input_path", "metric", "max_dim", "stop_when_connected", "normalize", "svg"),
+    "compare": ("input_path", "metrics", "matrix_paths", "max_dim", "stop_when_connected", "svg"),
+    "stats": ("barcode_paths",),
+}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs; round-trips through output metadata."""
@@ -61,11 +72,13 @@ class RunConfig:
     symmetry_pairing: str = "literal"
 
     def to_metadata(self) -> Dict[str, Any]:
-        blob = asdict(self)
-        for key, value in blob.items():
-            if isinstance(value, tuple):
-                blob[key] = list(value)
-        return blob
+        """``command``, ``out_dir`` and the fields this command sets."""
+        keep = ("command", "out_dir") + COMMAND_FIELDS[self.command]
+        return {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in asdict(self).items()
+            if key in keep
+        }
 
     @classmethod
     def from_metadata(cls, blob: Dict[str, Any]) -> "RunConfig":
@@ -199,11 +212,8 @@ def _out_path(cfg: RunConfig, name: str) -> str:
 
 def _embedded_command(path: str) -> str:
     """Command recorded in a file's metadata header ('' when absent)."""
-    meta = fileio.parse_metadata(fileio.read_lines(path))
-    config = meta.get("config")
-    if isinstance(config, dict):
-        return str(config.get("command", ""))
-    return ""
+    meta = fileio.parse_metadata(path, fileio.read_lines(path))
+    return str(meta.get("config", {}).get("command", ""))
 
 
 def _default_max_dim(m: DistanceMatrix, source_command: str) -> int:

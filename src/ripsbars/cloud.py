@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fileio
 from .fileio import ParseError, fmt
-from .metrics import Point2
+from .metrics import euclidean
 
 #: Identifier of the pseudo-random algorithm behind ``sample_region``.
 RNG_ALGORITHM = "numpy-pcg64"
@@ -27,12 +27,8 @@ DEFAULT_SEED = 0
 
 @dataclass(frozen=True)
 class Circle:
-    center: Point2
+    center: Tuple[float, float]
     radius: float
-
-    def contains(self, p: Point2, strict: bool = True) -> bool:
-        d = math.hypot(p.x - self.center.x, p.y - self.center.y)
-        return d < self.radius if strict else d <= self.radius
 
 
 @dataclass(frozen=True)
@@ -47,33 +43,21 @@ class Region:
             self.outer.radius**2 - sum(h.radius**2 for h in self.holes)
         )
 
-    def contains(self, p: Point2) -> bool:
-        if not self.outer.contains(p):
-            return False
-        return all(not h.contains(p, strict=False) for h in self.holes)
-
 
 def validate_region(region: Region) -> None:
     """Reject degenerate geometry: holes must sit strictly inside the outer
     circle and be pairwise disjoint, all radii positive."""
     if region.outer.radius <= 0.0:
         raise ValueError("outer radius must be positive")
-    ox, oy = region.outer.center.x, region.outer.center.y
     for h in region.holes:
         if h.radius <= 0.0:
             raise ValueError("hole radius must be positive")
-        d = math.hypot(h.center.x - ox, h.center.y - oy)
-        if d + h.radius >= region.outer.radius:
-            raise ValueError(
-                f"hole at ({h.center.x}, {h.center.y}) not strictly inside the outer circle"
-            )
+        if math.dist(h.center, region.outer.center) + h.radius >= region.outer.radius:
+            raise ValueError(f"hole at {h.center} not strictly inside the outer circle")
     hs = region.holes
     for i in range(len(hs)):
         for j in range(i + 1, len(hs)):
-            d = math.hypot(
-                hs[i].center.x - hs[j].center.x, hs[i].center.y - hs[j].center.y
-            )
-            if d < hs[i].radius + hs[j].radius:
+            if math.dist(hs[i].center, hs[j].center) < hs[i].radius + hs[j].radius:
                 raise ValueError(f"holes {i} and {j} overlap")
     if region.admissible_area() <= 0.0:
         raise ValueError("region has no admissible area")
@@ -86,33 +70,40 @@ def four_hole_disk() -> Region:
     (±0.45, ±0.45).  Fixed so experiments are reproducible across runs.
     """
     return Region(
-        outer=Circle(Point2(0.0, 0.0), 1.0),
+        outer=Circle((0.0, 0.0), 1.0),
         holes=(
-            Circle(Point2(0.45, 0.45), 0.18),
-            Circle(Point2(0.45, -0.45), 0.18),
-            Circle(Point2(-0.45, 0.45), 0.18),
-            Circle(Point2(-0.45, -0.45), 0.18),
+            Circle((0.45, 0.45), 0.18),
+            Circle((0.45, -0.45), 0.18),
+            Circle((-0.45, 0.45), 0.18),
+            Circle((-0.45, -0.45), 0.18),
         ),
     )
 
 
-def sample_region(region: Region, n: int, seed: int = DEFAULT_SEED) -> List[Point2]:
-    """Draw ``n`` independent uniform points from the region.
+def _center_distance(c: Circle, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    return euclidean(xs - c.center[0], ys - c.center[1])
+
+
+def sample_region(region: Region, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
+    """Draw ``n`` independent uniform points from the region, as an (n, 2) array.
 
     Deterministic for a fixed (region, n, seed).  Candidates are drawn in
-    batches from the bounding square and filtered; a draw cap guards against
-    regions whose admissible area is a vanishing fraction of the square.
+    batches from the bounding square and kept in draw order when strictly
+    inside the outer circle and outside every closed hole; a draw cap guards
+    against regions whose admissible area is a vanishing fraction of the
+    square.
     """
     if n < 1:
         raise ValueError(f"need n >= 1 points, got {n}")
     validate_region(region)
     rng = np.random.default_rng(seed)
-    cx, cy, r = region.outer.center.x, region.outer.center.y, region.outer.radius
-    points: List[Point2] = []
+    (cx, cy), r = region.outer.center, region.outer.radius
+    chunks: List[np.ndarray] = []
+    have = 0
     max_draws = max(100_000, 1_000 * n)
     drawn = 0
-    while len(points) < n:
-        batch = min(4 * (n - len(points)) + 64, max_draws - drawn)
+    while have < n:
+        batch = min(4 * (n - have) + 64, max_draws - drawn)
         if batch <= 0:
             raise ValueError(
                 f"rejection sampling exceeded {max_draws} draws; "
@@ -121,27 +112,29 @@ def sample_region(region: Region, n: int, seed: int = DEFAULT_SEED) -> List[Poin
         xs = rng.uniform(cx - r, cx + r, size=batch)
         ys = rng.uniform(cy - r, cy + r, size=batch)
         drawn += batch
-        for x, y in zip(xs, ys):
-            p = Point2(float(x), float(y))
-            if region.contains(p) and len(points) < n:
-                points.append(p)
-    return points
+        keep = _center_distance(region.outer, xs, ys) < r
+        for h in region.holes:
+            keep &= _center_distance(h, xs, ys) > h.radius
+        chunks.append(np.column_stack((xs[keep], ys[keep]))[: n - have])
+        have += len(chunks[-1])
+    return np.concatenate(chunks)
 
 
 def write_points_csv(
-    path: str, points: List[Point2], config: Optional[Dict[str, Any]] = None
+    path: str, points: np.ndarray, config: Optional[Dict[str, Any]] = None
 ) -> None:
     lines = fileio.metadata_lines(config)
     lines.append(f"# rng {RNG_ALGORITHM}")
     lines.append("x,y")
-    for p in points:
-        lines.append(f"{fmt(p.x)},{fmt(p.y)}")
+    for x, y in np.asarray(points, dtype=float).tolist():
+        lines.append(f"{fmt(x)},{fmt(y)}")
     fileio.write_text(path, lines)
 
 
-def read_points_csv(path: str) -> List[Point2]:
+def read_points_csv(path: str) -> np.ndarray:
+    """Read a points CSV into an (n, 2) float64 array."""
     lines = fileio.read_lines(path)
-    points: List[Point2] = []
+    points: List[Tuple[float, float]] = []
     saw_header = False
     for lineno, text in fileio.data_lines(lines):
         if not saw_header:
@@ -153,14 +146,14 @@ def read_points_csv(path: str) -> List[Point2]:
         if len(parts) != 2:
             raise ParseError(path, lineno, f"expected 'x,y' pair, got {text!r}")
         points.append(
-            Point2(
+            (
                 fileio.parse_float(path, lineno, parts[0]),
                 fileio.parse_float(path, lineno, parts[1]),
             )
         )
     if not points:
         raise ParseError(path, len(lines) or 1, "no points found")
-    return points
+    return np.array(points, dtype=float)
 
 
 def looks_like_points_csv(path: str) -> bool:

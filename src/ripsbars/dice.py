@@ -16,14 +16,13 @@ The default space DT(6) is all 6-sided dice with faces in 1..6 summing to 21.
 from __future__ import annotations
 
 import collections
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import DistanceMatrix
+from .metrics import DistanceMatrix, pairwise
 
 Die = Tuple[int, ...]
 
@@ -330,27 +329,29 @@ def shortest_path_distance(g: BeatingGraph, x: Die, y: Die) -> int:
     return fwd[y] + back[x]
 
 
-def shortest_path_matrix(g: BeatingGraph) -> List[List[int]]:
-    """All-pairs round-trip hop counts, ordered like ``g.nodes``."""
-    hops = {v: _bfs_hops(g, v) for v in g.nodes}
-    n = g.n
-    out = [[0] * n for _ in range(n)]
-    for i, x in enumerate(g.nodes):
-        for j in range(i + 1, n):
-            y = g.nodes[j]
-            if y not in hops[x]:
-                raise UnreachableNodeError(
-                    f"no directed path {die_label(x)} -> {die_label(y)}"
-                )
-            if x not in hops[y]:
-                raise UnreachableNodeError(
-                    f"no directed path {die_label(y)} -> {die_label(x)}"
-                )
-            out[i][j] = out[j][i] = hops[x][y] + hops[y][x]
-    return out
+def shortest_path_matrix(g: BeatingGraph) -> np.ndarray:
+    """All-pairs round-trip hop counts, ordered like ``g.nodes``.
+
+    Counts are small integers, exact in the float64 array that holds them.
+    """
+    pos = {v: k for k, v in enumerate(g.nodes)}
+    hops = np.full((g.n, g.n), -1.0)
+    for k, x in enumerate(g.nodes):
+        for y, h in _bfs_hops(g, x).items():
+            hops[k, pos[y]] = h
+    i, j = np.triu_indices(g.n, k=1)
+    missing = np.flatnonzero((hops[i, j] < 0) | (hops[j, i] < 0))
+    if missing.size:
+        a, b = i[missing[0]], j[missing[0]]
+        if hops[a, b] >= 0:
+            a, b = b, a
+        raise UnreachableNodeError(
+            f"no directed path {die_label(g.nodes[a])} -> {die_label(g.nodes[b])}"
+        )
+    return hops + hops.T
 
 
-def similarity_matrix(D: Sequence[Sequence[int]]) -> List[List[float]]:
+def similarity_matrix(D: np.ndarray) -> np.ndarray:
     """Euclidean distances between shortest-path profile columns.
 
     Comparing columns i and j, the entries at BOTH positions i and j are
@@ -358,18 +359,15 @@ def similarity_matrix(D: Sequence[Sequence[int]]) -> List[List[float]]:
     how the two nodes relate to the rest of the graph only.  Nodes with
     identical in/out neighborhoods come out at distance exactly 0.
     """
-    n = len(D)
-    out = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            total = 0
-            for k in range(n):
-                if k == i or k == j:
-                    continue
-                diff = D[k][i] - D[k][j]
-                total += diff * diff
-            out[i][j] = out[j][i] = math.sqrt(total)
-    return out
+    cols = np.asarray(D, dtype=float).T  # integer-valued: every sum is exact
+
+    def dist(i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        diff = cols[i] - cols[j]
+        rows = np.arange(len(i))
+        diff[rows, i] = diff[rows, j] = 0
+        return np.sqrt((diff * diff).sum(axis=1))
+
+    return pairwise(len(cols), dist)
 
 
 def foliation(x: Die) -> int:
@@ -409,20 +407,6 @@ def symmetry(x: Die, pairing: str = "literal") -> Fraction:
     return total
 
 
-def foliation_symmetry_distance(x: Die, y: Die, pairing: str = "literal") -> Fraction:
-    """|(s(x) + f(x)) − (s(y) + f(y))| — a pullback of |·|, so a pseudometric
-    that may vanish on distinct dice."""
-    sx = symmetry(x, pairing) + foliation(x)
-    sy = symmetry(y, pairing) + foliation(y)
-    return abs(sx - sy)
-
-
-def euclidean_dice(x: Die, y: Die) -> float:
-    if len(x) != len(y):
-        raise ValueError(f"side counts differ: {len(x)} vs {len(y)}")
-    return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
-
-
 def _labels(nodes: Sequence[Die]) -> Tuple[str, ...]:
     return tuple(die_label(d) for d in nodes)
 
@@ -430,29 +414,23 @@ def _labels(nodes: Sequence[Die]) -> Tuple[str, ...]:
 def similarity_distance_matrix(g: BeatingGraph) -> DistanceMatrix:
     """Similarity distances over the graph's nodes (floats only here)."""
     sim = similarity_matrix(shortest_path_matrix(g))
-    return DistanceMatrix(
-        entries=np.array(sim, dtype=float), labels=_labels(g.nodes), metric="similarity"
-    )
+    return DistanceMatrix(entries=sim, labels=_labels(g.nodes), metric="similarity")
 
 
 def euclidean_dice_distance_matrix(nodes: Sequence[Die]) -> DistanceMatrix:
-    n = len(nodes)
-    d = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = euclidean_dice(nodes[i], nodes[j])
+    faces = np.array(nodes, dtype=float)  # small integers: exact sums
+    d = pairwise(len(faces), lambda i, j: np.sqrt(((faces[i] - faces[j]) ** 2).sum(axis=1)))
     return DistanceMatrix(entries=d, labels=_labels(nodes), metric="euclidean")
 
 
 def foliation_symmetry_distance_matrix(
     nodes: Sequence[Die], pairing: str = "literal"
 ) -> DistanceMatrix:
-    n = len(nodes)
-    values = [symmetry(x, pairing) + foliation(x) for x in nodes]
-    d = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = float(abs(values[i] - values[j]))
+    """|(s(x) + f(x)) − (s(y) + f(y))| on every pair — a pullback of |·|, so a
+    pseudometric that may vanish on distinct dice.  s + f is a small multiple
+    of 1/4, so the float differences are exact."""
+    values = np.array([float(symmetry(x, pairing) + foliation(x)) for x in nodes])
+    d = pairwise(len(values), lambda i, j: np.abs(values[i] - values[j]))
     return DistanceMatrix(
         entries=d, labels=_labels(nodes), metric="foliation-symmetry"
     )

@@ -1,8 +1,9 @@
 """Shared file-format helpers: float rendering, metadata headers, CSV reading.
 
 Every file the pipeline writes starts with a metadata comment block holding
-the tool version and the run configuration as a single JSON object, so any
-output can be traced back to the exact invocation that produced it.
+the tool version and the options of the command that wrote it as a single
+JSON object, so any output can be traced back to the invocation that
+produced it.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ VERSION = "0.1.0"
 
 VERSION_KEY = "ripsbars-version"
 CONFIG_KEY = "ripsbars-config"
+BARCODE_META_KEY = "barcode-meta"
 
 
 class ParseError(ValueError):
@@ -40,26 +42,34 @@ def metadata_lines(config: Optional[Dict[str, Any]], comment: str = "#") -> List
     return lines
 
 
-def parse_metadata(lines: List[str], comment: str = "#") -> Dict[str, Any]:
-    """Extract version/config keys from leading comment lines.
+def parse_metadata(path: str, lines: List[str]) -> Dict[str, Any]:
+    """Parse the leading ``#`` comment block of a file read from ``path``.
 
-    Returns a dict with optional keys ``version`` (str) and ``config``
-    (the decoded JSON object).  Unknown comment lines are ignored.
+    Returns the keys present among ``version`` (str), ``config`` (the run
+    configuration object), ``metric`` (str), ``labels`` (tuple of str) and
+    ``barcode-meta`` (object).  Malformed JSON raises :class:`ParseError` at
+    its own line; unknown comment lines are ignored.
     """
     meta: Dict[str, Any] = {}
-    for raw in lines:
+    for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
-        if not text.startswith(comment):
+        if not text.startswith("#"):
             break
-        body = text[len(comment):].strip()
-        if body.startswith(VERSION_KEY):
-            meta["version"] = body[len(VERSION_KEY):].strip()
-        elif body.startswith(CONFIG_KEY):
-            blob = body[len(CONFIG_KEY):].strip()
+        key, _, value = text.lstrip("#").strip().partition(" ")
+        if key == VERSION_KEY:
+            meta["version"] = value.strip()
+        elif key == "metric":
+            meta["metric"] = value.strip()
+        elif key == "labels":
+            meta["labels"] = tuple(value.split(","))
+        elif key in (CONFIG_KEY, BARCODE_META_KEY):
             try:
-                meta["config"] = json.loads(blob)
-            except json.JSONDecodeError:
-                pass
+                blob = json.loads(value)
+            except json.JSONDecodeError as exc:
+                raise ParseError(path, lineno, f"bad {key} JSON: {exc}") from None
+            if not isinstance(blob, dict):
+                raise ParseError(path, lineno, f"{key} must be a JSON object")
+            meta["config" if key == CONFIG_KEY else key] = blob
     return meta
 
 

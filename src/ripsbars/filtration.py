@@ -121,17 +121,27 @@ class Filtration:
         self._index[vertices] = sid
 
 
+def sorted_edges(m: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """All pairs i < j in ascending (d, i, j) order, as arrays ``(i, j, d,
+    starts)``; ``starts`` indexes the first edge of each distinct distance."""
+    i, j = np.triu_indices(m.n, k=1)
+    d = m.entries[i, j]
+    # Stable, so equal distances keep the (i, j) order of triu_indices.
+    order = np.argsort(d, kind="stable")
+    i, j, d = i[order], j[order], d[order]
+    new = np.ones(len(d), dtype=bool)
+    new[1:] = d[1:] != d[:-1]
+    return i, j, d, np.flatnonzero(new)
+
+
 def critical_thresholds(m: DistanceMatrix) -> List[float]:
     """Distinct off-diagonal distances, ascending.
 
     A zero off-diagonal entry (duplicate points) makes 0 the first
     threshold, so coincident points get their shared simplex at ε = 0.
     """
-    n = m.n
-    if n < 2:
-        return []
-    iu = np.triu_indices(n, k=1)
-    return [float(v) for v in np.unique(m.entries[iu])]
+    _, _, d, starts = sorted_edges(m)
+    return d[starts].tolist()
 
 
 def neighborhood_edges(m: DistanceMatrix, eps: float) -> List[Tuple[int, int]]:
@@ -195,26 +205,17 @@ def build_filtration(
     threshold in either mode.
     """
     f = Filtration(n_points=m.n, max_dim=max_dim, max_distance=m.max_distance())
-    n = m.n
-    pairs = sorted(
-        ((float(m.entries[i, j]), i, j) for i in range(n) for j in range(i + 1, n)),
-        key=lambda t: t,
-    )
-    pos = 0
-    while pos < len(pairs):
-        eps = pairs[pos][0]
-        group: List[Tuple[int, int]] = []
-        while pos < len(pairs) and pairs[pos][0] == eps:
-            group.append((pairs[pos][1], pairs[pos][2]))
-            pos += 1
+    i, j, d, starts = sorted_edges(m)
+    for lo, hi in zip(starts, np.append(starts[1:], len(d))):
+        eps = float(d[lo])
         start = len(f.simplices)
-        expand_increment(f, group, eps)
+        expand_increment(f, list(zip(i[lo:hi].tolist(), j[lo:hi].tolist())), eps)
         f.thresholds.append(eps)
         f.spans.append(ThresholdSpan(eps, start, len(f.simplices)))
         if f.connected_at is None and f.components == 1:
             f.connected_at = eps
         if stop_when_connected and f.components == 1:
-            f.stopped_early = pos < len(pairs)
+            f.stopped_early = hi < len(d)
             break
     return f
 

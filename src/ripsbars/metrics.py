@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,35 +22,34 @@ from .fileio import ParseError, fmt
 TRIANGLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A point in the plane."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite coordinate: ({self.x}, {self.y})")
+def euclidean(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    # math.hypot, not np.hypot: the two differ in the last ulp on some pairs.
+    return np.fromiter(map(math.hypot, dx, dy), float, len(dx))
 
 
-def euclidean(a: Point2, b: Point2) -> float:
-    return math.hypot(a.x - b.x, a.y - b.y)
+def taxicab(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    return np.abs(dx) + np.abs(dy)
 
 
-def taxicab(a: Point2, b: Point2) -> float:
-    return abs(a.x - b.x) + abs(a.y - b.y)
+def supremum(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    return np.maximum(np.abs(dx), np.abs(dy))
 
 
-def supremum(a: Point2, b: Point2) -> float:
-    return max(abs(a.x - b.x), abs(a.y - b.y))
-
-
-PLANAR_METRICS: Dict[str, Callable[[Point2, Point2], float]] = {
+#: Planar metrics as functions of the coordinate differences of point pairs.
+PLANAR_METRICS: Dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
     "euclidean": euclidean,
     "taxicab": taxicab,
     "supremum": supremum,
 }
+
+
+def pairwise(n: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Symmetric (n, n) matrix with zero diagonal from ``fn(i, j)``, which is
+    called once with the index arrays of all upper-triangle pairs i < j."""
+    i, j = np.triu_indices(n, k=1)
+    d = np.zeros((n, n))
+    d[i, j] = d[j, i] = fn(i, j)
+    return d
 
 
 @dataclass(frozen=True)
@@ -147,33 +146,23 @@ def validate_pseudometric(m: DistanceMatrix, tol: float = TRIANGLE_TOL) -> Valid
     return report
 
 
-def build_distance_matrix(
-    points: Sequence[Point2], metric: str | Callable[[Point2, Point2], float]
-) -> DistanceMatrix:
-    """Evaluate ``metric`` on every pair of points.
-
-    ``metric`` is a name from :data:`PLANAR_METRICS` or any callable taking
-    two points.  The result is exactly symmetric (each pair evaluated once).
-    """
-    if not points:
-        raise ValueError("need at least one point")
-    if isinstance(metric, str):
-        try:
-            fn = PLANAR_METRICS[metric]
-        except KeyError:
-            raise ValueError(
-                f"unknown metric {metric!r}; choose from {sorted(PLANAR_METRICS)}"
-            ) from None
-        name = metric
-    else:
-        fn = metric
-        name = getattr(metric, "__name__", "custom")
-    n = len(points)
-    d = np.zeros((n, n), dtype=float)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = fn(points[i], points[j])
-    return DistanceMatrix(entries=d, metric=name)
+def build_distance_matrix(points: np.ndarray, metric: str) -> DistanceMatrix:
+    """Evaluate the planar ``metric`` (a name from :data:`PLANAR_METRICS`) on
+    every pair of rows of the (n, 2) array ``points``."""
+    try:
+        fn = PLANAR_METRICS[metric]
+    except KeyError:
+        raise ValueError(
+            f"unknown metric {metric!r}; choose from {sorted(PLANAR_METRICS)}"
+        ) from None
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+        raise ValueError(f"need an (n, 2) array of n >= 1 points, got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise ValueError("points contain non-finite coordinates")
+    x, y = pts[:, 0], pts[:, 1]
+    d = pairwise(len(pts), lambda i, j: fn(x[i] - x[j], y[i] - y[j]))
+    return DistanceMatrix(entries=d, metric=metric)
 
 
 def normalize(m: DistanceMatrix) -> DistanceMatrix:
@@ -210,17 +199,7 @@ def write_distance_csv(
 def read_distance_csv(path: str, tol: float = TRIANGLE_TOL) -> DistanceMatrix:
     """Read a distance matrix, validating shape and symmetry within ``tol``."""
     lines = fileio.read_lines(path)
-    labels: Optional[Tuple[str, ...]] = None
-    metric = ""
-    for raw in lines:
-        text = raw.strip()
-        if not text.startswith("#"):
-            break
-        body = text.lstrip("#").strip()
-        if body.startswith("labels "):
-            labels = tuple(body[len("labels "):].split(","))
-        elif body.startswith("metric "):
-            metric = body[len("metric "):].strip()
+    meta = fileio.parse_metadata(path, lines)
     rows: List[List[float]] = []
     row_lines: List[int] = []
     for lineno, text in fileio.data_lines(lines):
@@ -244,4 +223,6 @@ def read_distance_csv(path: str, tol: float = TRIANGLE_TOL) -> DistanceMatrix:
         raise ParseError(path, row_lines[0], "matrix has negative entries")
     # Symmetrize exactly so downstream comparisons see identical (i,j)/(j,i).
     arr = np.maximum(arr, arr.T)
-    return DistanceMatrix(entries=arr, labels=labels, metric=metric)
+    return DistanceMatrix(
+        entries=arr, labels=meta.get("labels"), metric=meta.get("metric", "")
+    )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fileio
-from .fileio import ParseError, fmt
+from .fileio import BARCODE_META_KEY, ParseError, fmt
 from .filtration import Filtration
 
 
@@ -242,7 +242,6 @@ def betti_numbers(f: Filtration, eps: float) -> List[int]:
     ]
 
 
-BARCODE_META_KEY = "barcode-meta"
 BARCODE_HEADER = "dim,birth,death,open"
 
 
@@ -268,17 +267,7 @@ def write_barcode_csv(
 
 def read_barcode_csv(path: str) -> Barcode:
     lines = fileio.read_lines(path)
-    meta: Dict = {}
-    for raw in lines:
-        text = raw.strip()
-        if not text.startswith("#"):
-            break
-        body = text.lstrip("#").strip()
-        if body.startswith(BARCODE_META_KEY):
-            try:
-                meta = json.loads(body[len(BARCODE_META_KEY):].strip())
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, 1, f"bad barcode metadata: {exc}") from None
+    meta = fileio.parse_metadata(path, lines).get(BARCODE_META_KEY, {})
     bars: List[Bar] = []
     zero_length: List[Bar] = []
     saw_header = False

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ripsbars.metrics import Point2, build_distance_matrix
+from ripsbars.metrics import build_distance_matrix
 
 
 @pytest.fixture
 def square_points():
     """Unit-square corners, counterclockwise from the origin."""
-    return [Point2(0.0, 0.0), Point2(1.0, 0.0), Point2(1.0, 1.0), Point2(0.0, 1.0)]
+    return np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
 @pytest.fixture
@@ -15,5 +15,5 @@ def square_matrix(square_points):
     return build_distance_matrix(square_points, "euclidean")
 
 
-def random_points(rng: np.random.Generator, n: int):
-    return [Point2(float(x), float(y)) for x, y in rng.random((n, 2))]
+def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.random((n, 2))

@@ -2,14 +2,24 @@
 
 Everything here is deliberately brute force and shares no code with the
 implementation under test: cliques by direct enumeration, cycle membership
-by exhaustive DFS, simplex births by max pairwise distance.
+by exhaustive DFS, simplex births by max pairwise distance.  The reference
+loops at the end evaluate one point, pair or candidate at a time, the way
+the library did before it switched to array expressions; the array code
+must match them bit for bit.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
+from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
+import numpy as np
+
+from ripsbars.cloud import Region
+from ripsbars.dice import BeatingGraph, Die, foliation, symmetry
 from ripsbars.metrics import DistanceMatrix
 
 
@@ -81,3 +91,109 @@ def simple_cycles_brute(nodes: Sequence, succ: Dict) -> List[List]:
     for v in nodes:
         walk(v, v, [v], {v})
     return cycles
+
+
+# ------------------------------------------------------------ reference loops
+
+PLANAR_PAIR_FUNCTIONS = {
+    "euclidean": lambda a, b: math.hypot(a[0] - b[0], a[1] - b[1]),
+    "taxicab": lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1]),
+    "supremum": lambda a, b: max(abs(a[0] - b[0]), abs(a[1] - b[1])),
+}
+
+
+def pairwise_loop(items: Sequence, fn) -> np.ndarray:
+    """Symmetric matrix with ``fn`` evaluated once per pair i < j."""
+    n = len(items)
+    d = np.zeros((n, n), dtype=float)
+    for i in range(n):
+        for j in range(i + 1, n):
+            d[i, j] = d[j, i] = fn(items[i], items[j])
+    return d
+
+
+def distance_matrix_loop(points, metric: str) -> np.ndarray:
+    pts = [(float(x), float(y)) for x, y in points]
+    return pairwise_loop(pts, PLANAR_PAIR_FUNCTIONS[metric])
+
+
+def sample_region_loop(region: Region, n: int, seed: int) -> np.ndarray:
+    """Rejection sampler testing one candidate point at a time."""
+    rng = np.random.default_rng(seed)
+    (cx, cy), r = region.outer.center, region.outer.radius
+
+    def inside(x: float, y: float) -> bool:
+        if not math.hypot(x - cx, y - cy) < r:
+            return False
+        return all(
+            math.hypot(x - h.center[0], y - h.center[1]) > h.radius
+            for h in region.holes
+        )
+
+    points: List[Tuple[float, float]] = []
+    while len(points) < n:
+        batch = 4 * (n - len(points)) + 64
+        xs = rng.uniform(cx - r, cx + r, size=batch)
+        ys = rng.uniform(cy - r, cy + r, size=batch)
+        for x, y in zip(xs, ys):
+            if inside(float(x), float(y)) and len(points) < n:
+                points.append((float(x), float(y)))
+    return np.array(points)
+
+
+def edge_order_loop(m: DistanceMatrix) -> List[Tuple[float, int, int]]:
+    """Every pair i < j as a (d, i, j) tuple, sorted."""
+    n = m.n
+    return sorted(
+        (float(m.entries[i, j]), i, j) for i in range(n) for j in range(i + 1, n)
+    )
+
+
+def shortest_path_matrix_loop(g: BeatingGraph) -> np.ndarray:
+    """Round-trip hop counts by BFS from every node."""
+
+    def hops(src: Die) -> Dict[Die, int]:
+        dist = {src: 0}
+        queue = collections.deque([src])
+        while queue:
+            v = queue.popleft()
+            for w in g.succ[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        return dist
+
+    table = {v: hops(v) for v in g.nodes}
+    return pairwise_loop(g.nodes, lambda x, y: table[x][y] + table[y][x])
+
+
+def similarity_matrix_loop(D) -> np.ndarray:
+    n = len(D)
+
+    def dist(i: int, j: int) -> float:
+        total = 0
+        for k in range(n):
+            if k != i and k != j:
+                total += (int(D[k][i]) - int(D[k][j])) ** 2
+        return math.sqrt(total)
+
+    return pairwise_loop(range(n), dist)
+
+
+def euclidean_dice(x: Die, y: Die) -> float:
+    if len(x) != len(y):
+        raise ValueError(f"side counts differ: {len(x)} vs {len(y)}")
+    return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+
+
+def foliation_symmetry_distance(x: Die, y: Die, pairing: str = "literal") -> Fraction:
+    """|(s(x) + f(x)) − (s(y) + f(y))|, exact."""
+    sx = symmetry(x, pairing) + foliation(x)
+    sy = symmetry(y, pairing) + foliation(y)
+    return abs(sx - sy)
+
+
+def foliation_symmetry_matrix_loop(nodes: Sequence[Die], pairing: str) -> np.ndarray:
+    return pairwise_loop(
+        nodes, lambda x, y: float(foliation_symmetry_distance(x, y, pairing))
+    )

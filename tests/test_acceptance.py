@@ -28,7 +28,7 @@ from ripsbars.dice import (
     similarity_distance_matrix,
 )
 from ripsbars.filtration import build_filtration, critical_thresholds
-from ripsbars.metrics import Point2, build_distance_matrix
+from ripsbars.metrics import build_distance_matrix
 from ripsbars.persistence import (
     Bar,
     Barcode,
@@ -84,9 +84,8 @@ def test_c01_live_bar_counts_equal_betti_numbers(capsys):
             n = int(rng.integers(2, 13))
             max_dim = int(rng.integers(1, 4))
             coords = rng.uniform(-1.5, 1.5, size=(n, 2))
-            pts = [Point2(float(x), float(y)) for x, y in coords]
             for metric in PLANAR:
-                m = build_distance_matrix(pts, metric)
+                m = build_distance_matrix(coords, metric)
                 f = build_filtration(m, max_dim=max_dim)
                 bc = barcode(f, normalize=False, metric=metric)
                 for eps in f.thresholds:
@@ -107,8 +106,7 @@ def test_c02_incremental_complex_equals_brute_force_cliques(capsys):
             n = int(rng.integers(2, 11))
             max_dim = int(rng.integers(1, 5))
             coords = rng.uniform(0.0, 2.0, size=(n, 2))
-            pts = [Point2(float(x), float(y)) for x, y in coords]
-            m = build_distance_matrix(pts, "euclidean")
+            m = build_distance_matrix(coords, "euclidean")
             f = build_filtration(m, max_dim=max_dim)
             eps = f.thresholds[-1]
             assert f.vertex_sets() == flag_complex_brute(m, eps, max_dim)
@@ -119,7 +117,7 @@ def test_c03_unit_square_fixture(capsys):
     """Unit-square corners, Euclidean: one H1 bar at normalized (1/√2, 1),
     an open H0 bar, and β₀ = 1 from ε = max/√2 on.  Tolerance 1e-12."""
     with gate(capsys, "C3", "unit square H1 bar and connectivity"):
-        pts = [Point2(0, 0), Point2(1, 0), Point2(0, 1), Point2(1, 1)]
+        pts = [(0, 0), (1, 0), (0, 1), (1, 1)]
         m = build_distance_matrix(pts, "euclidean")
         f = build_filtration(m, max_dim=2)
         bc = barcode(f, normalize=True, metric="euclidean")
@@ -210,7 +208,7 @@ def test_c08_normalized_results_invariant_under_scaling(capsys):
     and changes no normalized bar or statistic by more than 1e-12."""
     with gate(capsys, "C8", "scaling by 3.7 leaves normalized results unchanged"):
         pts = sample_region(four_hole_disk(), 20, seed=5)
-        scaled = [Point2(3.7 * p.x, 3.7 * p.y) for p in pts]
+        scaled = 3.7 * pts
         for metric in PLANAR:
             m1 = build_distance_matrix(pts, metric)
             m2 = build_distance_matrix(scaled, metric)

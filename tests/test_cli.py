@@ -10,14 +10,13 @@ from ripsbars.cli import RunConfig, main
 from ripsbars.cloud import write_points_csv
 from ripsbars.metrics import (
     DistanceMatrix,
-    Point2,
     build_distance_matrix,
     read_distance_csv,
     write_distance_csv,
 )
 from ripsbars.persistence import read_barcode_csv
 
-SQUARE = [Point2(0, 0), Point2(1, 0), Point2(0, 1), Point2(1, 1)]
+SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 TEN_DICE = [
     "112566",
@@ -62,10 +61,57 @@ def test_runconfig_from_metadata_ignores_unknown_keys():
 def test_emitted_file_reproduces_config(tmp_path):
     out = tmp_path / "run"
     assert main(["cloud", "--out", str(out), "--points", "7", "--seed", "3"]) == 0
-    meta = fileio.parse_metadata(fileio.read_lines(str(out / "points.csv")))
+    path = str(out / "points.csv")
+    meta = fileio.parse_metadata(path, fileio.read_lines(path))
     assert meta["version"] == fileio.VERSION
     cfg = RunConfig.from_metadata(meta["config"])
     assert cfg == RunConfig(command="cloud", out_dir=str(out), points=7, seed=3)
+
+
+def test_compare_header_records_only_its_options(tmp_path):
+    out = tmp_path / "run"
+    assert main(["cloud", "--out", str(out), "--points", "20", "--seed", "7"]) == 0
+    assert main(["compare", "--input", str(out / "points.csv"), "--out", str(out)]) == 0
+    for name in ("barcode_euclidean.csv", "stats.csv", "stats.txt"):
+        path = str(out / name)
+        config = fileio.parse_metadata(path, fileio.read_lines(path))["config"]
+        assert config["command"] == "compare"
+        assert set(config) == {"command", "out_dir", *cli.COMMAND_FIELDS["compare"]}
+        assert "seed" not in config and "points" not in config
+        assert "tie_convention" not in config
+
+
+def test_command_fields_name_every_flag_a_command_sets():
+    argvs = {
+        "cloud": ["cloud", "--points", "9", "--seed", "4"],
+        "dice": ["dice", "--sides", "4", "--max-face", "5", "--face-sum", "12",
+                 "--tie-convention", "strict", "--symmetry-pairing", "opposite"],
+        "persist": ["persist", "--input", "p.csv", "--metric", "taxicab", "--max-dim", "3",
+                    "--stop-on-connected", "--no-normalize", "--svg"],
+        "compare": ["compare", "--input", "p.csv", "--metrics", "euclidean,taxicab",
+                    "--matrices", "a.csv", "--max-dim", "3", "--stop-on-connected", "--svg"],
+        "stats": ["stats", "b.csv"],
+    }
+    assert set(argvs) == set(cli.COMMAND_FIELDS)
+    for command, argv in argvs.items():
+        cfg = cli._config_from_args(cli._build_parser().parse_args(argv))
+        default = RunConfig(command=command)
+        changed = {k for k, v in vars(cfg).items() if v != getattr(default, k)}
+        assert changed == set(cli.COMMAND_FIELDS[command]), command
+
+
+def test_bad_config_json_is_input_error_with_line(tmp_path, capsys):
+    """A broken config header must not silently drop the dice dimension cap."""
+    out = tmp_path / "dice"
+    assert main(["dice", "--out", str(out), "--tie-convention", "strict"]) == 0
+    mat = out / "dist_euclidean.csv"
+    lines = mat.read_text().splitlines()
+    assert lines[1].startswith("# ripsbars-config {")
+    lines[1] = lines[1][:-1]
+    mat.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["persist", "--input", str(mat), "--out", str(tmp_path / "bars")]) == 2
+    assert f"{mat}:2: bad ripsbars-config JSON" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- cloud

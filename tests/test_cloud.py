@@ -1,7 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import sample_region_loop
 from ripsbars.cloud import (
     Circle,
     Region,
@@ -12,7 +16,6 @@ from ripsbars.cloud import (
     write_points_csv,
 )
 from ripsbars.fileio import ParseError
-from ripsbars.metrics import Point2
 
 
 def test_four_hole_disk_geometry():
@@ -23,36 +26,35 @@ def test_four_hole_disk_geometry():
     for hole in region.holes:
         assert hole.radius == 0.18
         # strictly inside the outer circle
-        assert math.hypot(hole.center.x, hole.center.y) + hole.radius < 1.0
+        assert math.hypot(*hole.center) + hole.radius < 1.0
     # hole centers are 0.9 apart along each axis, radii sum to 0.36
     assert region.admissible_area() == pytest.approx(math.pi * (1 - 4 * 0.18**2))
     assert region.admissible_area() > 0
 
 
 def test_single_point_in_unit_disk():
-    region = Region(outer=Circle(Point2(0, 0), 1.0))
+    region = Region(outer=Circle((0, 0), 1.0))
     (p,) = sample_region(region, 1, seed=11)
-    assert math.hypot(p.x, p.y) < 1.0
+    assert math.hypot(*p) < 1.0
 
 
 def test_samples_respect_membership():
     region = four_hole_disk()
     pts = sample_region(region, 50, seed=3)
-    assert len(pts) == 50
-    for p in pts:
-        assert region.contains(p)
-        assert math.hypot(p.x, p.y) < 1.0
+    assert pts.shape == (50, 2)
+    for x, y in pts.tolist():
+        assert math.hypot(x, y) < 1.0
         for hole in region.holes:
-            assert math.hypot(p.x - hole.center.x, p.y - hole.center.y) > hole.radius
+            assert math.hypot(x - hole.center[0], y - hole.center[1]) > hole.radius
 
 
 def test_determinism_bit_for_bit():
     region = four_hole_disk()
     a = sample_region(region, 30, seed=42)
     b = sample_region(region, 30, seed=42)
-    assert a == b
+    assert np.array_equal(a, b)
     c = sample_region(region, 30, seed=43)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_rejects_nonpositive_count():
@@ -62,7 +64,7 @@ def test_rejects_nonpositive_count():
 
 def test_rejects_hole_outside():
     bad = Region(
-        outer=Circle(Point2(0, 0), 1.0), holes=(Circle(Point2(0.9, 0.0), 0.5),)
+        outer=Circle((0, 0), 1.0), holes=(Circle((0.9, 0.0), 0.5),)
     )
     with pytest.raises(ValueError, match="inside"):
         validate_region(bad)
@@ -70,8 +72,8 @@ def test_rejects_hole_outside():
 
 def test_rejects_overlapping_holes():
     bad = Region(
-        outer=Circle(Point2(0, 0), 1.0),
-        holes=(Circle(Point2(-0.3, 0), 0.25), Circle(Point2(0.1, 0), 0.25)),
+        outer=Circle((0, 0), 1.0),
+        holes=(Circle((-0.3, 0), 0.25), Circle((0.1, 0), 0.25)),
     )
     with pytest.raises(ValueError, match="overlap"):
         validate_region(bad)
@@ -79,7 +81,7 @@ def test_rejects_overlapping_holes():
 
 def test_rejects_hole_swallowing_region():
     """A hole covering (nearly) the whole disk leaves no admissible area."""
-    bad = Region(outer=Circle(Point2(0, 0), 1.0), holes=(Circle(Point2(0, 0), 1.0),))
+    bad = Region(outer=Circle((0, 0), 1.0), holes=(Circle((0, 0), 1.0),))
     with pytest.raises(ValueError):
         sample_region(bad, 5, seed=0)
 
@@ -93,7 +95,7 @@ def test_quadrant_uniformity_smoke():
     region = four_hole_disk()
     n = 10_000
     pts = sample_region(region, n, seed=2026)
-    count = sum(1 for p in pts if p.x > 0 and p.y > 0)
+    count = int(((pts[:, 0] > 0) & (pts[:, 1] > 0)).sum())
     expected = n / 4
     sigma = math.sqrt(n * 0.25 * 0.75)
     assert abs(count - expected) < 3 * sigma
@@ -104,7 +106,24 @@ def test_points_csv_round_trip(tmp_path):
     path = tmp_path / "points.csv"
     write_points_csv(str(path), pts, config={"command": "cloud"})
     back = read_points_csv(str(path))
-    assert back == pts
+    assert back.dtype == np.float64
+    assert np.array_equal(back, pts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=300))
+def test_sampler_matches_per_candidate_loop(seed, n):
+    region = four_hole_disk()
+    assert np.array_equal(sample_region(region, n, seed), sample_region_loop(region, n, seed))
+
+
+def test_sampler_keeps_boundary_convention():
+    """Strict inside the outer circle, outside the closed holes: an annulus
+    whose inner hole is large rejects most candidates, and every kept point
+    matches the per-candidate loop."""
+    region = Region(outer=Circle((0.5, -0.25), 2.0), holes=(Circle((0.5, -0.25), 1.5),))
+    pts = sample_region(region, 200, seed=9)
+    assert np.array_equal(pts, sample_region_loop(region, 200, 9))
 
 
 def test_points_csv_requires_header(tmp_path):

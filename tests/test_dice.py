@@ -2,11 +2,21 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import cycle_nodes_brute, simple_cycles_brute
+from oracles import (
+    cycle_nodes_brute,
+    euclidean_dice,
+    foliation_symmetry_distance,
+    foliation_symmetry_matrix_loop,
+    pairwise_loop,
+    shortest_path_matrix_loop,
+    similarity_matrix_loop,
+    simple_cycles_brute,
+)
 from ripsbars.dice import (
     BudgetExceededError,
     DiceSpace,
@@ -17,10 +27,8 @@ from ripsbars.dice import (
     build_beating_graph,
     die_label,
     enumerate_dice,
-    euclidean_dice,
     euclidean_dice_distance_matrix,
     foliation,
-    foliation_symmetry_distance,
     foliation_symmetry_distance_matrix,
     induced_subgraph,
     longest_cycle,
@@ -354,8 +362,6 @@ def test_shortest_path_metric_axioms_exact():
     """On a strongly connected graph the round-trip distance is a metric;
     integer arithmetic means the axioms hold with zero tolerance."""
     g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
-    import numpy as np
-
     m = DistanceMatrix(entries=np.array(shortest_path_matrix(g), dtype=float))
     assert validate_pseudometric(m, tol=0.0).ok
 
@@ -363,7 +369,7 @@ def test_shortest_path_metric_axioms_exact():
 # ------------------------------------------------------------- similarity
 
 def test_similarity_degenerate_two_nodes():
-    assert similarity_matrix([[0, 1], [1, 0]]) == [[0.0, 0.0], [0.0, 0.0]]
+    assert similarity_matrix([[0, 1], [1, 0]]).tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_similarity_identical_neighborhood_pair():
@@ -484,6 +490,37 @@ def test_dice_distance_matrices_are_valid():
     ):
         assert m.labels == tuple(die_label(d) for d in g.nodes)
         assert validate_pseudometric(m, tol=1e-9).ok
+
+
+@pytest.mark.parametrize("convention", ["strict", "majority"])
+def test_dice_matrices_match_per_pair_loops(convention):
+    """The array builders equal the per-pair loops bit for bit on the strict
+    (10 dice) and majority (31 dice) non-transitive subsets of DT(6)."""
+    g = build_beating_graph(DT6, convention)
+    sub = induced_subgraph(g, non_transitive_subset(g))
+    assert sub.n == {"strict": 10, "majority": 31}[convention]
+    D = shortest_path_matrix(sub)
+    assert np.array_equal(D, shortest_path_matrix_loop(sub))
+    assert np.array_equal(similarity_matrix(D), similarity_matrix_loop(D))
+    assert np.array_equal(
+        similarity_distance_matrix(sub).entries, similarity_matrix_loop(D)
+    )
+    assert np.array_equal(
+        euclidean_dice_distance_matrix(sub.nodes).entries,
+        pairwise_loop(sub.nodes, euclidean_dice),
+    )
+    for pairing in ("literal", "opposite"):
+        assert np.array_equal(
+            foliation_symmetry_distance_matrix(sub.nodes, pairing).entries,
+            foliation_symmetry_matrix_loop(sub.nodes, pairing),
+        )
+
+
+def test_shortest_path_matrix_names_unreachable_pair():
+    x, y, z = parse_die("115555"), parse_die("344444"), parse_die("333336")
+    g = _manual_graph((x, y, z), [(x, y), (y, x), (y, z)])
+    with pytest.raises(UnreachableNodeError, match="333336 -> 115555"):
+        shortest_path_matrix(g)
 
 
 # --------------------------------------------------------------------- DOT

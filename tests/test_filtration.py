@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
-from oracles import flag_complex_brute, simplex_birth_brute
+from oracles import edge_order_loop, flag_complex_brute, simplex_birth_brute
 from ripsbars.filtration import (
     Filtration,
     build_filtration,
@@ -14,8 +14,9 @@ from ripsbars.filtration import (
     expand_increment,
     filtration_lines,
     neighborhood_edges,
+    sorted_edges,
 )
-from ripsbars.metrics import DistanceMatrix, Point2, build_distance_matrix
+from ripsbars.metrics import DistanceMatrix, build_distance_matrix
 
 
 def matrix_from(entries):
@@ -34,6 +35,29 @@ def test_critical_thresholds_duplicates_collapse():
 def test_critical_thresholds_zero_first_for_duplicate_points():
     m = matrix_from([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
     assert critical_thresholds(m) == [0.0, 1.0]
+
+
+coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+clouds = st.one_of(
+    st.lists(st.tuples(coords, coords), min_size=1, max_size=12),
+    # integer grid points: many tied distances and coincident points
+    st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=12),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds, st.sampled_from(["euclidean", "taxicab", "supremum"]))
+def test_sorted_edges_match_tuple_sort(pts, metric):
+    m = build_distance_matrix(pts, metric)
+    i, j, d, starts = sorted_edges(m)
+    ref = edge_order_loop(m)
+    assert np.array_equal(d, [t[0] for t in ref])
+    assert np.array_equal(i, [t[1] for t in ref])
+    assert np.array_equal(j, [t[2] for t in ref])
+    distinct = sorted({t[0] for t in ref})
+    assert np.array_equal(d[starts], distinct)
+    assert critical_thresholds(m) == distinct
+    assert build_filtration(m, max_dim=1).thresholds == distinct
 
 
 def test_critical_thresholds_single_point():
@@ -59,7 +83,7 @@ def test_expand_triangle_completes_at_third_edge():
 
 
 def test_four_close_points_full_complex():
-    pts = [Point2(0, 0), Point2(0.1, 0), Point2(0, 0.1), Point2(0.1, 0.1)]
+    pts = [(0, 0), (0.1, 0), (0, 0.1), (0.1, 0.1)]
     f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=3)
     dims = [s.dim for s in f.simplices]
     assert dims.count(0) == 4
@@ -79,7 +103,7 @@ def test_square_has_no_triangles_at_one(square_matrix):
 
 def test_duplicate_points_simplex_at_zero():
     """k coincident points form their shared (k−1)-simplex at ε = 0."""
-    pts = [Point2(0, 0), Point2(0, 0), Point2(0, 0), Point2(1, 0)]
+    pts = [(0, 0), (0, 0), (0, 0), (1, 0)]
     f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=3)
     tri = f.simplex_id((0, 1, 2))
     assert tri is not None
@@ -88,7 +112,7 @@ def test_duplicate_points_simplex_at_zero():
 
 
 def test_duplicate_points_respect_dim_cap():
-    pts = [Point2(0, 0)] * 4
+    pts = [(0, 0)] * 4
     f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=2)
     assert max(s.dim for s in f.simplices) == 2
     assert f.simplex_id((0, 1, 2, 3)) is None
@@ -129,7 +153,7 @@ def test_two_points_stopping():
 
 
 def test_collinear_points_stop_at_second_threshold():
-    pts = [Point2(0, 0), Point2(1, 0), Point2(3, 0)]
+    pts = [(0, 0), (1, 0), (3, 0)]
     m = build_distance_matrix(pts, "euclidean")
     f = build_filtration(m, max_dim=2, stop_when_connected=True)
     assert f.thresholds == [1.0, 2.0]
@@ -139,7 +163,7 @@ def test_collinear_points_stop_at_second_threshold():
 
 
 def test_connected_at_recorded_without_stopping():
-    pts = [Point2(0, 0), Point2(1, 0), Point2(3, 0)]
+    pts = [(0, 0), (1, 0), (3, 0)]
     m = build_distance_matrix(pts, "euclidean")
     f = build_filtration(m, max_dim=2, stop_when_connected=False)
     assert f.connected_at == 2.0

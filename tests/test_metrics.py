@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import distance_matrix_loop, sample_region_loop
+from ripsbars.cloud import four_hole_disk, read_points_csv, sample_region
 from ripsbars.fileio import ParseError
 from ripsbars.metrics import (
     PLANAR_METRICS,
     DistanceMatrix,
-    Point2,
     build_distance_matrix,
     euclidean,
     normalize,
@@ -21,63 +22,110 @@ from ripsbars.metrics import (
 )
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-points = st.builds(Point2, coords, coords)
+points = st.tuples(coords, coords)
+#: Integer grid points: many equal distances and coincident points.
+grid_points = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+
+
+def between(fn, a, b) -> float:
+    """``fn`` on the single pair (a, b)."""
+    return float(fn(np.array([a[0] - b[0]]), np.array([a[1] - b[1]]))[0])
 
 
 def test_euclidean_values():
-    assert euclidean(Point2(0, 0), Point2(3, 4)) == 5.0
-    assert euclidean(Point2(1, 1), Point2(1, 1)) == 0.0
-    assert euclidean(Point2(0, 0), Point2(1, 1)) == pytest.approx(math.sqrt(2))
+    assert between(euclidean, (0, 0), (3, 4)) == 5.0
+    assert between(euclidean, (1, 1), (1, 1)) == 0.0
+    assert between(euclidean, (0, 0), (1, 1)) == pytest.approx(math.sqrt(2))
+
+
+def test_euclidean_is_math_hypot_per_pair():
+    """Pair (7, 10) of the seed-7 50-point cloud, where np.hypot is one ulp
+    lower; the pinned barcodes depend on math.hypot's rounding."""
+    dx, dy = -0.695171226662213, 0.7131839638245827
+    assert euclidean(np.array([dx]), np.array([dy]))[0] == math.hypot(dx, dy)
+    assert math.hypot(dx, dy) == 0.9959389542715907
+    assert float(np.hypot(dx, dy)) == 0.9959389542715906
 
 
 def test_taxicab_values():
-    assert taxicab(Point2(0, 0), Point2(3, 4)) == 7.0
-    assert taxicab(Point2(2, 5), Point2(2, 5)) == 0.0
-    assert taxicab(Point2(0, 0), Point2(-1, 1)) == 2.0
+    assert between(taxicab, (0, 0), (3, 4)) == 7.0
+    assert between(taxicab, (2, 5), (2, 5)) == 0.0
+    assert between(taxicab, (0, 0), (-1, 1)) == 2.0
 
 
 def test_supremum_values():
-    assert supremum(Point2(0, 0), Point2(3, 4)) == 4.0
-    assert supremum(Point2(7, 7), Point2(7, 7)) == 0.0
-    assert supremum(Point2(0, 0), Point2(1, 1)) == 1.0
+    assert between(supremum, (0, 0), (3, 4)) == 4.0
+    assert between(supremum, (7, 7), (7, 7)) == 0.0
+    assert between(supremum, (0, 0), (1, 1)) == 1.0
 
 
-def test_point_rejects_non_finite():
-    with pytest.raises(ValueError):
-        Point2(float("nan"), 0.0)
-    with pytest.raises(ValueError):
-        Point2(0.0, float("inf"))
+def test_point_rejects_non_finite(tmp_path):
+    path = tmp_path / "points.csv"
+    for bad in ("nan", "inf", "-inf"):
+        path.write_text(f"x,y\n0.5,0.5\n{bad},0.0\n")
+        with pytest.raises(ParseError, match=":3: non-finite"):
+            read_points_csv(str(path))
+        with pytest.raises(ValueError, match="non-finite"):
+            build_distance_matrix([(0.5, 0.5), (float(bad), 0.0)], "euclidean")
+        with pytest.raises(ValueError, match="non-finite"):
+            build_distance_matrix([(0.5, 0.5), (0.0, float(bad))], "taxicab")
 
 
 @given(points, points)
 def test_norm_equivalence(a, b):
     """sup ≤ euclidean ≤ taxicab ≤ 2·sup for every pair of plane points."""
-    s, e, t = supremum(a, b), euclidean(a, b), taxicab(a, b)
+    s, e, t = between(supremum, a, b), between(euclidean, a, b), between(taxicab, a, b)
     tol = 1e-9 * max(1.0, t)
     assert s <= e + tol
     assert e <= t + tol
     assert t <= 2 * s + tol
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        st.lists(points, min_size=1, max_size=12),
+        st.lists(grid_points, min_size=1, max_size=12),
+    ),
+    st.sampled_from(sorted(PLANAR_METRICS)),
+)
+def test_array_metrics_match_per_pair_loop(pts, name):
+    m = build_distance_matrix(pts, name)
+    assert np.array_equal(m.entries, distance_matrix_loop(pts, name))
+
+
+def test_array_metrics_match_per_pair_loop_on_paper_cloud():
+    """The seed-7 50-point cloud has pairs where np.hypot would round
+    differently, so this pins the euclidean rounding on real inputs."""
+    pts = sample_region(four_hole_disk(), 50, seed=7)
+    assert np.array_equal(pts, sample_region_loop(four_hole_disk(), 50, 7))
+    for name in PLANAR_METRICS:
+        assert np.array_equal(
+            build_distance_matrix(pts, name).entries, distance_matrix_loop(pts, name)
+        )
+
+
 def test_build_distance_matrix_examples():
-    m = build_distance_matrix([Point2(0, 0), Point2(3, 4)], "euclidean")
+    m = build_distance_matrix([(0, 0), (3, 4)], "euclidean")
     assert m.entries.tolist() == [[0, 5], [5, 0]]
 
-    single = build_distance_matrix([Point2(0, 0)], "taxicab")
+    single = build_distance_matrix([(0, 0)], "taxicab")
     assert single.entries.tolist() == [[0]]
 
-    tri = build_distance_matrix([Point2(0, 0), Point2(1, 0), Point2(0, 1)], "taxicab")
+    tri = build_distance_matrix([(0, 0), (1, 0), (0, 1)], "taxicab")
     assert tri.entries.tolist() == [[0, 1, 1], [1, 0, 2], [1, 2, 0]]
 
 
 def test_build_distance_matrix_rejects_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric"):
-        build_distance_matrix([Point2(0, 0)], "hamming")
+        build_distance_matrix([(0, 0)], "hamming")
 
 
 def test_build_distance_matrix_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n >= 1"):
         build_distance_matrix([], "euclidean")
+    with pytest.raises(ValueError, match=r"\(n, 2\)"):
+        build_distance_matrix([(0.0, 1.0, 2.0)], "euclidean")
 
 
 @given(st.lists(points, min_size=2, max_size=8), st.sampled_from(sorted(PLANAR_METRICS)))
@@ -96,7 +144,7 @@ def test_normalize_examples():
 
 def test_normalize_idempotent_and_order_preserving():
     rng = np.random.default_rng(5)
-    pts = [Point2(float(x), float(y)) for x, y in rng.random((7, 2))]
+    pts = rng.random((7, 2))
     m = build_distance_matrix(pts, "euclidean")
     nm = normalize(m)
     assert nm.max_distance() == 1.0

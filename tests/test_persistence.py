@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
+from ripsbars.fileio import ParseError
 from ripsbars.filtration import build_filtration
-from ripsbars.metrics import DistanceMatrix, Point2, build_distance_matrix
+from ripsbars.metrics import DistanceMatrix, build_distance_matrix
 from ripsbars.persistence import (
     Bar,
     Barcode,
@@ -43,7 +44,7 @@ def test_boundary_one_edge():
 
 
 def test_boundary_filled_triangle():
-    pts = [Point2(0, 0), Point2(1, 0), Point2(0.5, 0.5)]
+    pts = [(0, 0), (1, 0), (0.5, 0.5)]
     f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=2)
     M = total_boundary_matrix(f)
     triangle_cols = [c for c, d in zip(M.columns, M.dims) if d == 2]
@@ -140,7 +141,7 @@ def test_triangle_cycle_filled_instantly():
 
 
 def test_open_bars_normalized_death_is_one():
-    pts = [Point2(0, 0), Point2(1, 0), Point2(3, 0)]
+    pts = [(0, 0), (1, 0), (3, 0)]
     m = build_distance_matrix(pts, "euclidean")
     f = build_filtration(m, max_dim=2, stop_when_connected=True)
     bc = barcode(f, normalize=True)
@@ -205,7 +206,7 @@ def test_betti_square(square_matrix):
 
 
 def test_betti_full_tetrahedron_contractible():
-    pts = [Point2(0, 0), Point2(0.1, 0), Point2(0, 0.1), Point2(0.1, 0.1)]
+    pts = [(0, 0), (0.1, 0), (0, 0.1), (0.1, 0.1)]
     f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=3)
     assert betti_numbers(f, 1.0) == [1, 0, 0, 0]
 
@@ -293,4 +294,16 @@ def test_barcode_csv_requires_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,0.5,0.7,0\n")
     with pytest.raises(Exception, match="header"):
+        read_barcode_csv(str(path))
+
+
+def test_barcode_csv_bad_meta_reports_its_line(tmp_path):
+    path = tmp_path / "b.csv"
+    path.write_text(
+        "# ripsbars-version 0.1.0\n"
+        '# ripsbars-config {"command":"persist"}\n'
+        '# barcode-meta {"metric": \n'
+        "dim,birth,death,open\n"
+    )
+    with pytest.raises(ParseError, match=r"b\.csv:3: bad barcode-meta JSON"):
         read_barcode_csv(str(path))

@@ -201,7 +201,7 @@ def test_stats_table_rows_and_alignment():
 def test_normalized_stats_invariant_under_rescaling():
     rng = np.random.default_rng(11)
     pts = random_points(rng, 10)
-    scaled = [type(p)(p.x * 3.7, p.y * 3.7) for p in pts]
+    scaled = pts * 3.7
     for metric in ("euclidean", "taxicab", "supremum"):
         bc1 = barcode(
             build_filtration(build_distance_matrix(pts, metric), max_dim=2),
