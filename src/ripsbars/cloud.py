@@ -131,9 +131,9 @@ def write_points_csv(
     fileio.write_text(path, lines)
 
 
-def read_points_csv(path: str) -> np.ndarray:
-    """Read a points CSV into an (n, 2) float64 array."""
-    lines = fileio.read_lines(path)
+def read_points_csv(path: str, lines: List[str]) -> np.ndarray:
+    """Parse the ``lines`` of the points CSV at ``path`` into an (n, 2) float64
+    array; ``path`` only labels errors."""
     points: List[Tuple[float, float]] = []
     saw_header = False
     for lineno, text in fileio.data_lines(lines):
@@ -156,8 +156,8 @@ def read_points_csv(path: str) -> np.ndarray:
     return np.array(points, dtype=float)
 
 
-def looks_like_points_csv(path: str) -> bool:
-    """True when the first data line is the 'x,y' points header."""
-    for _, text in fileio.data_lines(fileio.read_lines(path)):
+def looks_like_points_csv(lines: List[str]) -> bool:
+    """True when the first data line of a file's ``lines`` is the 'x,y' points header."""
+    for _, text in fileio.data_lines(lines):
         return [t.strip().lower() for t in text.split(",")] == ["x", "y"]
     return False

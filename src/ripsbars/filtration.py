@@ -157,9 +157,11 @@ def expand_increment(
 ) -> Filtration:
     """Insert the edges born at ``birth`` and every clique they complete.
 
-    Edges are processed in sorted order; for each, the cliques inside the
-    common neighborhood of its endpoints (at the moment of insertion) name
-    exactly the new simplices having that edge as their last-arriving edge.
+    ``new_edges`` are pairs ``(i, j)`` with ``i < j`` in ascending order, as
+    :func:`build_filtration` takes them from :func:`sorted_edges`.  For each
+    edge, the cliques inside the common neighborhood of its endpoints (at the
+    moment of insertion) name exactly the new simplices having that edge as
+    their last-arriving edge.
     The batch is then sorted by (dimension, vertex tuple) before ids are
     assigned, so faces always precede cofaces in the filtration order.
     """
@@ -173,7 +175,7 @@ def expand_increment(
             if len(cell) + 2 <= f.max_dim:
                 grow(base, cell, [z for z in cands[pos + 1:] if z in adj[w]])
 
-    for u, v in sorted(tuple(sorted(e)) for e in new_edges):
+    for u, v in new_edges:
         if v in adj[u]:
             raise ValueError(f"edge ({u}, {v}) already present")
         if f.max_dim >= 1:

@@ -196,9 +196,11 @@ def write_distance_csv(
     fileio.write_text(path, lines)
 
 
-def read_distance_csv(path: str, tol: float = TRIANGLE_TOL) -> DistanceMatrix:
-    """Read a distance matrix, validating shape and symmetry within ``tol``."""
-    lines = fileio.read_lines(path)
+def read_distance_csv(
+    path: str, lines: List[str], tol: float = TRIANGLE_TOL
+) -> DistanceMatrix:
+    """Parse the ``lines`` of the distance-matrix CSV at ``path`` (which only
+    labels errors), validating shape and symmetry within ``tol``."""
     meta = fileio.parse_metadata(path, lines)
     rows: List[List[float]] = []
     row_lines: List[int] = []

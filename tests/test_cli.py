@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ripsbars import cli, fileio
-from ripsbars.cli import RunConfig, main
+from ripsbars.cli import main
 from ripsbars.cloud import write_points_csv
 from ripsbars.metrics import (
     DistanceMatrix,
@@ -40,22 +40,21 @@ def write_square(tmp_path, name="points.csv"):
 
 # ------------------------------------------------------------------- config
 
-def test_runconfig_metadata_round_trip():
-    cfg = RunConfig(
-        command="compare",
-        out_dir="somewhere",
-        matrix_paths=("a.csv", "b.csv"),
-        metrics=("euclidean", "supremum"),
-        max_dim=3,
-        svg=True,
-    )
-    assert RunConfig.from_metadata(cfg.to_metadata()) == cfg
+#: Header keys of each command: ``command``, ``out_dir`` and its own options.
+HEADER_KEYS = {
+    "cloud": {"command", "out_dir", "points", "seed"},
+    "dice": {"command", "out_dir", "sides", "max_face", "face_sum", "tie_convention",
+             "symmetry_pairing"},
+    "persist": {"command", "out_dir", "input_path", "metric", "max_dim",
+                "stop_when_connected", "normalize", "svg"},
+    "compare": {"command", "out_dir", "input_path", "metrics", "matrix_paths", "max_dim",
+                "stop_when_connected", "svg"},
+    "stats": {"command", "out_dir", "barcode_paths"},
+}
 
 
-def test_runconfig_from_metadata_ignores_unknown_keys():
-    blob = RunConfig(command="cloud").to_metadata()
-    blob["added_in_a_future_version"] = 42
-    assert RunConfig.from_metadata(blob) == RunConfig(command="cloud")
+def header_config(path):
+    return fileio.parse_metadata(str(path), fileio.read_lines(str(path)))["config"]
 
 
 def test_emitted_file_reproduces_config(tmp_path):
@@ -64,8 +63,7 @@ def test_emitted_file_reproduces_config(tmp_path):
     path = str(out / "points.csv")
     meta = fileio.parse_metadata(path, fileio.read_lines(path))
     assert meta["version"] == fileio.VERSION
-    cfg = RunConfig.from_metadata(meta["config"])
-    assert cfg == RunConfig(command="cloud", out_dir=str(out), points=7, seed=3)
+    assert meta["config"] == {"command": "cloud", "out_dir": str(out), "points": 7, "seed": 3}
 
 
 def test_compare_header_records_only_its_options(tmp_path):
@@ -73,31 +71,36 @@ def test_compare_header_records_only_its_options(tmp_path):
     assert main(["cloud", "--out", str(out), "--points", "20", "--seed", "7"]) == 0
     assert main(["compare", "--input", str(out / "points.csv"), "--out", str(out)]) == 0
     for name in ("barcode_euclidean.csv", "stats.csv", "stats.txt"):
-        path = str(out / name)
-        config = fileio.parse_metadata(path, fileio.read_lines(path))["config"]
+        config = header_config(out / name)
         assert config["command"] == "compare"
-        assert set(config) == {"command", "out_dir", *cli.COMMAND_FIELDS["compare"]}
+        assert set(config) == HEADER_KEYS["compare"]
         assert "seed" not in config and "points" not in config
         assert "tie_convention" not in config
 
 
-def test_command_fields_name_every_flag_a_command_sets():
+def test_header_keys_of_every_command(tmp_path):
+    c, d = tmp_path / "c", tmp_path / "d"
     argvs = {
-        "cloud": ["cloud", "--points", "9", "--seed", "4"],
-        "dice": ["dice", "--sides", "4", "--max-face", "5", "--face-sum", "12",
-                 "--tie-convention", "strict", "--symmetry-pairing", "opposite"],
-        "persist": ["persist", "--input", "p.csv", "--metric", "taxicab", "--max-dim", "3",
-                    "--stop-on-connected", "--no-normalize", "--svg"],
-        "compare": ["compare", "--input", "p.csv", "--metrics", "euclidean,taxicab",
-                    "--matrices", "a.csv", "--max-dim", "3", "--stop-on-connected", "--svg"],
-        "stats": ["stats", "b.csv"],
+        "cloud": ["cloud", "--out", str(c), "--points", "9"],
+        "dice": ["dice", "--out", str(d), "--tie-convention", "strict"],
+        "persist": ["persist", "--input", str(c / "points.csv"), "--out", str(c)],
+        "compare": ["compare", "--matrices", str(d / "dist_similarity.csv"),
+                    str(d / "dist_euclidean.csv"), "--out", str(d)],
+        "stats": ["stats", str(c / "barcode_euclidean.csv"), "--out", str(tmp_path / "s")],
     }
-    assert set(argvs) == set(cli.COMMAND_FIELDS)
+    outputs = {
+        "cloud": c / "points.csv",
+        "dice": d / "dice.txt",
+        "persist": c / "barcode_euclidean.csv",
+        "compare": d / "stats.txt",
+        "stats": tmp_path / "s" / "stats.csv",
+    }
+    assert set(argvs) == set(outputs) == set(HEADER_KEYS)
     for command, argv in argvs.items():
-        cfg = cli._config_from_args(cli._build_parser().parse_args(argv))
-        default = RunConfig(command=command)
-        changed = {k for k, v in vars(cfg).items() if v != getattr(default, k)}
-        assert changed == set(cli.COMMAND_FIELDS[command]), command
+        assert main(argv) == 0, command
+        config = header_config(outputs[command])
+        assert config["command"] == command
+        assert set(config) == HEADER_KEYS[command], command
 
 
 def test_bad_config_json_is_input_error_with_line(tmp_path, capsys):
@@ -243,6 +246,35 @@ def test_persist_no_normalize_keeps_raw_scale(tmp_path):
     assert h1.death == pytest.approx(math.sqrt(2))
 
 
+@pytest.mark.parametrize("command", ["persist", "compare"])
+def test_negative_max_dim_is_usage_error(tmp_path, capsys, command):
+    pts = write_square(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, "--input", str(pts), "--max-dim", "-1", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--max-dim" in err
+    assert not out.exists()
+
+
+def test_each_input_is_read_once(tmp_path, monkeypatch):
+    dice_out = tmp_path / "dice"
+    assert main(["dice", "--out", str(dice_out), "--tie-convention", "strict"]) == 0
+    pts = str(write_square(tmp_path))
+    sim, euc = str(dice_out / "dist_similarity.csv"), str(dice_out / "dist_euclidean.csv")
+    reads = []
+    read_lines = fileio.read_lines
+    monkeypatch.setattr(fileio, "read_lines", lambda path: reads.append(path) or read_lines(path))
+    for argv, inputs in (
+        (["persist", "--input", euc], [euc]),
+        (["persist", "--input", pts], [pts]),
+        (["compare", "--matrices", sim, euc], [sim, euc]),
+    ):
+        reads.clear()
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert reads == inputs, argv
+
+
 # ------------------------------------------------------------------ compare
 
 def test_compare_default_metrics(tmp_path, capsys):
@@ -291,6 +323,24 @@ def test_compare_unknown_metric_name(tmp_path, capsys):
     assert "manhattan" in capsys.readouterr().err
 
 
+def test_empty_metric_list_is_usage_error(tmp_path, capsys):
+    pts = write_square(tmp_path)
+    out = tmp_path / "out"
+    assert main(["compare", "--input", str(pts), "--metrics", ",", "--out", str(out)]) == 1
+    assert "at least 2 distinct metrics, got []" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_duplicate_metrics_are_refused_before_any_barcode(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_filtration", lambda *a, **k: pytest.fail("filtered"))
+    pts = write_square(tmp_path)
+    out = tmp_path / "out"
+    argv = ["compare", "--input", str(pts), "--metrics", "euclidean,euclidean"]
+    assert main(argv + ["--out", str(out)]) == 1
+    assert "at least 2 distinct metrics" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_compare_matrix_mode(tmp_path):
     m1 = tmp_path / "m1.csv"
     m2 = tmp_path / "m2.csv"
@@ -306,6 +356,20 @@ def test_compare_matrix_mode(tmp_path):
         if l and not l.startswith("#")
     ]
     assert {row.split(",")[0] for row in data[1:]} == {"euclidean", "taxicab"}
+
+
+def test_compare_matrices_take_points_csv_as_euclidean(tmp_path):
+    pts = write_square(tmp_path)
+    euc, taxi = tmp_path / "e.csv", tmp_path / "t.csv"
+    write_distance_csv(str(euc), build_distance_matrix(SQUARE, "euclidean"))
+    write_distance_csv(str(taxi), build_distance_matrix(SQUARE, "taxicab"))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["compare", "--matrices", str(pts), str(taxi), "--out", str(a)]) == 0
+    assert main(["compare", "--matrices", str(euc), str(taxi), "--out", str(b)]) == 0
+    from_points = read_barcode_csv(str(a / "barcode_euclidean.csv"))
+    from_matrix = read_barcode_csv(str(b / "barcode_euclidean.csv"))
+    assert from_points.bars == from_matrix.bars
+    assert from_points.zero_length == from_matrix.zero_length
 
 
 def test_compare_rejects_mixed_modes(tmp_path, capsys):
@@ -378,7 +442,8 @@ def test_dice_standard_space_strict(tmp_path, capsys):
     assert dot.startswith("// ripsbars-version")
     assert "digraph beating" in dot
 
-    sim = read_distance_csv(str(out / "dist_similarity.csv"))
+    path = str(out / "dist_similarity.csv")
+    sim = read_distance_csv(path, fileio.read_lines(path))
     assert sim.metric == "similarity"
     assert sim.labels == tuple(TEN_DICE)
     assert sim.n == 10
@@ -424,6 +489,17 @@ def test_dice_empty_space_warns_but_succeeds(tmp_path, capsys):
     ]
     assert labels == []
     assert "# empty: no dice" in (out / "dist_similarity.csv").read_text()
+
+
+def test_dice_outside_symmetry_domain_writes_nothing(tmp_path, capsys):
+    """4-sided dice have non-transitive subsets but no foliation-symmetry distance."""
+    out = tmp_path / "d"
+    out.mkdir()
+    argv = ["dice", "--out", str(out), "--sides", "4", "--max-face", "4", "--face-sum", "10"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--sides" in err and "--max-face" in err
+    assert list(out.iterdir()) == []
 
 
 def test_dice_rejects_bad_shape(tmp_path, capsys):

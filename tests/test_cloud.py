@@ -15,7 +15,7 @@ from ripsbars.cloud import (
     validate_region,
     write_points_csv,
 )
-from ripsbars.fileio import ParseError
+from ripsbars.fileio import ParseError, read_lines
 
 
 def test_four_hole_disk_geometry():
@@ -105,7 +105,7 @@ def test_points_csv_round_trip(tmp_path):
     pts = sample_region(four_hole_disk(), 9, seed=8)
     path = tmp_path / "points.csv"
     write_points_csv(str(path), pts, config={"command": "cloud"})
-    back = read_points_csv(str(path))
+    back = read_points_csv(str(path), read_lines(str(path)))
     assert back.dtype == np.float64
     assert np.array_equal(back, pts)
 
@@ -130,11 +130,11 @@ def test_points_csv_requires_header(tmp_path):
     path = tmp_path / "noheader.csv"
     path.write_text("0.5,0.5\n")
     with pytest.raises(ParseError, match="header"):
-        read_points_csv(str(path))
+        read_points_csv(str(path), read_lines(str(path)))
 
 
 def test_points_csv_rejects_bad_pair(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n1.0\n")
     with pytest.raises(ParseError, match="pair"):
-        read_points_csv(str(path))
+        read_points_csv(str(path), read_lines(str(path)))

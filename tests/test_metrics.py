@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import distance_matrix_loop, sample_region_loop
 from ripsbars.cloud import four_hole_disk, read_points_csv, sample_region
-from ripsbars.fileio import ParseError
+from ripsbars.fileio import ParseError, read_lines
 from ripsbars.metrics import (
     PLANAR_METRICS,
     DistanceMatrix,
@@ -64,7 +64,7 @@ def test_point_rejects_non_finite(tmp_path):
     for bad in ("nan", "inf", "-inf"):
         path.write_text(f"x,y\n0.5,0.5\n{bad},0.0\n")
         with pytest.raises(ParseError, match=":3: non-finite"):
-            read_points_csv(str(path))
+            read_points_csv(str(path), read_lines(str(path)))
         with pytest.raises(ValueError, match="non-finite"):
             build_distance_matrix([(0.5, 0.5), (float(bad), 0.0)], "euclidean")
         with pytest.raises(ValueError, match="non-finite"):
@@ -211,7 +211,7 @@ def test_distance_csv_round_trip(tmp_path):
     )
     path = tmp_path / "dist.csv"
     write_distance_csv(str(path), m, config={"command": "test"})
-    back = read_distance_csv(str(path))
+    back = read_distance_csv(str(path), read_lines(str(path)))
     assert np.array_equal(back.entries, m.entries)
     assert back.labels == ("a", "b", "c")
     assert back.metric == "euclidean"
@@ -221,25 +221,25 @@ def test_distance_csv_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1\n1\n")
     with pytest.raises(ParseError, match="columns"):
-        read_distance_csv(str(path))
+        read_distance_csv(str(path), read_lines(str(path)))
 
 
 def test_distance_csv_rejects_asymmetric(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1\n2,0\n")
     with pytest.raises(ParseError, match="symmetric"):
-        read_distance_csv(str(path))
+        read_distance_csv(str(path), read_lines(str(path)))
 
 
 def test_distance_csv_rejects_bad_number(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,x\nx,0\n")
     with pytest.raises(ParseError, match="not a number"):
-        read_distance_csv(str(path))
+        read_distance_csv(str(path), read_lines(str(path)))
 
 
 def test_distance_csv_rejects_negative(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,-1\n-1,0\n")
     with pytest.raises(ParseError, match="negative"):
-        read_distance_csv(str(path))
+        read_distance_csv(str(path), read_lines(str(path)))
