@@ -11,8 +11,6 @@ from .cloud import Region, four_hole_disk, sample_region
 from .dice import (
     BeatingGraph,
     DiceSpace,
-    beating_probability,
-    beats,
     build_beating_graph,
     enumerate_dice,
     longest_cycle,
@@ -26,7 +24,6 @@ from .metrics import (
     normalize,
     supremum,
     taxicab,
-    validate_pseudometric,
 )
 from .persistence import (
     Bar,
@@ -53,8 +50,6 @@ __all__ = [
     "Simplex",
     "bar_stats",
     "barcode",
-    "beating_probability",
-    "beats",
     "betti_numbers",
     "build_beating_graph",
     "build_distance_matrix",
@@ -73,6 +68,5 @@ __all__ = [
     "supremum",
     "taxicab",
     "total_boundary_matrix",
-    "validate_pseudometric",
     "__version__",
 ]

@@ -303,8 +303,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             )
         if args.metrics:
             raise UsageError("--metrics applies to --input mode; matrices are self-labeled")
-        for path in args.matrix_paths:
-            m, label, max_dim = _read_input(path, None)
+        inputs = [_read_input(path, None) for path in args.matrix_paths]
+        labels = [label for _, label, _ in inputs]
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"duplicate run names: {labels}")
+        for m, label, max_dim in inputs:
             runs.append((label, _barcode(args, m, label, max_dim, True)))
     else:
         raise UsageError("compare needs --input (points) or --matrices (distance CSVs)")

@@ -1,8 +1,8 @@
 """Non-transitive dice: enumeration, beating graphs, and graph distances.
 
 A die is a canonical (non-decreasing) tuple of integer faces.  All arithmetic
-in this module is exact — integer win counts, Fraction-valued constants —
-and is converted to floats only at distance-matrix assembly.
+in this module is exact — win counts are int64 arrays, the constants are
+Fractions — and is converted to floats only at distance-matrix assembly.
 
 Two tie conventions for "Y beats X" are supported, because win counts can
 include ties:
@@ -15,10 +15,9 @@ The default space DT(6) is all 6-sided dice with faces in 1..6 summing to 21.
 
 from __future__ import annotations
 
-import collections
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,154 +103,84 @@ def enumerate_dice(sides: int, max_face: int, face_sum: int) -> DiceSpace:
     return DiceSpace(sides=sides, max_face=max_face, face_sum=face_sum, dice=tuple(out))
 
 
-class WinCount(collections.namedtuple("WinCount", ["wins", "ties", "losses"])):
-    """Exhaustive face-pair outcome counts for an ordered pair of dice."""
-
-    @property
-    def total(self) -> int:
-        return self.wins + self.ties + self.losses
-
-    def label(self) -> str:
-        return f"{self.wins}/{self.total}"
-
-
-def beating_probability(x: Die, y: Die) -> WinCount:
-    """Count all n² ordered face pairs of ``x`` rolled against ``y``."""
-    if len(x) != len(y):
-        raise ValueError(f"side counts differ: {len(x)} vs {len(y)}")
-    wins = ties = 0
-    for a in x:
-        for b in y:
-            if a > b:
-                wins += 1
-            elif a == b:
-                ties += 1
-    return WinCount(wins, ties, len(x) * len(y) - wins - ties)
-
-
-def beats(x: Die, y: Die, convention: str) -> bool:
-    """Whether ``x`` beats ``y`` under the given tie convention."""
-    wc = beating_probability(x, y)
-    if convention == "strict":
-        return 2 * wc.wins > wc.total
-    if convention == "majority":
-        return wc.wins > wc.losses
-    raise ValueError(f"unknown tie convention {convention!r}; choose from {TIE_CONVENTIONS}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class BeatingGraph:
     """Directed graph with an edge X → Y whenever X beats Y.
 
-    Nodes are kept in lexicographic order; every edge stores its exact win
-    count.  ``succ`` maps each node to its sorted successor tuple.
+    Nodes are kept in lexicographic order.  ``wins[i, j]`` counts the face
+    pairs where die ``i`` rolls higher than die ``j``; losses are ``wins.T``
+    and ties ``sides² − wins − wins.T``.  ``beats[i, j]`` is the edge
+    ``nodes[i]`` → ``nodes[j]``.
     """
 
     nodes: Tuple[Die, ...]
-    succ: Dict[Die, Tuple[Die, ...]]
-    win_counts: Dict[Tuple[Die, Die], WinCount]
+    wins: np.ndarray  # (n, n) int64
+    beats: np.ndarray  # (n, n) bool
     convention: str
 
     @property
     def n(self) -> int:
         return len(self.nodes)
 
-    def edges(self) -> List[Tuple[Die, Die]]:
-        return [(x, y) for x in self.nodes for y in self.succ[x]]
-
-    def predecessors(self, y: Die) -> Tuple[Die, ...]:
-        return tuple(x for x in self.nodes if y in set(self.succ[x]))
-
 
 def build_beating_graph(space: DiceSpace, convention: str) -> BeatingGraph:
+    """Win counts of every ordered pair of dice, and the edges they imply.
+
+    With ``hist[i, a]`` the faces of die ``i`` equal to ``values[a]`` and
+    ``below[j, a]`` the faces of die ``j`` below it, the win counts are the
+    integer product ``hist @ below.T``.
+    """
     if convention not in TIE_CONVENTIONS:
         raise ValueError(
             f"unknown tie convention {convention!r}; choose from {TIE_CONVENTIONS}"
         )
     nodes = tuple(sorted(space.dice))
-    succ: Dict[Die, Tuple[Die, ...]] = {}
-    win_counts: Dict[Tuple[Die, Die], WinCount] = {}
-    for x in nodes:
-        out: List[Die] = []
-        for y in nodes:
-            if x == y:
-                continue
-            wc = beating_probability(x, y)
-            ok = 2 * wc.wins > wc.total if convention == "strict" else wc.wins > wc.losses
-            if ok:
-                out.append(y)
-                win_counts[(x, y)] = wc
-        succ[x] = tuple(out)
-    return BeatingGraph(nodes=nodes, succ=succ, win_counts=win_counts, convention=convention)
+    k = len(nodes[0]) if nodes else 0
+    if any(len(d) != k for d in nodes):
+        raise ValueError(f"side counts differ: {sorted({len(d) for d in nodes})}")
+    faces = np.array(nodes, dtype=np.int64).reshape(len(nodes), k)
+    values = np.arange(faces.min(initial=0), faces.max(initial=0) + 1)
+    hist = (faces[:, :, None] == values).sum(axis=1, dtype=np.int64)
+    below = (faces[:, :, None] < values).sum(axis=1, dtype=np.int64)
+    wins = hist @ below.T
+    beats = 2 * wins > k * k if convention == "strict" else wins > wins.T
+    return BeatingGraph(nodes=nodes, wins=wins, beats=beats, convention=convention)
 
 
 def induced_subgraph(g: BeatingGraph, keep: Iterable[Die]) -> BeatingGraph:
+    pos = {v: k for k, v in enumerate(g.nodes)}
     keep_set = frozenset(keep)
-    missing = keep_set - set(g.nodes)
+    missing = keep_set - pos.keys()
     if missing:
         raise ValueError(f"nodes not in graph: {sorted(missing)}")
-    nodes = tuple(sorted(keep_set))
-    succ = {x: tuple(y for y in g.succ[x] if y in keep_set) for x in nodes}
-    win_counts = {
-        (x, y): g.win_counts[(x, y)] for x in nodes for y in succ[x]
-    }
-    return BeatingGraph(nodes=nodes, succ=succ, win_counts=win_counts, convention=g.convention)
+    idx = sorted(pos[v] for v in keep_set)
+    ix = np.ix_(idx, idx)
+    return BeatingGraph(tuple(g.nodes[k] for k in idx), g.wins[ix], g.beats[ix], g.convention)
+
+
+def _hops(g: BeatingGraph) -> np.ndarray:
+    """``hops[i, j]``: edges on a shortest directed path i → j, −1 if none.
+
+    Breadth-first from every node at once, one boolean product per step.
+    """
+    hops = np.where(np.eye(g.n, dtype=bool), 0.0, -1.0)
+    frontier = hops == 0
+    step = 0
+    while frontier.any():
+        step += 1
+        frontier = (frontier @ g.beats) & (hops < 0)
+        hops[frontier] = step
+    return hops
 
 
 def non_transitive_subset(g: BeatingGraph) -> Tuple[Die, ...]:
     """Nodes lying on at least one directed cycle of length >= 2.
 
-    These are exactly the members of strongly connected components of size
-    >= 2 (within an SCC there is a cycle through any two members, and a
-    cycle is contained in one SCC).  Tarjan's algorithm, iteratively.
+    Node i is on a cycle exactly when some other node j is reachable from i
+    and i from j.
     """
-    index: Dict[Die, int] = {}
-    low: Dict[Die, int] = {}
-    on_stack: set = set()
-    stack: List[Die] = []
-    counter = 0
-    result: List[Die] = []
-
-    for root in g.nodes:
-        if root in index:
-            continue
-        # Each frame: (node, iterator position over successors)
-        work: List[Tuple[Die, int]] = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack.add(v)
-            advanced = False
-            while i < len(g.succ[v]):
-                w = g.succ[v][i]
-                i += 1
-                if w not in index:
-                    work[-1] = (v, i)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp: List[Die] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) >= 2:
-                    result.extend(comp)
-            if work:
-                parent, pi = work[-1]
-                low[parent] = min(low[parent], low[v])
-    return tuple(sorted(result))
+    reach = _hops(g) > 0
+    return tuple(g.nodes[i] for i in np.flatnonzero((reach & reach.T).any(axis=1)))
 
 
 #: Exhaustive cycle search is exponential; refuse larger graphs by default.
@@ -271,13 +200,13 @@ def longest_cycle(g: BeatingGraph, budget: int = LONGEST_CYCLE_BUDGET) -> List[D
         raise BudgetExceededError(
             f"graph has {g.n} nodes, exceeding the exhaustive-search budget {budget}"
         )
-    order = {v: i for i, v in enumerate(g.nodes)}
-    best: List[Die] = []
+    succ = [np.flatnonzero(row).tolist() for row in g.beats]
+    best: List[int] = []
 
-    def dfs(start: Die, v: Die, path: List[Die], seen: set) -> None:
+    def dfs(start: int, v: int, path: List[int], seen: set) -> None:
         nonlocal best
-        for w in g.succ[v]:
-            if order[w] < order[start]:
+        for w in succ[v]:
+            if w < start:
                 continue
             if w == start:
                 if len(path) > len(best):
@@ -291,54 +220,19 @@ def longest_cycle(g: BeatingGraph, budget: int = LONGEST_CYCLE_BUDGET) -> List[D
             path.pop()
             seen.discard(w)
 
-    for start in g.nodes:
+    for start in range(g.n):
         dfs(start, start, [start], {start})
-    return best
-
-
-def _bfs_hops(g: BeatingGraph, src: Die) -> Dict[Die, int]:
-    dist = {src: 0}
-    queue = collections.deque([src])
-    while queue:
-        v = queue.popleft()
-        for w in g.succ[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist
-
-
-def shortest_path_distance(g: BeatingGraph, x: Die, y: Die) -> int:
-    """Directed hop count x→y plus y→x (unit edge weights).
-
-    Symmetrizing by the round trip makes this a metric on any strongly
-    connected graph; a missing path in either direction is surfaced as an
-    error instead of a sentinel value.
-    """
-    for v in (x, y):
-        if v not in set(g.nodes):
-            raise ValueError(f"{die_label(v)} is not a node of the graph")
-    if x == y:
-        return 0
-    fwd = _bfs_hops(g, x)
-    if y not in fwd:
-        raise UnreachableNodeError(f"no directed path {die_label(x)} -> {die_label(y)}")
-    back = _bfs_hops(g, y)
-    if x not in back:
-        raise UnreachableNodeError(f"no directed path {die_label(y)} -> {die_label(x)}")
-    return fwd[y] + back[x]
+    return [g.nodes[k] for k in best]
 
 
 def shortest_path_matrix(g: BeatingGraph) -> np.ndarray:
     """All-pairs round-trip hop counts, ordered like ``g.nodes``.
 
-    Counts are small integers, exact in the float64 array that holds them.
+    Symmetrizing by the round trip makes this a metric on any strongly
+    connected graph; a missing path in either direction is an error, not a
+    sentinel value.  Counts are exact in the float64 array that holds them.
     """
-    pos = {v: k for k, v in enumerate(g.nodes)}
-    hops = np.full((g.n, g.n), -1.0)
-    for k, x in enumerate(g.nodes):
-        for y, h in _bfs_hops(g, x).items():
-            hops[k, pos[y]] = h
+    hops = _hops(g)
     i, j = np.triu_indices(g.n, k=1)
     missing = np.flatnonzero((hops[i, j] < 0) | (hops[j, i] < 0))
     if missing.size:
@@ -439,15 +333,15 @@ def foliation_symmetry_distance_matrix(
 def to_dot(g: BeatingGraph, name: str = "beating") -> str:
     """Render the graph in DOT format, deterministically ordered.
 
-    Edges carry their exhaustive win counts as labels (``wins/total``).
+    Edges carry their exhaustive win counts as labels (``wins/sides²``).
     """
+    total = len(g.nodes[0]) ** 2 if g.nodes else 0
     lines = [f"digraph {name} {{"]
     lines.append(f'  // tie convention: {g.convention}')
     for v in g.nodes:
         lines.append(f'  "{die_label(v)}";')
-    for x in g.nodes:
-        for y in g.succ[x]:
-            wc = g.win_counts[(x, y)]
-            lines.append(f'  "{die_label(x)}" -> "{die_label(y)}" [label="{wc.label()}"];')
+    for i, j in np.argwhere(g.beats):
+        x, y = die_label(g.nodes[i]), die_label(g.nodes[j])
+        lines.append(f'  "{x}" -> "{y}" [label="{g.wins[i, j]}/{total}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

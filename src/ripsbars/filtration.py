@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from .fileio import fmt
 from .metrics import DistanceMatrix
 
 
@@ -144,14 +143,6 @@ def critical_thresholds(m: DistanceMatrix) -> List[float]:
     return d[starts].tolist()
 
 
-def neighborhood_edges(m: DistanceMatrix, eps: float) -> List[Tuple[int, int]]:
-    """All unordered pairs {i, j}, i < j, with d(i, j) ≤ eps."""
-    n = m.n
-    return [
-        (i, j) for i in range(n) for j in range(i + 1, n) if m.entries[i, j] <= eps
-    ]
-
-
 def expand_increment(
     f: Filtration, new_edges: Sequence[Tuple[int, int]], birth: float
 ) -> Filtration:
@@ -221,10 +212,3 @@ def build_filtration(
             break
     return f
 
-
-def filtration_lines(f: Filtration) -> List[str]:
-    """Debug dump: one ``dim, birth, vertex_list`` line per simplex."""
-    return [
-        f"{s.dim}, {fmt(s.birth)}, {' '.join(str(v) for v in s.vertices)}"
-        for s in f.simplices
-    ]

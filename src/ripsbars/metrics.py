@@ -1,15 +1,15 @@
-"""Planar metrics, distance matrices, and pseudometric validation.
+"""Planar metrics and distance matrices.
 
 Distances are stored as float64.  A matrix may be a pseudometric: distance 0
 between distinct points is legal everywhere downstream, only negativity and
-asymmetry are hard errors.  The triangle inequality is checked with a small
-tolerance to absorb floating-point rounding.
+asymmetry are hard errors.  Symmetry is checked with a small tolerance to
+absorb floating-point rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -17,8 +17,8 @@ import numpy as np
 from . import fileio
 from .fileio import ParseError, fmt
 
-#: Default slack for triangle-inequality checks on float-derived matrices.
-#: Use 0.0 for matrices assembled from exact integer/rational arithmetic.
+#: Default slack for symmetry and triangle-inequality checks on float-derived
+#: matrices.  Use 0.0 for matrices assembled from exact integer/rational arithmetic.
 TRIANGLE_TOL = 1e-9
 
 
@@ -84,66 +84,6 @@ class DistanceMatrix:
 
     def max_distance(self) -> float:
         return float(self.entries.max())
-
-
-@dataclass(frozen=True)
-class Violation:
-    """A single failed pseudometric axiom with its witness indices."""
-
-    axiom: str  # "nonnegativity" | "symmetry" | "zero-diagonal" | "triangle"
-    witness: Tuple[int, ...]
-    amount: float
-
-
-@dataclass
-class ValidationReport:
-    violations: List[Violation] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def summary(self) -> str:
-        if self.ok:
-            return "pseudometric axioms hold"
-        parts = [
-            f"{v.axiom} at {v.witness} (by {v.amount:.3g})" for v in self.violations
-        ]
-        return "; ".join(parts)
-
-
-def validate_pseudometric(m: DistanceMatrix, tol: float = TRIANGLE_TOL) -> ValidationReport:
-    """Check nonnegativity, symmetry, zero diagonal, and triangle inequality.
-
-    Violations are reported with witnesses rather than raised; distance 0
-    between distinct points is not a violation (pseudometrics are allowed).
-    """
-    d = m.entries
-    n = m.n
-    report = ValidationReport()
-    for i in range(n):
-        if d[i, i] != 0.0:
-            report.violations.append(Violation("zero-diagonal", (i,), float(d[i, i])))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] < 0.0 or d[j, i] < 0.0:
-                report.violations.append(
-                    Violation("nonnegativity", (i, j), float(min(d[i, j], d[j, i])))
-                )
-            gap = abs(d[i, j] - d[j, i])
-            if gap > tol:
-                report.violations.append(Violation("symmetry", (i, j), float(gap)))
-    for i in range(n):
-        for j in range(n):
-            if j == i:
-                continue
-            # d[i,k] <= d[i,j] + d[j,k] + tol for every k
-            slack = d[i, j] + d[j] + tol - d[i]
-            for k in np.flatnonzero(slack < 0.0):
-                report.violations.append(
-                    Violation("triangle", (i, j, int(k)), float(-slack[k]))
-                )
-    return report
 
 
 def build_distance_matrix(points: np.ndarray, metric: str) -> DistanceMatrix:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import bisect
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import fileio
 from .fileio import BARCODE_META_KEY, ParseError, fmt
@@ -190,15 +190,6 @@ def barcode(
     """Convenience pipeline: boundary matrix → reduction → pairing."""
     R, _ = reduce_matrix(total_boundary_matrix(f))
     return extract_pairs(R, f, normalize=normalize, metric=metric)
-
-
-def bars_alive(bars: Sequence[Bar], eps: float) -> Dict[int, int]:
-    """Per-dimension count of bars alive at ε: birth ≤ ε and (open or death > ε)."""
-    alive: Dict[int, int] = {}
-    for b in bars:
-        if b.birth <= eps and (b.open or b.death > eps):
-            alive[b.dim] = alive.get(b.dim, 0) + 1
-    return alive
 
 
 def _rank_gf2(columns: List[int]) -> int:

@@ -2,10 +2,11 @@
 
 Everything here is deliberately brute force and shares no code with the
 implementation under test: cliques by direct enumeration, cycle membership
-by exhaustive DFS, simplex births by max pairwise distance.  The reference
-loops at the end evaluate one point, pair or candidate at a time, the way
-the library did before it switched to array expressions; the array code
-must match them bit for bit.
+by exhaustive DFS, simplex births by max pairwise distance, pseudometric
+axioms and live bars checked entry by entry.  The reference loops at the end
+evaluate one point, pair or candidate at a time, the way the library did
+before it switched to array expressions; the array code must match them bit
+for bit.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -20,7 +22,8 @@ import numpy as np
 
 from ripsbars.cloud import Region
 from ripsbars.dice import BeatingGraph, Die, foliation, symmetry
-from ripsbars.metrics import DistanceMatrix
+from ripsbars.metrics import TRIANGLE_TOL, DistanceMatrix
+from ripsbars.persistence import Bar
 
 
 def flag_complex_brute(m: DistanceMatrix, eps: float, max_dim: int) -> Set[Tuple[int, ...]]:
@@ -39,6 +42,83 @@ def simplex_birth_brute(m: DistanceMatrix, vertices: Sequence[int]) -> float:
     if len(vertices) < 2:
         return 0.0
     return max(m.entries[i, j] for i, j in itertools.combinations(vertices, 2))
+
+
+def bars_alive(bars: Sequence[Bar], eps: float) -> Dict[int, int]:
+    """Per-dimension count of bars alive at ε: birth ≤ ε and (open or death > ε)."""
+    alive: Dict[int, int] = {}
+    for b in bars:
+        if b.birth <= eps and (b.open or b.death > eps):
+            alive[b.dim] = alive.get(b.dim, 0) + 1
+    return alive
+
+
+@dataclass(frozen=True)
+class Violation:
+    """A single failed pseudometric axiom with its witness indices."""
+
+    axiom: str  # "nonnegativity" | "symmetry" | "zero-diagonal" | "triangle"
+    witness: Tuple[int, ...]
+    amount: float
+
+
+@dataclass
+class ValidationReport:
+    violations: List[Violation] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+    def summary(self) -> str:
+        if self.ok:
+            return "pseudometric axioms hold"
+        parts = [
+            f"{v.axiom} at {v.witness} (by {v.amount:.3g})" for v in self.violations
+        ]
+        return "; ".join(parts)
+
+
+def validate_pseudometric(m: DistanceMatrix, tol: float = TRIANGLE_TOL) -> ValidationReport:
+    """Check nonnegativity, symmetry, zero diagonal, and triangle inequality.
+
+    Violations are reported with witnesses rather than raised; distance 0
+    between distinct points is not a violation (pseudometrics are allowed).
+    """
+    d = m.entries
+    n = m.n
+    report = ValidationReport()
+    for i in range(n):
+        if d[i, i] != 0.0:
+            report.violations.append(Violation("zero-diagonal", (i,), float(d[i, i])))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if d[i, j] < 0.0 or d[j, i] < 0.0:
+                report.violations.append(
+                    Violation("nonnegativity", (i, j), float(min(d[i, j], d[j, i])))
+                )
+            gap = abs(d[i, j] - d[j, i])
+            if gap > tol:
+                report.violations.append(Violation("symmetry", (i, j), float(gap)))
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            # d[i,k] <= d[i,j] + d[j,k] + tol for every k
+            slack = d[i, j] + d[j] + tol - d[i]
+            for k in np.flatnonzero(slack < 0.0):
+                report.violations.append(
+                    Violation("triangle", (i, j, int(k)), float(-slack[k]))
+                )
+    return report
+
+
+def successors(g: BeatingGraph) -> Dict[Die, Tuple[Die, ...]]:
+    """Each node's successor tuple, in node order, read off ``g.beats``."""
+    return {
+        x: tuple(y for y, edge in zip(g.nodes, row) if edge)
+        for x, row in zip(g.nodes, g.beats)
+    }
 
 
 def cycle_nodes_brute(nodes: Sequence, succ: Dict) -> Set:
@@ -149,15 +229,46 @@ def edge_order_loop(m: DistanceMatrix) -> List[Tuple[float, int, int]]:
     )
 
 
+class WinCount(collections.namedtuple("WinCount", ["wins", "ties", "losses"])):
+    """Exhaustive face-pair outcome counts for an ordered pair of dice."""
+
+    @property
+    def total(self) -> int:
+        return self.wins + self.ties + self.losses
+
+
+def beating_probability(x: Die, y: Die) -> WinCount:
+    """Count all n² ordered face pairs of ``x`` rolled against ``y``."""
+    if len(x) != len(y):
+        raise ValueError(f"side counts differ: {len(x)} vs {len(y)}")
+    wins = ties = 0
+    for a in x:
+        for b in y:
+            if a > b:
+                wins += 1
+            elif a == b:
+                ties += 1
+    return WinCount(wins, ties, len(x) * len(y) - wins - ties)
+
+
+def beats_loop(x: Die, y: Die, convention: str) -> bool:
+    """Whether ``x`` beats ``y`` under the given tie convention."""
+    wc = beating_probability(x, y)
+    if convention == "strict":
+        return 2 * wc.wins > wc.total
+    return wc.wins > wc.losses
+
+
 def shortest_path_matrix_loop(g: BeatingGraph) -> np.ndarray:
     """Round-trip hop counts by BFS from every node."""
+    succ = successors(g)
 
     def hops(src: Die) -> Dict[Die, int]:
         dist = {src: 0}
         queue = collections.deque([src])
         while queue:
             v = queue.popleft()
-            for w in g.succ[v]:
+            for w in succ[v]:
                 if w not in dist:
                     dist[w] = dist[v] + 1
                     queue.append(w)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line surface: files, exit codes, messages."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -341,6 +342,20 @@ def test_duplicate_metrics_are_refused_before_any_barcode(tmp_path, capsys, monk
     assert not out.exists()
 
 
+def test_duplicate_labels_are_refused_before_any_barcode(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_filtration", lambda *a, **k: pytest.fail("filtered"))
+    pts = write_square(tmp_path)
+    m1, m2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
+    for path in (m1, m2):  # both record "# metric euclidean"
+        write_distance_csv(str(path), build_distance_matrix(SQUARE, "euclidean"))
+    out = tmp_path / "out"
+    for paths in ((pts, pts), (m1, m2)):
+        argv = ["compare", "--matrices", *map(str, paths), "--out", str(out)]
+        assert main(argv) == 2
+        assert "duplicate run names: ['euclidean', 'euclidean']" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_compare_matrix_mode(tmp_path):
     m1 = tmp_path / "m1.csv"
     m2 = tmp_path / "m2.csv"
@@ -449,6 +464,37 @@ def test_dice_standard_space_strict(tmp_path, capsys):
     assert sim.n == 10
     for name in ("euclidean", "foliation_symmetry"):
         assert (out / f"dist_{name}.csv").exists()
+
+
+#: SHA-256 of every file ``dice --out dice`` writes for DT(6), headers included.
+DICE_DIGESTS = {
+    "strict": {
+        "beating_graph.dot": "d1a93e1ab0de5aa1008095deebfbaf7e3689f3c09a948a39a944ef7696591ed8",
+        "dice.txt": "6307ffd6cd9892696b0670f31c1e74ada64cc4dd569051fbb365f475b722ed60",
+        "dist_euclidean.csv": "1b9333abd4eeb76a8d39feecb079f97dd57515731ac3949813ac1c44997ecb72",
+        "dist_foliation_symmetry.csv":
+            "93993dfef22bd61b7d822229ab44ace0b9ec50fcf156c347d90d2cbf854669c0",
+        "dist_similarity.csv": "57483102998145e6f0a099af346c7e54698159d071174e7c1ed2e7cc12d5318b",
+    },
+    "majority": {
+        "beating_graph.dot": "bf9c44867cfa2977d0fb6cb09cdc8aad0c5a6e45d4c9e6c98440cd4741163090",
+        "dice.txt": "44472d8b1de8d8e6ed09a80d1602bcee80c55c3afa5f7fe342dda7b76457fe6c",
+        "dist_euclidean.csv": "00011e304906914f01095793a35652af39b3c74cb49f4469a7b5a53cfd869420",
+        "dist_foliation_symmetry.csv":
+            "23c7b2a062f17fba09102e404ee36627af61daeab1394db3096cbbd7545f83d9",
+        "dist_similarity.csv": "2e9a1ab565ac4d0688f97ffa599e452871536e375fae8ef14dd3d759270d4634",
+    },
+}
+
+
+@pytest.mark.parametrize("convention", ["strict", "majority"])
+def test_dice_outputs_are_byte_stable(tmp_path, monkeypatch, convention):
+    monkeypatch.chdir(tmp_path)  # headers record --out as given
+    assert main(["dice", "--out", "dice", "--tie-convention", convention]) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "dice").iterdir()
+    }
+    assert digests == DICE_DIGESTS[convention]
 
 
 def test_dice_matrix_feeds_persist_with_high_dim_cap(tmp_path):

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    WinCount,
+    beating_probability,
+    beats_loop,
     cycle_nodes_brute,
     euclidean_dice,
     foliation_symmetry_distance,
@@ -16,14 +19,14 @@ from oracles import (
     shortest_path_matrix_loop,
     similarity_matrix_loop,
     simple_cycles_brute,
+    successors,
+    validate_pseudometric,
 )
 from ripsbars.dice import (
+    BeatingGraph,
     BudgetExceededError,
     DiceSpace,
     UnreachableNodeError,
-    WinCount,
-    beating_probability,
-    beats,
     build_beating_graph,
     die_label,
     enumerate_dice,
@@ -35,16 +38,17 @@ from ripsbars.dice import (
     make_die,
     non_transitive_subset,
     parse_die,
-    shortest_path_distance,
     shortest_path_matrix,
     similarity_distance_matrix,
     similarity_matrix,
     symmetry,
     to_dot,
 )
-from ripsbars.metrics import DistanceMatrix, validate_pseudometric
+from ripsbars.metrics import DistanceMatrix
 
 DT6 = enumerate_dice(6, 6, 21)
+CONVENTIONS = ("strict", "majority")
+DT6_GRAPHS = {c: build_beating_graph(DT6, c) for c in CONVENTIONS}
 
 #: The ten dice of the published non-transitive subset of DT(6).
 TEN = tuple(
@@ -61,6 +65,23 @@ SEVEN_CYCLE = [
 ]
 
 dt6_dice = st.sampled_from(DT6.dice)
+
+
+def _graph(dice, convention="strict"):
+    """The beating graph of just these dice."""
+    space = DiceSpace(sides=len(dice[0]), max_face=6, face_sum=None, dice=tuple(dice))
+    return build_beating_graph(space, convention)
+
+
+def _counts(g, x, y):
+    """Wins, ties and losses of ``x`` against ``y``, read off ``g.wins``."""
+    i, j = g.nodes.index(x), g.nodes.index(y)
+    wins, losses = int(g.wins[i, j]), int(g.wins[j, i])
+    return WinCount(wins, len(x) ** 2 - wins - losses, losses)
+
+
+def _edge(g, x, y):
+    return bool(g.beats[g.nodes.index(x), g.nodes.index(y)])
 
 
 # ---------------------------------------------------------------- enumeration
@@ -113,69 +134,71 @@ def test_die_label_round_trip():
 # ---------------------------------------------------------- beating relation
 
 def test_grime_pair_exact():
-    wc = beating_probability(parse_die("115555"), parse_die("344444"))
-    assert wc == WinCount(wins=24, ties=0, losses=12)
-    assert wc.total == 36
-    assert wc.label() == "24/36"
-    assert Fraction(wc.wins, wc.total) == Fraction(2, 3)
+    x, y = parse_die("115555"), parse_die("344444")
+    g = _graph([x, y])
+    assert _counts(g, x, y) == beating_probability(x, y) == WinCount(24, 0, 12)
+    assert beating_probability(x, y).total == 36
+    assert Fraction(int(g.wins[0, 1]), 36) == Fraction(2, 3)
 
 
 def test_self_play_is_symmetric():
-    wc = beating_probability((1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6))
-    assert wc == WinCount(wins=15, ties=6, losses=15)
+    d = (1, 2, 3, 4, 5, 6)
+    assert _counts(_graph([d]), d, d) == beating_probability(d, d) == WinCount(15, 6, 15)
 
 
 def test_pair_with_ties_exact():
     # Brute force over all 36 ordered face pairs.
-    wc = beating_probability(parse_die("144444"), parse_die("333345"))
-    assert wc == WinCount(wins=20, ties=5, losses=11)
+    x, y = parse_die("144444"), parse_die("333345")
+    assert _counts(_graph([x, y]), x, y) == beating_probability(x, y) == WinCount(20, 5, 11)
 
 
 def test_mismatched_side_counts_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="side counts differ"):
         beating_probability((1, 2), (1, 2, 3))
+    space = DiceSpace(sides=2, max_face=3, face_sum=None, dice=((1, 2), (1, 2, 3)))
+    with pytest.raises(ValueError, match="side counts differ"):
+        build_beating_graph(space, "strict")
 
 
 def test_beats_conventions_on_tied_pair():
     # wins 19, ties 2, losses 15 by exhaustive count: both conventions hold
     # (19/36 > 1/2 and 19 > 15).
     x, y = parse_die("333336"), parse_die("112566")
-    assert beating_probability(x, y) == WinCount(wins=19, ties=2, losses=15)
-    assert beats(x, y, "strict")
-    assert beats(x, y, "majority")
+    assert _counts(DT6_GRAPHS["strict"], x, y) == WinCount(wins=19, ties=2, losses=15)
+    assert _edge(DT6_GRAPHS["strict"], x, y)
+    assert _edge(DT6_GRAPHS["majority"], x, y)
 
 
 def test_beats_conventions_can_differ():
     # wins 12, ties 15, losses 9: majority yes, strict no (12/36 < 1/2).
     x, y = parse_die("333444"), parse_die("333345")
-    assert beating_probability(x, y) == WinCount(wins=12, ties=15, losses=9)
-    assert not beats(x, y, "strict")
-    assert beats(x, y, "majority")
+    assert _counts(DT6_GRAPHS["strict"], x, y) == WinCount(wins=12, ties=15, losses=9)
+    assert not _edge(DT6_GRAPHS["strict"], x, y)
+    assert _edge(DT6_GRAPHS["majority"], x, y)
 
 
 def test_beats_self_false_both_conventions():
-    for d in DT6.dice[:5]:
-        assert not beats(d, d, "strict")
-        assert not beats(d, d, "majority")
+    for g in DT6_GRAPHS.values():
+        assert not g.beats.diagonal().any()
 
 
 def test_beats_unknown_convention():
     with pytest.raises(ValueError, match="convention"):
-        beats((1, 1), (1, 1), "rerolls")
+        build_beating_graph(DT6, "rerolls")
 
 
 @given(dt6_dice, dt6_dice)
 def test_win_count_antisymmetry(x, y):
+    g = DT6_GRAPHS["majority"]
     a = beating_probability(x, y)
-    b = beating_probability(y, x)
-    assert a.wins == b.losses
-    assert a.ties == b.ties
-    assert a.total == b.total == 36
+    assert _counts(g, x, y) == a
+    assert _counts(g, y, x) == beating_probability(y, x) == (a.losses, a.ties, a.wins)
+    assert a.total == 36
 
 
-@given(dt6_dice, dt6_dice, st.sampled_from(["strict", "majority"]))
-def test_beats_never_mutual(x, y, convention):
-    assert not (beats(x, y, convention) and beats(y, x, convention))
+def test_beats_never_mutual():
+    for g in DT6_GRAPHS.values():
+        assert not (g.beats & g.beats.T).any()
 
 
 # ----------------------------------------------------------- beating graphs
@@ -183,49 +206,83 @@ def test_beats_never_mutual(x, y, convention):
 def test_tiny_space_has_no_edges():
     # All three pairs split 2/0/2, so neither convention yields any edge.
     space = enumerate_dice(2, 6, 7)
-    for convention in ("strict", "majority"):
+    for convention in CONVENTIONS:
         g = build_beating_graph(space, convention)
-        assert g.edges() == []
+        assert g.beats.shape == (3, 3)
+        assert not g.beats.any()
 
 
 def test_graph_stores_exact_win_counts():
-    g = build_beating_graph(DT6, "majority")
-    for (x, y), wc in g.win_counts.items():
-        assert wc == beating_probability(x, y)
-        assert wc.wins > wc.losses
-    strict = build_beating_graph(DT6, "strict")
-    for (x, y), wc in strict.win_counts.items():
-        assert 2 * wc.wins > wc.total
+    for convention, g in DT6_GRAPHS.items():
+        assert g.nodes == DT6.dice
+        assert g.wins.dtype == np.int64 and g.beats.dtype == bool
+        for i, x in enumerate(g.nodes):
+            for j, y in enumerate(g.nodes):
+                assert g.wins[i, j] == beating_probability(x, y).wins
+                assert g.beats[i, j] == beats_loop(x, y, convention)
 
 
 def test_singleton_space_no_edges():
     space = DiceSpace(sides=6, max_face=6, face_sum=21, dice=(parse_die("333336"),))
     g = build_beating_graph(space, "majority")
-    assert g.edges() == []
+    assert g.beats.shape == (1, 1)
+    assert not g.beats.any()
 
 
 def test_seven_cycle_edges_present_both_conventions():
-    for convention in ("strict", "majority"):
-        g = build_beating_graph(DT6, convention)
+    for convention, g in DT6_GRAPHS.items():
         for a, b in zip(SEVEN_CYCLE, SEVEN_CYCLE[1:] + SEVEN_CYCLE[:1]):
-            assert b in g.succ[a], (die_label(a), die_label(b), convention)
+            assert _edge(g, a, b), (die_label(a), die_label(b), convention)
 
 
 def test_three_cycle_example_edge():
     # An edge used by the published 3-cycle: 114555 → 333345.
-    wc = beating_probability(parse_die("114555"), parse_die("333345"))
-    assert wc == WinCount(wins=19, ties=4, losses=13)
-    assert beats(parse_die("114555"), parse_die("333345"), "strict")
+    x, y = parse_die("114555"), parse_die("333345")
+    assert _counts(DT6_GRAPHS["strict"], x, y) == WinCount(wins=19, ties=4, losses=13)
+    assert _edge(DT6_GRAPHS["strict"], x, y)
 
 
+@st.composite
+def small_spaces(draw):
+    """A space of 1-6 sides, faces up to 1-8, a feasible sum, and at most 8
+    of its dice (the cycle oracle is exponential)."""
+    sides = draw(st.integers(1, 6))
+    max_face = draw(st.integers(1, 8))
+    space = enumerate_dice(sides, max_face, draw(st.integers(sides, sides * max_face)))
+    dice = draw(st.lists(st.sampled_from(space.dice), min_size=1, max_size=8, unique=True))
+    return space, dice
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_spaces(), st.sampled_from(CONVENTIONS))
+def test_graph_matrices_match_per_pair_loops(space_and_dice, convention):
+    """wins, beats, the non-transitive subset and the round-trip hop counts
+    equal the per-pair loops and the exhaustive cycle search."""
+    space, dice = space_and_dice
+    full = build_beating_graph(space, convention)
+    g = induced_subgraph(full, dice)
+    for i, x in enumerate(g.nodes):
+        for j, y in enumerate(g.nodes):
+            assert g.wins[i, j] == beating_probability(x, y).wins
+            assert g.beats[i, j] == beats_loop(x, y, convention)
+    assert set(non_transitive_subset(g)) == cycle_nodes_brute(g.nodes, successors(g))
+    # The whole space's non-transitive dice, as the pipeline takes them.
+    sub = induced_subgraph(full, non_transitive_subset(full))
+    try:
+        D = shortest_path_matrix(sub)
+    except UnreachableNodeError:
+        with pytest.raises(KeyError):  # the loop's hop table lacks the pair
+            shortest_path_matrix_loop(sub)
+    else:
+        assert np.array_equal(D, shortest_path_matrix_loop(sub))
 # ------------------------------------------------------ non-transitive sets
 
 def _manual_graph(nodes, edges):
-    succ = {v: tuple(w for x, w in edges if x == v) for v in nodes}
-    counts = {e: WinCount(1, 0, 0) for e in edges}
-    from ripsbars.dice import BeatingGraph
-
-    return BeatingGraph(nodes=tuple(nodes), succ=succ, win_counts=counts, convention="majority")
+    """A graph with exactly these edges, each one win of a one-faced die."""
+    beats = np.zeros((len(nodes), len(nodes)), dtype=bool)
+    for x, y in edges:
+        beats[nodes.index(x), nodes.index(y)] = True
+    return BeatingGraph(tuple(nodes), beats.astype(np.int64), beats, "majority")
 
 
 def test_ntd_acyclic_graph_empty():
@@ -261,7 +318,7 @@ def test_ntd_matches_brute_force_cycle_search():
         for _ in range(12):
             subset = rng.sample(DT6.dice, rng.randint(2, 8))
             g = induced_subgraph(full, subset)
-            expected = cycle_nodes_brute(g.nodes, g.succ)
+            expected = cycle_nodes_brute(g.nodes, successors(g))
             assert set(non_transitive_subset(g)) == expected
 
 
@@ -296,10 +353,10 @@ def test_longest_cycle_on_published_ten_strict():
         for s in ("112566", "144444", "333345", "222366", "114555", "234444", "333336")
     ]
     # Cross-check the maximum against exhaustive cycle enumeration.
-    assert max(len(c) for c in simple_cycles_brute(g.nodes, g.succ)) == 7
+    assert max(len(c) for c in simple_cycles_brute(g.nodes, successors(g))) == 7
     # Every consecutive pair really is an edge.
     for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        assert b in g.succ[a]
+        assert _edge(g, a, b)
 
 
 def test_longest_cycle_on_published_ten_majority():
@@ -319,26 +376,20 @@ def test_longest_cycle_budget():
 
 def test_shortest_path_self_zero():
     g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
-    assert shortest_path_distance(g, TEN[0], TEN[0]) == 0
+    assert not shortest_path_matrix(g).diagonal().any()
 
 
 def test_shortest_path_three_cycle():
     a, b, c = (1,), (2,), (3,)
     g = _manual_graph((a, b, c), [(a, b), (b, c), (c, a)])
-    assert shortest_path_distance(g, a, b) == 1 + 2
+    assert shortest_path_matrix(g).tolist() == [[0, 3, 3], [3, 0, 3], [3, 3, 0]]  # 1 + 2
 
 
 def test_shortest_path_unreachable():
     x, y = parse_die("115555"), parse_die("344444")
     g = _manual_graph((x, y), [(x, y)])
-    with pytest.raises(UnreachableNodeError):
-        shortest_path_distance(g, x, y)
-
-
-def test_shortest_path_rejects_foreign_node():
-    g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
-    with pytest.raises(ValueError):
-        shortest_path_distance(g, (9, 9, 9, 9, 9, 9), TEN[0])
+    with pytest.raises(UnreachableNodeError, match="344444 -> 115555"):
+        shortest_path_matrix(g)
 
 
 def test_shortest_path_matrix_strict_ten_pinned():
@@ -398,11 +449,12 @@ def test_similar_trio_distance_zero():
         for b in trio:
             assert m.entries[idx[a], idx[b]] == 0.0
     # and their in/out neighborhoods coincide once the trio is masked out
-    dice = [parse_die(s) for s in trio]
-    for a in dice:
-        for b in dice:
-            assert set(g.succ[a]) - set(dice) == set(g.succ[b]) - set(dice)
-            assert set(g.predecessors(a)) - set(dice) == set(g.predecessors(b)) - set(dice)
+    pos = [g.nodes.index(parse_die(s)) for s in trio]
+    rest = [k for k in range(g.n) if k not in pos]
+    for a in pos:
+        for b in pos:
+            assert np.array_equal(g.beats[a, rest], g.beats[b, rest])  # successors
+            assert np.array_equal(g.beats[rest, a], g.beats[rest, b])  # predecessors
 
 
 def test_similarity_pinned_values():
@@ -527,8 +579,7 @@ def test_shortest_path_matrix_names_unreachable_pair():
 
 def test_to_dot_deterministic_with_labels():
     x, y = parse_die("115555"), parse_die("344444")
-    g = _manual_graph((x, y), [(x, y)])
-    g.win_counts[(x, y)] = beating_probability(x, y)
+    g = _graph([x, y])
     dot = to_dot(g)
     assert dot == to_dot(g)
     assert '"115555" -> "344444" [label="24/36"];' in dot

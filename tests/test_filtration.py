@@ -12,8 +12,6 @@ from ripsbars.filtration import (
     build_filtration,
     critical_thresholds,
     expand_increment,
-    filtration_lines,
-    neighborhood_edges,
     sorted_edges,
 )
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
@@ -62,13 +60,6 @@ def test_sorted_edges_match_tuple_sort(pts, metric):
 
 def test_critical_thresholds_single_point():
     assert critical_thresholds(matrix_from([[0]])) == []
-
-
-def test_neighborhood_edges_square(square_matrix):
-    # At ε = 1 only the four sides qualify, not the √2 diagonals.
-    assert neighborhood_edges(square_matrix, 1.0) == [(0, 1), (0, 3), (1, 2), (2, 3)]
-    assert neighborhood_edges(square_matrix, 0.5) == []
-    assert len(neighborhood_edges(square_matrix, math.sqrt(2))) == 6
 
 
 def test_expand_triangle_completes_at_third_edge():
@@ -224,10 +215,3 @@ def test_incremental_matches_rebuild_from_scratch():
     final = flag_complex_brute(m, f.thresholds[-1], 3)
     assert f.vertex_sets() == final
 
-
-def test_filtration_lines_format(square_matrix):
-    f = build_filtration(square_matrix, max_dim=2)
-    lines = filtration_lines(f)
-    assert lines[0] == "0, 0, 0"
-    assert lines[4] == "1, 1, 0 1"
-    assert len(lines) == len(f)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_matrix_loop, sample_region_loop
+from oracles import distance_matrix_loop, sample_region_loop, validate_pseudometric
 from ripsbars.cloud import four_hole_disk, read_points_csv, sample_region
 from ripsbars.fileio import ParseError, read_lines
 from ripsbars.metrics import (
@@ -17,7 +17,6 @@ from ripsbars.metrics import (
     read_distance_csv,
     supremum,
     taxicab,
-    validate_pseudometric,
     write_distance_csv,
 )
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
+from oracles import bars_alive
 from ripsbars.fileio import ParseError
 from ripsbars.filtration import build_filtration
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
@@ -13,7 +14,6 @@ from ripsbars.persistence import (
     Bar,
     Barcode,
     SparseBinaryMatrix,
-    bars_alive,
     barcode,
     betti_numbers,
     extract_pairs,
