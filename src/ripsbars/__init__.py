@@ -2,8 +2,8 @@
 
 The pipeline: a distance matrix (any pseudometric) → incremental flag-complex
 filtration over its sorted thresholds → Z/2 boundary-matrix reduction →
-barcode → per-dimension lifespan statistics.  Two data domains ship built in:
-planar point clouds under Euclidean/taxicab/supremum metrics, and
+barcode → per-dimension statistics of bar lifespans.  Two data domains ship
+built in: planar point clouds under Euclidean/taxicab/supremum metrics, and
 non-transitive dice under graph-derived distances.
 """
 
@@ -13,15 +13,14 @@ from .dice import (
     DiceSpace,
     build_beating_graph,
     enumerate_dice,
-    longest_cycle,
     non_transitive_subset,
 )
-from .filtration import Filtration, Simplex, build_filtration, critical_thresholds
+from .fileio import VERSION as __version__
+from .filtration import Filtration, Simplex, build_filtration
 from .metrics import (
     DistanceMatrix,
     build_distance_matrix,
     euclidean,
-    normalize,
     supremum,
     taxicab,
 )
@@ -29,14 +28,11 @@ from .persistence import (
     Bar,
     Barcode,
     barcode,
-    betti_numbers,
     extract_pairs,
     reduce_matrix,
     total_boundary_matrix,
 )
 from .stats import BarStats, bar_stats, compare
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Bar",
@@ -50,19 +46,15 @@ __all__ = [
     "Simplex",
     "bar_stats",
     "barcode",
-    "betti_numbers",
     "build_beating_graph",
     "build_distance_matrix",
     "build_filtration",
     "compare",
-    "critical_thresholds",
     "enumerate_dice",
     "euclidean",
     "extract_pairs",
     "four_hole_disk",
-    "longest_cycle",
     "non_transitive_subset",
-    "normalize",
     "reduce_matrix",
     "sample_region",
     "supremum",

@@ -48,8 +48,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _dimension(text: str) -> int:
-    """A ``--max-dim`` value: an integer >= 0."""
+def _natural(text: str) -> int:
+    """A ``--max-dim`` or ``--seed`` value: an integer >= 0."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
@@ -87,14 +87,14 @@ def _build_parser() -> _Parser:
         return p
 
     def add_filtration_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-dim", type=_dimension, default=None)
+        p.add_argument("--max-dim", type=_natural, default=None)
         p.add_argument(
             "--stop-on-connected", dest="stop_when_connected", action="store_true"
         )
 
     p_cloud = add_command("cloud", "sample a synthetic point cloud")
     p_cloud.add_argument("--points", type=int, default=50, help="number of points")
-    p_cloud.add_argument("--seed", type=int, default=cloud_mod.DEFAULT_SEED)
+    p_cloud.add_argument("--seed", type=_natural, default=cloud_mod.DEFAULT_SEED)
 
     p_dice = add_command("dice", "dice space, beating graph, distances")
     p_dice.add_argument("--sides", type=int, default=6)
@@ -307,6 +307,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         labels = [label for _, label, _ in inputs]
         if len(set(labels)) != len(labels):
             raise ValueError(f"duplicate run names: {labels}")
+        sizes = sorted({m.n for m, _, _ in inputs})
+        if len(sizes) > 1:
+            raise ValueError(f"runs describe different point counts: {sizes}")
         for m, label, max_dim in inputs:
             runs.append((label, _barcode(args, m, label, max_dim, True)))
     else:

@@ -28,25 +28,9 @@ Die = Tuple[int, ...]
 TIE_CONVENTIONS = ("strict", "majority")
 SYMMETRY_PAIRINGS = ("literal", "opposite")
 
-DICE_METRICS = ("similarity", "euclidean", "foliation-symmetry")
-
-
-class BudgetExceededError(ValueError):
-    """Exhaustive search rejected: the graph exceeds the node budget."""
-
 
 class UnreachableNodeError(ValueError):
     """No directed path exists between two nodes of the beating graph."""
-
-
-def make_die(faces: Iterable[int], max_face: int) -> Die:
-    """Canonicalize a face multiset into a sorted tuple, validating range."""
-    t = tuple(sorted(int(f) for f in faces))
-    if not t:
-        raise ValueError("a die needs at least one face")
-    if t[0] < 1 or t[-1] > max_face:
-        raise ValueError(f"faces must lie in [1, {max_face}], got {t}")
-    return t
 
 
 def die_label(d: Die) -> str:
@@ -54,18 +38,6 @@ def die_label(d: Die) -> str:
     if all(f <= 9 for f in d):
         return "".join(str(f) for f in d)
     return ",".join(str(f) for f in d)
-
-
-def parse_die(text: str) -> Die:
-    """Inverse of :func:`die_label`: digits string or comma-separated faces."""
-    text = text.strip()
-    if "," in text:
-        faces = [int(tok) for tok in text.split(",")]
-    else:
-        if not text.isdigit():
-            raise ValueError(f"cannot parse die {text!r}")
-        faces = [int(ch) for ch in text]
-    return tuple(sorted(faces))
 
 
 @dataclass(frozen=True)
@@ -181,48 +153,6 @@ def non_transitive_subset(g: BeatingGraph) -> Tuple[Die, ...]:
     """
     reach = _hops(g) > 0
     return tuple(g.nodes[i] for i in np.flatnonzero((reach & reach.T).any(axis=1)))
-
-
-#: Exhaustive cycle search is exponential; refuse larger graphs by default.
-LONGEST_CYCLE_BUDGET = 16
-
-
-def longest_cycle(g: BeatingGraph, budget: int = LONGEST_CYCLE_BUDGET) -> List[Die]:
-    """A maximum-length simple directed cycle, deterministically chosen.
-
-    DFS over simple paths, restricted per start node to nodes that are not
-    lexicographically smaller (every cycle is found from its smallest
-    member).  Successors are scanned in lexicographic order and a strictly
-    longer cycle is required to replace the incumbent, so ties resolve to
-    the lexicographically first cycle discovered.  Returns [] when acyclic.
-    """
-    if g.n > budget:
-        raise BudgetExceededError(
-            f"graph has {g.n} nodes, exceeding the exhaustive-search budget {budget}"
-        )
-    succ = [np.flatnonzero(row).tolist() for row in g.beats]
-    best: List[int] = []
-
-    def dfs(start: int, v: int, path: List[int], seen: set) -> None:
-        nonlocal best
-        for w in succ[v]:
-            if w < start:
-                continue
-            if w == start:
-                if len(path) > len(best):
-                    best = list(path)
-                continue
-            if w in seen:
-                continue
-            seen.add(w)
-            path.append(w)
-            dfs(start, w, path, seen)
-            path.pop()
-            seen.discard(w)
-
-    for start in range(g.n):
-        dfs(start, start, [start], {start})
-    return [g.nodes[k] for k in best]
 
 
 def shortest_path_matrix(g: BeatingGraph) -> np.ndarray:

@@ -47,29 +47,34 @@ def parse_metadata(path: str, lines: List[str]) -> Dict[str, Any]:
 
     Returns the keys present among ``version`` (str), ``config`` (the run
     configuration object), ``metric`` (str), ``labels`` (tuple of str) and
-    ``barcode-meta`` (object).  Malformed JSON raises :class:`ParseError` at
+    ``barcode-meta`` (object), plus ``lines``: the line number of each of
+    them, for error messages.  Malformed JSON raises :class:`ParseError` at
     its own line; unknown comment lines are ignored.
     """
     meta: Dict[str, Any] = {}
+    at: Dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
         if not text.startswith("#"):
             break
         key, _, value = text.lstrip("#").strip().partition(" ")
-        if key == VERSION_KEY:
-            meta["version"] = value.strip()
-        elif key == "metric":
-            meta["metric"] = value.strip()
-        elif key == "labels":
-            meta["labels"] = tuple(value.split(","))
-        elif key in (CONFIG_KEY, BARCODE_META_KEY):
+        name = {VERSION_KEY: "version", CONFIG_KEY: "config"}.get(key, key)
+        if name in ("version", "metric"):
+            meta[name] = value.strip()
+        elif name == "labels":
+            meta[name] = tuple(value.split(","))
+        elif name in ("config", BARCODE_META_KEY):
             try:
                 blob = json.loads(value)
             except json.JSONDecodeError as exc:
                 raise ParseError(path, lineno, f"bad {key} JSON: {exc}") from None
             if not isinstance(blob, dict):
                 raise ParseError(path, lineno, f"{key} must be a JSON object")
-            meta["config" if key == CONFIG_KEY else key] = blob
+            meta[name] = blob
+        else:
+            continue
+        at[name] = lineno
+    meta["lines"] = at
     return meta
 
 

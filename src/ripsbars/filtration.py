@@ -24,12 +24,12 @@ from .metrics import DistanceMatrix
 class Simplex:
     """One simplex of the filtration.
 
-    ``faces`` holds the filtration ids of the (dim−1)-faces in increasing
-    order — the boundary matrix is read straight off this field.  Vertices
-    have no faces and carry their point index in ``vertices``.
+    ``faces`` holds the positions in ``Filtration.simplices`` of the
+    (dim−1)-faces in increasing order — the boundary matrix is read straight
+    off this field.  Vertices have no faces and carry their point index in
+    ``vertices``.
     """
 
-    id: int
     dim: int
     vertices: Tuple[int, ...]
     faces: Tuple[int, ...]
@@ -83,12 +83,6 @@ class Filtration:
         """Last processed threshold (0 when no edges were processed)."""
         return self.thresholds[-1] if self.thresholds else 0.0
 
-    def simplex_id(self, vertices: Sequence[int]) -> Optional[int]:
-        return self._index.get(tuple(vertices))
-
-    def vertex_sets(self) -> Set[Tuple[int, ...]]:
-        return set(self._index.keys())
-
     def _find(self, i: int) -> int:
         parent = self._parent
         while parent[i] != i:
@@ -103,7 +97,6 @@ class Filtration:
             self._components -= 1
 
     def _append(self, vertices: Tuple[int, ...], birth: float) -> None:
-        sid = len(self.simplices)
         dim = len(vertices) - 1
         if dim == 0:
             faces: Tuple[int, ...] = ()
@@ -114,10 +107,8 @@ class Filtration:
                     for k in range(len(vertices))
                 )
             )
-        self.simplices.append(
-            Simplex(id=sid, dim=dim, vertices=vertices, faces=faces, birth=birth)
-        )
-        self._index[vertices] = sid
+        self._index[vertices] = len(self.simplices)
+        self.simplices.append(Simplex(dim=dim, vertices=vertices, faces=faces, birth=birth))
 
 
 def sorted_edges(m: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -133,16 +124,6 @@ def sorted_edges(m: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
     return i, j, d, np.flatnonzero(new)
 
 
-def critical_thresholds(m: DistanceMatrix) -> List[float]:
-    """Distinct off-diagonal distances, ascending.
-
-    A zero off-diagonal entry (duplicate points) makes 0 the first
-    threshold, so coincident points get their shared simplex at ε = 0.
-    """
-    _, _, d, starts = sorted_edges(m)
-    return d[starts].tolist()
-
-
 def expand_increment(
     f: Filtration, new_edges: Sequence[Tuple[int, int]], birth: float
 ) -> Filtration:
@@ -153,8 +134,8 @@ def expand_increment(
     edge, the cliques inside the common neighborhood of its endpoints (at the
     moment of insertion) name exactly the new simplices having that edge as
     their last-arriving edge.
-    The batch is then sorted by (dimension, vertex tuple) before ids are
-    assigned, so faces always precede cofaces in the filtration order.
+    The batch is then sorted by (dimension, vertex tuple) before it is
+    appended, so faces always precede cofaces in the filtration order.
     """
     batch: List[Tuple[int, ...]] = []
     adj = f._adj

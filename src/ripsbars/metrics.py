@@ -105,19 +105,6 @@ def build_distance_matrix(points: np.ndarray, metric: str) -> DistanceMatrix:
     return DistanceMatrix(entries=d, metric=metric)
 
 
-def normalize(m: DistanceMatrix) -> DistanceMatrix:
-    """Divide all entries by the maximum distance, mapping them into [0, 1].
-
-    Rejects an all-zero matrix: there is no positive maximum to divide by.
-    Monotone rescaling preserves the order of entries, hence the order of
-    filtration thresholds.
-    """
-    top = m.max_distance()
-    if top <= 0.0:
-        raise ValueError("cannot normalize: no strictly positive distance")
-    return DistanceMatrix(entries=m.entries / top, labels=m.labels, metric=m.metric)
-
-
 def write_distance_csv(
     path: str, m: DistanceMatrix, config: Optional[Dict[str, Any]] = None
 ) -> None:
@@ -163,8 +150,9 @@ def read_distance_csv(
         raise ParseError(path, row_lines[0], "matrix diagonal must be zero")
     if arr.min() < 0.0:
         raise ParseError(path, row_lines[0], "matrix has negative entries")
+    labels = meta.get("labels")
+    if labels is not None and len(labels) != n:
+        raise ParseError(path, meta["lines"]["labels"], f"{len(labels)} labels for {n} points")
     # Symmetrize exactly so downstream comparisons see identical (i,j)/(j,i).
     arr = np.maximum(arr, arr.T)
-    return DistanceMatrix(
-        entries=arr, labels=meta.get("labels"), metric=meta.get("metric", "")
-    )
+    return DistanceMatrix(entries=arr, labels=labels, metric=meta.get("metric", ""))

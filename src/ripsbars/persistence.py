@@ -5,14 +5,13 @@ entry (i, j) is 1 exactly when simplex i is a face of simplex j.  Working
 mod 2 drops orientation signs (and any torsion).  The left-to-right
 reduction adds earlier columns into later ones until every nonzero column
 has a distinct lowest 1; a zero column births a homology class, a nonzero
-column kills the class born at its lowest 1.  Betti numbers computed by
-dense Gaussian elimination serve as an independent oracle for the pairing.
+column kills the class born at its lowest 1.
 """
 
 from __future__ import annotations
 
-import bisect
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -25,24 +24,15 @@ from .filtration import Filtration
 class SparseBinaryMatrix:
     """Column-major Z/2 matrix; each column is a sorted list of row indices.
 
-    Row and column indices are filtration-order simplex ids.  ``dims``
-    records the simplex dimension behind each column.
+    Row and column indices are positions in ``Filtration.simplices``.
     """
 
     columns: List[List[int]]
-    dims: List[int]
-
-    @property
-    def n(self) -> int:
-        return len(self.columns)
 
 
 def total_boundary_matrix(f: Filtration) -> SparseBinaryMatrix:
-    """Column j holds the face ids of simplex j (empty for vertices)."""
-    return SparseBinaryMatrix(
-        columns=[list(s.faces) for s in f.simplices],
-        dims=[s.dim for s in f.simplices],
-    )
+    """Column j holds the faces of simplex j (empty for vertices)."""
+    return SparseBinaryMatrix(columns=[list(s.faces) for s in f.simplices])
 
 
 def _xor_sorted(a: List[int], b: List[int]) -> List[int]:
@@ -90,7 +80,7 @@ def reduce_matrix(
             if ops is not None:
                 ops.append((k, j))
         cols[j] = col
-    return SparseBinaryMatrix(columns=cols, dims=list(m.dims)), ops
+    return SparseBinaryMatrix(columns=cols), ops
 
 
 @dataclass(frozen=True)
@@ -101,9 +91,6 @@ class Bar:
     birth: float
     death: float
     open: bool = False
-
-    def lifespan(self) -> float:
-        return self.death - self.birth
 
 
 @dataclass(frozen=True)
@@ -192,47 +179,6 @@ def barcode(
     return extract_pairs(R, f, normalize=normalize, metric=metric)
 
 
-def _rank_gf2(columns: List[int]) -> int:
-    """Rank of a Z/2 matrix given as bitmask columns (Gaussian elimination)."""
-    pivots: Dict[int, int] = {}
-    rank = 0
-    for col in columns:
-        while col:
-            high = col.bit_length() - 1
-            pivot = pivots.get(high)
-            if pivot is None:
-                pivots[high] = col
-                rank += 1
-                break
-            col ^= pivot
-    return rank
-
-
-def betti_numbers(f: Filtration, eps: float) -> List[int]:
-    """β_k of the complex at threshold ε, for k = 0 .. max_dim.
-
-    Independent of the reduction: restrict to simplices with birth ≤ ε,
-    then β_k = n_k − rank ∂_k − rank ∂_{k+1} by elimination over Z/2.
-    """
-    births = [s.birth for s in f.simplices]
-    cutoff = bisect.bisect_right(births, eps)
-    row_pos: Dict[int, int] = {}
-    counts = [0] * (f.max_dim + 2)
-    boundary_cols: List[List[int]] = [[] for _ in range(f.max_dim + 2)]
-    for s in f.simplices[:cutoff]:
-        row_pos[s.id] = counts[s.dim]
-        counts[s.dim] += 1
-        if s.dim >= 1:
-            mask = 0
-            for face in s.faces:
-                mask |= 1 << row_pos[face]
-            boundary_cols[s.dim].append(mask)
-    ranks = [_rank_gf2(cols) for cols in boundary_cols]
-    return [
-        counts[k] - ranks[k] - ranks[k + 1] for k in range(f.max_dim + 1)
-    ]
-
-
 BARCODE_HEADER = "dim,birth,death,open"
 
 
@@ -256,9 +202,32 @@ def write_barcode_csv(
     fileio.write_text(path, lines)
 
 
+#: JSON type of each ``barcode-meta`` field: its name, and the Python types
+#: ``json.loads`` returns for it.
+_META_TYPES = {
+    "metric": ("string", (str,)),
+    "max_dim": ("integer", (int,)),
+    "n_points": ("integer", (int,)),
+    "normalized": ("boolean", (bool,)),
+    "span_end": ("number", (int, float)),
+}
+
+
 def read_barcode_csv(path: str) -> Barcode:
+    """Parse a barcode CSV, refusing what no pipeline run writes: a mistyped
+    ``barcode-meta`` field, and bars with ``dim < 0``, ``birth < 0``,
+    ``death < birth`` or, in a normalized barcode, ``death > 1``."""
     lines = fileio.read_lines(path)
-    meta = fileio.parse_metadata(path, lines).get(BARCODE_META_KEY, {})
+    header = fileio.parse_metadata(path, lines)
+    meta = header.get(BARCODE_META_KEY, {})
+    for key, (kind, types) in _META_TYPES.items():
+        if key in meta and type(meta[key]) not in types:
+            raise ParseError(
+                path,
+                header["lines"][BARCODE_META_KEY],
+                f"{BARCODE_META_KEY} {key!r} must be a JSON {kind}, got {meta[key]!r}",
+            )
+    normalized = meta.get("normalized", True)
     bars: List[Bar] = []
     zero_length: List[Bar] = []
     saw_header = False
@@ -278,6 +247,9 @@ def read_barcode_csv(path: str) -> Barcode:
             raise ParseError(path, lineno, f"bad bar row: {text!r}") from None
         birth = fileio.parse_float(path, lineno, parts[1])
         death = fileio.parse_float(path, lineno, parts[2])
+        if dim < 0 or not 0.0 <= birth <= death <= (1.0 if normalized else math.inf):
+            rule = "0 <= birth <= death" + (" <= 1" if normalized else "")
+            raise ParseError(path, lineno, f"need dim >= 0 and {rule}, got {text!r}")
         bar = Bar(dim=dim, birth=birth, death=death, open=is_open)
         if not is_open and birth == death:
             zero_length.append(bar)
@@ -289,9 +261,9 @@ def read_barcode_csv(path: str) -> Barcode:
     return Barcode(
         bars=tuple(bars),
         zero_length=tuple(zero_length),
-        metric=str(meta.get("metric", "")),
-        max_dim=int(meta.get("max_dim", top)),
-        n_points=int(meta.get("n_points", 0)),
-        normalized=bool(meta.get("normalized", True)),
+        metric=meta.get("metric", ""),
+        max_dim=meta.get("max_dim", top),
+        n_points=meta.get("n_points", 0),
+        normalized=normalized,
         span_end=float(meta.get("span_end", 1.0)),
     )

@@ -1,7 +1,7 @@
 """Per-dimension barcode statistics and multi-metric comparison tables.
 
 Statistics are defined on normalized barcodes only (ε rescaled to [0, 1]),
-so lifespans are comparable across metrics.  A bar's lifespan is
+so lifespans are comparable across metrics.  A bar lives for
 death − birth; an open bar lives to the right edge, 1 − birth.  Bar counts
 include open bars; zero-length pairs were already excluded upstream.
 """
@@ -9,7 +9,7 @@ include open bars; zero-length pairs were already excluded upstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import fileio
 from .fileio import fmt
@@ -18,9 +18,10 @@ from .persistence import Barcode
 
 @dataclass(frozen=True)
 class BarStats:
-    """Count and lifespan summary of one dimension of one barcode.
+    """Count and lifespans (average, shortest, longest) of one dimension of
+    one barcode.
 
-    The lifespan fields are None when there are no bars, which tables
+    The ``*_lifespan`` fields are None when there are no bars, which tables
     render as '-' — distinct from bars of tiny positive length.
     """
 
@@ -108,15 +109,12 @@ def stats_report(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
 STATS_HEADER = "metric,dim,count,avg,min,max"
 
 
-def _cell_fields(s: BarStats) -> Tuple[str, str, str, str]:
+def _cells(s: BarStats, number: Callable[[float], str]) -> Tuple[str, ...]:
+    """Count, avg, min and max of one cell, lifespans rendered by ``number``."""
     if s.count == 0:
         return ("0", "-", "-", "-")
-    return (
-        str(s.count),
-        fmt(s.avg_lifespan),
-        fmt(s.min_lifespan),
-        fmt(s.max_lifespan),
-    )
+    spans = (s.avg_lifespan, s.min_lifespan, s.max_lifespan)
+    return (str(s.count),) + tuple(number(x) for x in spans)
 
 
 def write_stats_csv(
@@ -126,29 +124,19 @@ def write_stats_csv(
     lines.append(STATS_HEADER)
     for dim in report.dims:
         for name in report.metrics:
-            count, avg, lo, hi = _cell_fields(report.cells[(name, dim)])
-            lines.append(f"{name},{dim},{count},{avg},{lo},{hi}")
+            cells = _cells(report.cells[(name, dim)], fmt)
+            lines.append(",".join((name, str(dim)) + cells))
     fileio.write_text(path, lines)
 
 
 def format_stats_table(report: ComparisonReport) -> str:
     """Aligned plain-text table, one row per (dimension, metric)."""
-
-    def short(s: BarStats) -> Tuple[str, str, str, str]:
-        if s.count == 0:
-            return ("0", "-", "-", "-")
-        return (
-            str(s.count),
-            format(s.avg_lifespan, ".6g"),
-            format(s.min_lifespan, ".6g"),
-            format(s.max_lifespan, ".6g"),
-        )
-
+    short = lambda x: format(x, ".6g")
     header = ("dim", "metric", "count", "avg", "min", "max")
     rows: List[Tuple[str, ...]] = [header]
     for dim in report.dims:
         for name in report.metrics:
-            rows.append((str(dim), name) + short(report.cells[(name, dim)]))
+            rows.append((str(dim), name) + _cells(report.cells[(name, dim)], short))
     widths = [max(len(r[c]) for r in rows) for c in range(len(header))]
     out = []
     for r in rows:

@@ -2,11 +2,12 @@
 
 Everything here is deliberately brute force and shares no code with the
 implementation under test: cliques by direct enumeration, cycle membership
-by exhaustive DFS, simplex births by max pairwise distance, pseudometric
-axioms and live bars checked entry by entry.  The reference loops at the end
-evaluate one point, pair or candidate at a time, the way the library did
-before it switched to array expressions; the array code must match them bit
-for bit.
+and longest cycles by exhaustive DFS, simplex births by max pairwise
+distance, Betti numbers by dense elimination over Z/2, bottleneck distances
+by matching, pseudometric axioms and live bars checked entry by entry.  The
+reference loops at the end evaluate one point, pair or candidate at a time,
+the way the library did before it switched to array expressions; the array
+code must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from ripsbars.cloud import Region
 from ripsbars.dice import BeatingGraph, Die, foliation, symmetry
+from ripsbars.filtration import Filtration
 from ripsbars.metrics import TRIANGLE_TOL, DistanceMatrix
 from ripsbars.persistence import Bar
 
@@ -42,6 +44,43 @@ def simplex_birth_brute(m: DistanceMatrix, vertices: Sequence[int]) -> float:
     if len(vertices) < 2:
         return 0.0
     return max(m.entries[i, j] for i, j in itertools.combinations(vertices, 2))
+
+
+def _rank_gf2(columns: List[int]) -> int:
+    """Rank of a Z/2 matrix given as bitmask columns (Gaussian elimination)."""
+    pivots: Dict[int, int] = {}
+    rank = 0
+    for col in columns:
+        while col:
+            high = col.bit_length() - 1
+            pivot = pivots.get(high)
+            if pivot is None:
+                pivots[high] = col
+                rank += 1
+                break
+            col ^= pivot
+    return rank
+
+
+def betti_numbers(f: Filtration, eps: float) -> List[int]:
+    """β_k of the complex at threshold ε, for k = 0 .. max_dim.
+
+    Restrict to simplices with birth ≤ ε, then β_k = n_k − rank ∂_k −
+    rank ∂_{k+1} by elimination over Z/2.  Each boundary is rebuilt from
+    the vertex tuples, so no face bookkeeping of the filtration is used.
+    """
+    by_dim: List[List[Tuple[int, ...]]] = [[] for _ in range(f.max_dim + 2)]
+    for s in f.simplices:
+        if s.birth <= eps:
+            by_dim[len(s.vertices) - 1].append(s.vertices)
+    ranks = [0] * (f.max_dim + 3)
+    for k in range(1, f.max_dim + 2):
+        row = {v: r for r, v in enumerate(by_dim[k - 1])}
+        ranks[k] = _rank_gf2([
+            sum(1 << row[face] for face in itertools.combinations(v, k))
+            for v in by_dim[k]
+        ])
+    return [len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(f.max_dim + 1)]
 
 
 def bars_alive(bars: Sequence[Bar], eps: float) -> Dict[int, int]:
@@ -149,7 +188,7 @@ def cycle_nodes_brute(nodes: Sequence, succ: Dict) -> Set:
 
 def simple_cycles_brute(nodes: Sequence, succ: Dict) -> List[List]:
     """All simple directed cycles, each reported from its first node in
-    ``nodes`` order (used to cross-check longest_cycle lengths)."""
+    ``nodes`` order."""
     order = {v: i for i, v in enumerate(nodes)}
     cycles: List[List] = []
 
@@ -171,6 +210,81 @@ def simple_cycles_brute(nodes: Sequence, succ: Dict) -> List[List]:
     for v in nodes:
         walk(v, v, [v], {v})
     return cycles
+
+
+def longest_cycle(g: BeatingGraph) -> List[Die]:
+    """The first longest simple cycle in :func:`simple_cycles_brute` order;
+    [] when acyclic.  Exponential; meant for graphs of ≤ 16 nodes."""
+    return max(simple_cycles_brute(g.nodes, successors(g)), key=len, default=[])
+
+
+def parse_die(text: str) -> Die:
+    """Inverse of ``die_label``: digits string or comma-separated faces."""
+    text = text.strip()
+    if "," in text:
+        faces = [int(tok) for tok in text.split(",")]
+    else:
+        if not text.isdigit():
+            raise ValueError(f"cannot parse die {text!r}")
+        faces = [int(ch) for ch in text]
+    return tuple(sorted(faces))
+
+
+def _perfect_matching(cost: List[List[float]], t: float) -> bool:
+    """Whether the square ``cost`` matrix has a perfect matching using only
+    entries ≤ t (augmenting paths)."""
+    size = len(cost)
+    owner = [-1] * size  # column -> row
+
+    def augment(r: int, seen: Set[int]) -> bool:
+        for c in range(size):
+            if cost[r][c] <= t and c not in seen:
+                seen.add(c)
+                if owner[c] < 0 or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    return all(augment(r, set()) for r in range(size))
+
+
+def bottleneck_distance(xs: Sequence[Bar], ys: Sequence[Bar]) -> float:
+    """Bottleneck distance between two diagrams of one dimension.
+
+    Closed bars are points (birth, death) under the L∞ distance; a point
+    may also be matched to the diagonal at (death − birth)/2.  Each diagram
+    is padded with diagonal copies of the other's points, and the answer is
+    the smallest candidate cost admitting a perfect matching (binary
+    search).  Open bars are matched among themselves by birth alone, in
+    sorted order; unequal numbers of them give infinity.
+    """
+    open_x = sorted(b.birth for b in xs if b.open)
+    open_y = sorted(b.birth for b in ys if b.open)
+    if len(open_x) != len(open_y):
+        return math.inf
+    essential = max((abs(p - q) for p, q in zip(open_x, open_y)), default=0.0)
+    p = [(b.birth, b.death) for b in xs if not b.open]
+    q = [(b.birth, b.death) for b in ys if not b.open]
+    n, m = len(p), len(q)
+    # Rows: p, then the diagonal copies of q.  Columns: q, then those of p.
+    cost = [[math.inf] * (n + m) for _ in range(n + m)]
+    for i, (b, d) in enumerate(p):
+        for j, (c, e) in enumerate(q):
+            cost[i][j] = max(abs(b - c), abs(d - e))
+        cost[i][m + i] = (d - b) / 2
+    for j, (c, e) in enumerate(q):
+        cost[n + j][j] = (e - c) / 2
+        for i in range(n):
+            cost[n + j][m + i] = 0.0
+    candidates = sorted({c for row in cost for c in row if c < math.inf} | {0.0})
+    lo, hi = 0, len(candidates) - 1  # every finite entry admits a matching
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if _perfect_matching(cost, candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(essential, candidates[lo])
 
 
 # ------------------------------------------------------------ reference loops

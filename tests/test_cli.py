@@ -147,6 +147,14 @@ def test_cloud_rejects_nonpositive_count(tmp_path, capsys):
     assert "--points must be >= 1" in capsys.readouterr().err
 
 
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["cloud", "--seed", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error: argument --seed: must be an integer >= 0, got '-1'" in err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ persist
 
 def test_persist_square_points(tmp_path, capsys):
@@ -417,7 +425,8 @@ def test_compare_single_matrix(tmp_path, capsys):
     assert "at least 2 matrices" in capsys.readouterr().err
 
 
-def test_compare_mismatched_point_counts(tmp_path, capsys):
+def test_compare_mismatched_point_counts(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_filtration", lambda *a, **k: pytest.fail("filtered"))
     m1 = tmp_path / "m1.csv"
     m2 = tmp_path / "m2.csv"
     write_distance_csv(str(m1), build_distance_matrix(SQUARE, "euclidean"))
@@ -431,9 +440,55 @@ def test_compare_mismatched_point_counts(tmp_path, capsys):
     ]
     m1.write_text("\n".join(body1) + "\n")
     m2.write_text("\n".join(body2) + "\n")
-    code = main(["compare", "--matrices", str(m1), str(m2), "--out", str(tmp_path)])
-    assert code == 2
-    assert "point counts" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert main(["compare", "--matrices", str(m1), str(m2), "--out", str(out)]) == 2
+    assert "runs describe different point counts: [3, 4]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ------------------------------------------------------------ malformed files
+
+BARCODE_META = (
+    '# barcode-meta {"max_dim": 2, "metric": "euclidean", "n_points": 4, '
+    '"normalized": true, "span_end": 1.0}'
+)
+
+
+def barcode_file(row, meta=BARCODE_META):
+    return f"{meta}\ndim,birth,death,open\n{row}\n"
+
+
+def bad_bar(row):
+    """A normalized barcode whose third line is ``row``, and the refusal."""
+    return ("stats", barcode_file(row), 3,
+            f"need dim >= 0 and 0 <= birth <= death <= 1, got {row!r}")
+
+
+@pytest.mark.parametrize(
+    "command, text, line, message",
+    [
+        bad_bar("-1,0,0.5,0"),
+        bad_bar("1,0.5,0.4,0"),
+        bad_bar("1,0.5,1.5,0"),
+        bad_bar("1,-0.5,0.5,0"),
+        ("stats", barcode_file("0,0,1,1", BARCODE_META.replace("true", '"false"')), 1,
+         "barcode-meta 'normalized' must be a JSON boolean, got 'false'"),
+        ("stats", barcode_file("0,0,1,1", BARCODE_META.replace("2,", '"x",')), 1,
+         "barcode-meta 'max_dim' must be a JSON integer, got 'x'"),
+        ("persist", "# metric euclidean\n# labels a,b\n0,1,2\n1,0,1\n2,1,0\n", 2,
+         "2 labels for 3 points"),
+    ],
+    ids=["negative-dim", "death-before-birth", "death-past-1", "negative-birth",
+         "string-boolean", "string-integer", "label-count"],
+)
+def test_malformed_file_names_its_line(tmp_path, capsys, command, text, line, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    argv = ["stats", str(path)] if command == "stats" else ["persist", "--input", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {path}:{line}: {message}")
+    assert not out.exists()
 
 
 # --------------------------------------------------------------------- dice

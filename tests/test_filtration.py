@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import random_points
 from oracles import edge_order_loop, flag_complex_brute, simplex_birth_brute
-from ripsbars.filtration import (
-    Filtration,
-    build_filtration,
-    critical_thresholds,
-    expand_increment,
-    sorted_edges,
-)
+from ripsbars.filtration import Filtration, build_filtration, expand_increment, sorted_edges
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
 
 
@@ -21,18 +15,29 @@ def matrix_from(entries):
     return DistanceMatrix(entries=np.array(entries, dtype=float))
 
 
+def thresholds(m):
+    """The critical thresholds: the distinct off-diagonal distances, ascending."""
+    return build_filtration(m, max_dim=1).thresholds
+
+
+def births(f):
+    """Birth of each simplex, keyed by its vertex tuple."""
+    return {s.vertices: s.birth for s in f.simplices}
+
+
 def test_critical_thresholds_basic():
-    assert critical_thresholds(matrix_from([[0, 1], [1, 0]])) == [1.0]
+    assert thresholds(matrix_from([[0, 1], [1, 0]])) == [1.0]
 
 
 def test_critical_thresholds_duplicates_collapse():
     m = matrix_from([[0, 0.5, 0.5], [0.5, 0, 0.5], [0.5, 0.5, 0]])
-    assert critical_thresholds(m) == [0.5]
+    assert thresholds(m) == [0.5]
 
 
 def test_critical_thresholds_zero_first_for_duplicate_points():
+    """A zero off-diagonal entry (duplicate points) makes 0 the first threshold."""
     m = matrix_from([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
-    assert critical_thresholds(m) == [0.0, 1.0]
+    assert thresholds(m) == [0.0, 1.0]
 
 
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -54,23 +59,20 @@ def test_sorted_edges_match_tuple_sort(pts, metric):
     assert np.array_equal(j, [t[2] for t in ref])
     distinct = sorted({t[0] for t in ref})
     assert np.array_equal(d[starts], distinct)
-    assert critical_thresholds(m) == distinct
-    assert build_filtration(m, max_dim=1).thresholds == distinct
+    assert thresholds(m) == distinct
 
 
 def test_critical_thresholds_single_point():
-    assert critical_thresholds(matrix_from([[0]])) == []
+    assert thresholds(matrix_from([[0]])) == []
 
 
 def test_expand_triangle_completes_at_third_edge():
     f = Filtration(n_points=3, max_dim=2, max_distance=2.0)
     expand_increment(f, [(0, 1)], 1.0)
     expand_increment(f, [(1, 2)], 1.5)
-    assert f.simplex_id((0, 1, 2)) is None
+    assert (0, 1, 2) not in births(f)
     expand_increment(f, [(0, 2)], 2.0)
-    tri = f.simplex_id((0, 1, 2))
-    assert tri is not None
-    assert f.simplices[tri].birth == 2.0
+    assert births(f)[(0, 1, 2)] == 2.0
 
 
 def test_four_close_points_full_complex():
@@ -96,9 +98,7 @@ def test_duplicate_points_simplex_at_zero():
     """k coincident points form their shared (k−1)-simplex at ε = 0."""
     pts = [(0, 0), (0, 0), (0, 0), (1, 0)]
     f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=3)
-    tri = f.simplex_id((0, 1, 2))
-    assert tri is not None
-    assert f.simplices[tri].birth == 0.0
+    assert births(f)[(0, 1, 2)] == 0.0
     assert f.thresholds[0] == 0.0
 
 
@@ -106,16 +106,16 @@ def test_duplicate_points_respect_dim_cap():
     pts = [(0, 0)] * 4
     f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=2)
     assert max(s.dim for s in f.simplices) == 2
-    assert f.simplex_id((0, 1, 2, 3)) is None
+    assert (0, 1, 2, 3) not in births(f)
 
 
 def test_order_soundness_faces_precede_cofaces(square_matrix):
     f = build_filtration(square_matrix, max_dim=2)
-    for s in f.simplices:
+    for position, s in enumerate(f.simplices):
         assert s.faces == tuple(sorted(s.faces))
-        for face_id in s.faces:
-            assert face_id < s.id
-            face = f.simplices[face_id]
+        for face_position in s.faces:
+            assert face_position < position
+            face = f.simplices[face_position]
             assert face.dim == s.dim - 1
             assert face.birth <= s.birth
             assert set(face.vertices) < set(s.vertices)
@@ -187,7 +187,7 @@ def test_monotone_growth_across_thresholds(square_matrix):
         assert previous <= current
         previous = current
         seen |= current
-    assert seen == f.vertex_sets()
+    assert seen == set(births(f))
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,5 +213,5 @@ def test_incremental_matches_rebuild_from_scratch():
     m = build_distance_matrix(pts, "taxicab")
     f = build_filtration(m, max_dim=3)
     final = flag_complex_brute(m, f.thresholds[-1], 3)
-    assert f.vertex_sets() == final
+    assert set(births(f)) == final
 

@@ -13,7 +13,6 @@ from ripsbars.metrics import (
     DistanceMatrix,
     build_distance_matrix,
     euclidean,
-    normalize,
     read_distance_csv,
     supremum,
     taxicab,
@@ -131,35 +130,6 @@ def test_build_distance_matrix_rejects_empty():
 def test_built_matrices_are_pseudometrics(pts, name):
     m = build_distance_matrix(pts, name)
     assert validate_pseudometric(m, tol=1e-9).ok
-
-
-def test_normalize_examples():
-    m = DistanceMatrix(entries=np.array([[0.0, 5.0], [5.0, 0.0]]))
-    assert normalize(m).entries.tolist() == [[0, 1], [1, 0]]
-
-    m2 = DistanceMatrix(entries=np.array([[0, 2, 4], [2, 0, 2], [4, 2, 0]], dtype=float))
-    assert normalize(m2).entries.tolist() == [[0, 0.5, 1], [0.5, 0, 0.5], [1, 0.5, 0]]
-
-
-def test_normalize_idempotent_and_order_preserving():
-    rng = np.random.default_rng(5)
-    pts = rng.random((7, 2))
-    m = build_distance_matrix(pts, "euclidean")
-    nm = normalize(m)
-    assert nm.max_distance() == 1.0
-    again = normalize(nm)
-    assert np.array_equal(nm.entries, again.entries)
-    # Monotone rescaling: sorting by value gives the same pair order.
-    iu = np.triu_indices(m.n, k=1)
-    assert np.argsort(m.entries[iu], kind="stable").tolist() == np.argsort(
-        nm.entries[iu], kind="stable"
-    ).tolist()
-
-
-def test_normalize_rejects_all_zero():
-    m = DistanceMatrix(entries=np.zeros((3, 3)))
-    with pytest.raises(ValueError, match="normalize"):
-        normalize(m)
 
 
 def test_validate_clean_matrix():

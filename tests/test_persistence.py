@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
-from oracles import bars_alive
+from oracles import bars_alive, betti_numbers, bottleneck_distance
 from ripsbars.fileio import ParseError
 from ripsbars.filtration import build_filtration
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
@@ -15,7 +15,6 @@ from ripsbars.persistence import (
     Barcode,
     SparseBinaryMatrix,
     barcode,
-    betti_numbers,
     extract_pairs,
     read_barcode_csv,
     reduce_matrix,
@@ -34,7 +33,6 @@ def test_boundary_single_vertex():
     f = build_filtration(matrix_from([[0]]), max_dim=2)
     M = total_boundary_matrix(f)
     assert M.columns == [[]]
-    assert M.dims == [0]
 
 
 def test_boundary_one_edge():
@@ -47,24 +45,25 @@ def test_boundary_filled_triangle():
     pts = [(0, 0), (1, 0), (0.5, 0.5)]
     f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=2)
     M = total_boundary_matrix(f)
-    triangle_cols = [c for c, d in zip(M.columns, M.dims) if d == 2]
+    dims = [s.dim for s in f.simplices]
+    triangle_cols = [c for c, d in zip(M.columns, dims) if d == 2]
     assert len(triangle_cols) == 1
     (col,) = triangle_cols
     assert len(col) == 3
-    assert all(M.dims[r] == 1 for r in col)
+    assert all(dims[r] == 1 for r in col)
 
 
 # ----------------------------------------------------------------- reduction
 
 def test_reduce_leaves_reduced_matrix_unchanged():
-    M = SparseBinaryMatrix(columns=[[], [], [0, 1]], dims=[0, 0, 1])
+    M = SparseBinaryMatrix(columns=[[], [], [0, 1]])
     R, _ = reduce_matrix(M)
     assert R.columns == M.columns
 
 
 def test_reduce_identical_columns_cancel():
     # Two parallel edges: the second column reduces to zero.
-    M = SparseBinaryMatrix(columns=[[], [], [0, 1], [0, 1]], dims=[0, 0, 1, 1])
+    M = SparseBinaryMatrix(columns=[[], [], [0, 1], [0, 1]])
     R, _ = reduce_matrix(M)
     assert R.columns[2] == [0, 1]
     assert R.columns[3] == []
@@ -72,9 +71,7 @@ def test_reduce_identical_columns_cancel():
 
 def test_reduce_triangle_boundary_births_cycle():
     # Three edges on three vertices: the third edge column becomes zero.
-    M = SparseBinaryMatrix(
-        columns=[[], [], [], [0, 1], [1, 2], [0, 2]], dims=[0, 0, 0, 1, 1, 1]
-    )
+    M = SparseBinaryMatrix(columns=[[], [], [], [0, 1], [1, 2], [0, 2]])
     R, _ = reduce_matrix(M)
     assert R.columns[3] == [0, 1]
     assert R.columns[4] == [1, 2]
@@ -247,6 +244,53 @@ def test_euler_characteristic_conservation(seed):
         chi_simplices = sum((-1) ** d * c for d, c in counts.items())
         chi_betti = sum((-1) ** k * b for k, b in enumerate(betti_numbers(f, eps)))
         assert chi_simplices == chi_betti
+
+
+# ------------------------------------------------------------------ stability
+
+def test_bottleneck_oracle_examples():
+    a = Bar(dim=1, birth=0.2, death=0.6)
+    assert bottleneck_distance([a], [a]) == 0.0
+    assert bottleneck_distance([a], []) == pytest.approx(0.2)  # to the diagonal
+    moved = Bar(dim=1, birth=0.25, death=0.5)
+    assert bottleneck_distance([a], [moved]) == pytest.approx(0.1)
+    tiny = Bar(dim=1, birth=0.3, death=0.32)
+    assert bottleneck_distance([a, tiny], [moved]) == pytest.approx(0.1)
+    opened = Bar(dim=0, birth=0.0, death=1.0, open=True)
+    assert bottleneck_distance([opened], [Bar(0, 0.3, 2.0, open=True)]) == 0.3
+    assert bottleneck_distance([opened], []) == math.inf
+
+
+#: (metric, other): the same points under another metric, or a perturbed
+#: copy of the points under the same metric.
+COMPARED = [("euclidean", "taxicab"), ("euclidean", "supremum")] + [
+    (metric, "perturbed") for metric in ("euclidean", "taxicab", "supremum")
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=3, max_value=8),
+    st.sampled_from(COMPARED),
+)
+def test_stability_bottleneck_within_sup_distance(seed, n, compared):
+    """Full filtrations of one point set under two metrics: in H0 and H1
+    the bottleneck distance of the raw barcodes is at most ‖d1 − d2‖∞
+    (Chazal, de Silva & Oudot 2014)."""
+    metric, other = compared
+    rng = np.random.default_rng(seed)
+    pts = random_points(rng, n)
+    m1 = build_distance_matrix(pts, metric)
+    if other == "perturbed":
+        m2 = build_distance_matrix(pts + rng.normal(scale=0.05, size=pts.shape), metric)
+    else:
+        m2 = build_distance_matrix(pts, other)
+    bound = np.abs(m1.entries - m2.entries).max() + 1e-12
+    b1 = barcode(build_filtration(m1, max_dim=2), normalize=False)
+    b2 = barcode(build_filtration(m2, max_dim=2), normalize=False)
+    for dim in (0, 1):
+        assert bottleneck_distance(b1.in_dim(dim), b2.in_dim(dim)) <= bound
 
 
 # ---------------------------------------------------------------- barcode CSV
