@@ -1,10 +1,11 @@
 """Vietoris–Rips persistent homology barcodes under interchangeable metrics.
 
 The pipeline: a distance matrix (any pseudometric) → incremental flag-complex
-filtration over its sorted thresholds → Z/2 boundary-matrix reduction →
-barcode → per-dimension statistics of bar lifespans.  Two data domains ship
-built in: planar point clouds under Euclidean/taxicab/supremum metrics, and
-non-transitive dice under graph-derived distances.
+filtration over its sorted thresholds → Z/2 persistence pairs (union-find,
+then coboundary reduction with clearing) → barcode → per-dimension statistics
+of bar lifespans.  Two data domains ship built in: planar point clouds under
+Euclidean/taxicab/supremum metrics, and non-transitive dice under
+graph-derived distances.
 """
 
 from .cloud import Region, four_hole_disk, sample_region
@@ -29,6 +30,7 @@ from .persistence import (
     Barcode,
     barcode,
     extract_pairs,
+    persistence_pairs,
     reduce_matrix,
     total_boundary_matrix,
 )
@@ -55,6 +57,7 @@ __all__ = [
     "extract_pairs",
     "four_hole_disk",
     "non_transitive_subset",
+    "persistence_pairs",
     "reduce_matrix",
     "sample_region",
     "supremum",

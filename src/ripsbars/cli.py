@@ -181,8 +181,8 @@ def _read_input(path: str, metric: Optional[str]) -> Tuple[DistanceMatrix, str, 
         raise UsageError(
             "--metric applies to points input; a distance matrix already is the metric"
         )
-    m = metrics.read_distance_csv(path, lines)
-    source = fileio.parse_metadata(path, lines).get("config", {}).get("command")
+    m, header = metrics.read_distance_csv(path, lines)
+    source = header.get("config", {}).get("command")
     max_dim = min(DICE_MAX_DIM, m.n - 1) if source == "dice" else CLOUD_MAX_DIM
     return m, _label(m.metric, path), max_dim
 

@@ -125,9 +125,10 @@ def write_distance_csv(
 
 def read_distance_csv(
     path: str, lines: List[str], tol: float = TRIANGLE_TOL
-) -> DistanceMatrix:
+) -> Tuple[DistanceMatrix, Dict[str, Any]]:
     """Parse the ``lines`` of the distance-matrix CSV at ``path`` (which only
-    labels errors), validating shape and symmetry within ``tol``."""
+    labels errors), validating shape and symmetry within ``tol``.  Returns
+    the matrix and its header, as :func:`fileio.parse_metadata` gives it."""
     meta = fileio.parse_metadata(path, lines)
     rows: List[List[float]] = []
     row_lines: List[int] = []
@@ -155,4 +156,4 @@ def read_distance_csv(
         raise ParseError(path, meta["lines"]["labels"], f"{len(labels)} labels for {n} points")
     # Symmetrize exactly so downstream comparisons see identical (i,j)/(j,i).
     arr = np.maximum(arr, arr.T)
-    return DistanceMatrix(entries=arr, labels=labels, metric=meta.get("metric", ""))
+    return DistanceMatrix(entries=arr, labels=labels, metric=meta.get("metric", "")), meta

@@ -1,11 +1,19 @@
-"""Boundary matrices over Z/2, sparse reduction, and barcode extraction.
+"""Persistence pairs over Z/2 and barcode extraction.
 
-The total boundary matrix stacks every simplex of the filtration in order;
-entry (i, j) is 1 exactly when simplex i is a face of simplex j.  Working
-mod 2 drops orientation signs (and any torsion).  The left-to-right
-reduction adds earlier columns into later ones until every nonzero column
-has a distinct lowest 1; a zero column births a homology class, a nonzero
-column kills the class born at its lowest 1.
+The pipeline pairs simplices without the boundary matrix.  H0 comes from
+union-find over the edges in filtration order: an edge that joins two
+components kills the younger one.  Each higher dimension k below the cap
+reduces the coboundary columns of its k-simplices, latest first, with
+clearing: a simplex that killed a class in dimension k − 1 would reduce to
+zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson 2011,
+*Dualities in persistent (co)homology*; Bauer 2021, *Ripser*).  Working mod 2
+drops orientation signs (and any torsion).
+
+The total boundary matrix and its left-to-right reduction stay as the
+reference the tests compare these pairs against, and as the replay that
+counts column additions in the benchmark's tracer.  Entry (i, j) of that
+matrix is 1 exactly when simplex i is a face of simplex j; a zero reduced
+column births a class, a nonzero one kills the class born at its lowest 1.
 """
 
 from __future__ import annotations
@@ -119,39 +127,80 @@ class Barcode:
         return max((b.dim for b in self.bars), default=-1)
 
 
+def persistence_pairs(f: Filtration) -> Dict[int, int]:
+    """Birth → death positions in ``f.simplices`` of every finite pair.
+
+    Vertices sit at positions 0 … n − 1, so a union-find root is the oldest
+    vertex of its component.  A k-simplex's coboundary column lists its
+    (k+1)-cofaces in filtration order; its pivot is the earliest one, which
+    kills the class the column was born with, and clears that coface's own
+    column in dimension k + 1.  Top-dimension simplices have no cofaces.
+    """
+    by_dim: List[List[int]] = [[] for _ in range(f.max_dim + 2)]
+    for j, s in enumerate(f.simplices):
+        by_dim[s.dim].append(j)
+    pairs: Dict[int, int] = {}
+    parent = list(range(f.n_points))
+    for e in by_dim[1]:
+        roots = []
+        for i in f.simplices[e].faces:
+            while parent[i] != i:
+                parent[i] = i = parent[parent[i]]
+            roots.append(i)
+        old, young = sorted(roots)
+        if old != young:
+            parent[young] = old
+            pairs[young] = e
+    cleared = set(pairs.values())
+    for k in range(1, f.max_dim):
+        cofaces: Dict[int, List[int]] = {j: [] for j in by_dim[k] if j not in cleared}
+        for t in by_dim[k + 1]:
+            for j in f.simplices[t].faces:
+                if j in cofaces:
+                    cofaces[j].append(t)
+        owner: Dict[int, List[int]] = {}
+        for j in reversed(by_dim[k]):
+            col = cofaces.get(j)
+            while col:
+                other = owner.get(col[0])
+                if other is None:
+                    owner[col[0]] = col
+                    pairs[j] = col[0]
+                    break
+                col = _xor_sorted(col, other)
+        cleared = set(owner)
+    return pairs
+
+
 def extract_pairs(
-    R: SparseBinaryMatrix,
+    pairs: Dict[int, int],
     f: Filtration,
     normalize: bool = True,
     metric: str = "",
 ) -> Barcode:
-    """Read the birth/death pairing off a reduced matrix.
+    """Turn the birth → death positions ``pairs`` into bars.
 
-    Zero column j → a class of dimension dim(σ_j) born at birth(σ_j).
-    Nonzero column j with lowest 1 at row i → the class born with σ_i dies
-    when σ_j arrives.  Unkilled classes become open bars: death is the last
-    processed threshold raw, or exactly 1.0 after normalization (open bars
-    reach the right edge of the examined range).  Normalization divides
-    births and deaths by the maximum distance of the source matrix.
+    A simplex that is no pair's death births a class of its dimension.  The
+    class born with σ_i dies when σ_{pairs[i]} arrives.  Unkilled classes
+    become open bars: death is the last processed threshold raw, or exactly
+    1.0 after normalization (open bars reach the right edge of the examined
+    range).  Normalization divides births and deaths by the maximum distance
+    of the source matrix.
     """
     divisor = 1.0
     if normalize:
         if f.max_distance <= 0.0:
             raise ValueError("cannot normalize: no strictly positive distance")
         divisor = f.max_distance
-    killed: Dict[int, int] = {}
-    for j, col in enumerate(R.columns):
-        if col:
-            killed[col[-1]] = j
+    deaths = set(pairs.values())
     closed: List[Bar] = []
     zero_length: List[Bar] = []
     opens: List[Bar] = []
-    for j, col in enumerate(R.columns):
-        if col:
+    for j, s in enumerate(f.simplices):
+        if j in deaths:
             continue
-        birth = f.simplices[j].birth
-        dim = f.simplices[j].dim
-        killer = killed.get(j)
+        birth, dim = s.birth, s.dim
+        killer = pairs.get(j)
         if killer is None:
             death = 1.0 if normalize else f.span_end
             opens.append(Bar(dim=dim, birth=birth / divisor, death=death, open=True))
@@ -174,9 +223,8 @@ def extract_pairs(
 def barcode(
     f: Filtration, normalize: bool = True, metric: str = ""
 ) -> Barcode:
-    """Convenience pipeline: boundary matrix → reduction → pairing."""
-    R, _ = reduce_matrix(total_boundary_matrix(f))
-    return extract_pairs(R, f, normalize=normalize, metric=metric)
+    """Convenience pipeline: persistence pairs → bars."""
+    return extract_pairs(persistence_pairs(f), f, normalize=normalize, metric=metric)
 
 
 BARCODE_HEADER = "dim,birth,death,open"
@@ -215,8 +263,10 @@ _META_TYPES = {
 
 def read_barcode_csv(path: str) -> Barcode:
     """Parse a barcode CSV, refusing what no pipeline run writes: a mistyped
-    ``barcode-meta`` field, and bars with ``dim < 0``, ``birth < 0``,
-    ``death < birth`` or, in a normalized barcode, ``death > 1``."""
+    ``barcode-meta`` field, and bars with ``dim < 0``, a dim above the meta
+    ``max_dim``, ``birth < 0``, ``death < birth``, in a normalized barcode
+    ``death > 1``, or an open bar that does not die at the right edge (1 when
+    normalized, else the meta ``span_end``)."""
     lines = fileio.read_lines(path)
     header = fileio.parse_metadata(path, lines)
     meta = header.get(BARCODE_META_KEY, {})
@@ -228,6 +278,7 @@ def read_barcode_csv(path: str) -> Barcode:
                 f"{BARCODE_META_KEY} {key!r} must be a JSON {kind}, got {meta[key]!r}",
             )
     normalized = meta.get("normalized", True)
+    open_end = 1.0 if normalized else meta.get("span_end")
     bars: List[Bar] = []
     zero_length: List[Bar] = []
     saw_header = False
@@ -250,6 +301,10 @@ def read_barcode_csv(path: str) -> Barcode:
         if dim < 0 or not 0.0 <= birth <= death <= (1.0 if normalized else math.inf):
             rule = "0 <= birth <= death" + (" <= 1" if normalized else "")
             raise ParseError(path, lineno, f"need dim >= 0 and {rule}, got {text!r}")
+        if dim > meta.get("max_dim", dim):
+            raise ParseError(path, lineno, f"dim above max_dim {meta['max_dim']}: {text!r}")
+        if is_open and open_end is not None and death != open_end:
+            raise ParseError(path, lineno, f"open bar must die at {fmt(open_end)}: {text!r}")
         bar = Bar(dim=dim, birth=birth, death=death, open=is_open)
         if not is_open and birth == death:
             zero_length.append(bar)

@@ -4,7 +4,9 @@ Everything here is deliberately brute force and shares no code with the
 implementation under test: cliques by direct enumeration, cycle membership
 and longest cycles by exhaustive DFS, simplex births by max pairwise
 distance, Betti numbers by dense elimination over Z/2, bottleneck distances
-by matching, pseudometric axioms and live bars checked entry by entry.  The
+by matching, pseudometric axioms and live bars checked entry by entry.
+``boundary_pairs`` reads the pairs off the library's boundary reduction,
+which the tests keep as the reference for its coboundary reduction.  The
 reference loops at the end evaluate one point, pair or candidate at a time,
 the way the library did before it switched to array expressions; the array
 code must match them bit for bit.
@@ -25,7 +27,7 @@ from ripsbars.cloud import Region
 from ripsbars.dice import BeatingGraph, Die, foliation, symmetry
 from ripsbars.filtration import Filtration
 from ripsbars.metrics import TRIANGLE_TOL, DistanceMatrix
-from ripsbars.persistence import Bar
+from ripsbars.persistence import Bar, SparseBinaryMatrix
 
 
 def flag_complex_brute(m: DistanceMatrix, eps: float, max_dim: int) -> Set[Tuple[int, ...]]:
@@ -81,6 +83,12 @@ def betti_numbers(f: Filtration, eps: float) -> List[int]:
             for v in by_dim[k]
         ])
     return [len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(f.max_dim + 1)]
+
+
+def boundary_pairs(R: SparseBinaryMatrix) -> Dict[int, int]:
+    """Birth → death positions of a reduced boundary matrix, the form that
+    ``extract_pairs`` reads: nonzero column j kills the class born at its lowest 1."""
+    return {col[-1]: j for j, col in enumerate(R.columns) if col}
 
 
 def bars_alive(bars: Sequence[Bar], eps: float) -> Dict[int, int]:

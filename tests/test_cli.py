@@ -477,9 +477,15 @@ def bad_bar(row):
          "barcode-meta 'max_dim' must be a JSON integer, got 'x'"),
         ("persist", "# metric euclidean\n# labels a,b\n0,1,2\n1,0,1\n2,1,0\n", 2,
          "2 labels for 3 points"),
+        ("stats", barcode_file("0,0.2,0.5,1"), 3, "open bar must die at 1: '0,0.2,0.5,1'"),
+        ("stats", barcode_file(
+            "0,0,2,1", BARCODE_META.replace("true", "false").replace("1.0", "1.5")), 3,
+         "open bar must die at 1.5: '0,0,2,1'"),
+        ("stats", barcode_file("3,0.1,0.2,0"), 3, "dim above max_dim 2: '3,0.1,0.2,0'"),
     ],
     ids=["negative-dim", "death-before-birth", "death-past-1", "negative-birth",
-         "string-boolean", "string-integer", "label-count"],
+         "string-boolean", "string-integer", "label-count", "open-bar-short",
+         "open-bar-past-span-end", "dim-above-max-dim"],
 )
 def test_malformed_file_names_its_line(tmp_path, capsys, command, text, line, message):
     path = tmp_path / "bad.csv"
@@ -513,7 +519,7 @@ def test_dice_standard_space_strict(tmp_path, capsys):
     assert "digraph beating" in dot
 
     path = str(out / "dist_similarity.csv")
-    sim = read_distance_csv(path, fileio.read_lines(path))
+    sim, _ = read_distance_csv(path, fileio.read_lines(path))
     assert sim.metric == "similarity"
     assert sim.labels == tuple(TEN_DICE)
     assert sim.n == 10

@@ -180,10 +180,11 @@ def test_distance_csv_round_trip(tmp_path):
     )
     path = tmp_path / "dist.csv"
     write_distance_csv(str(path), m, config={"command": "test"})
-    back = read_distance_csv(str(path), read_lines(str(path)))
+    back, header = read_distance_csv(str(path), read_lines(str(path)))
     assert np.array_equal(back.entries, m.entries)
     assert back.labels == ("a", "b", "c")
     assert back.metric == "euclidean"
+    assert header["config"] == {"command": "test"}
 
 
 def test_distance_csv_rejects_ragged(tmp_path):

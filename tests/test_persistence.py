@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
-from oracles import bars_alive, betti_numbers, bottleneck_distance
+from oracles import bars_alive, betti_numbers, bottleneck_distance, boundary_pairs
+from ripsbars import dice
 from ripsbars.fileio import ParseError
 from ripsbars.filtration import build_filtration
-from ripsbars.metrics import DistanceMatrix, build_distance_matrix
+from ripsbars.metrics import PLANAR_METRICS, DistanceMatrix, build_distance_matrix
 from ripsbars.persistence import (
     Bar,
     Barcode,
@@ -181,11 +182,61 @@ def test_pairing_partition():
     births = sum(1 for c in R.columns if not c)
     killers = sum(1 for c in R.columns if c)
     assert births + killers == len(f)
-    bc = extract_pairs(R, f, normalize=False)
+    bc = extract_pairs(boundary_pairs(R), f, normalize=False)
     assert len(bc.bars) + len(bc.zero_length) == births
     open_count = sum(1 for b in bc.bars if b.open)
     closed_count = len(bc.bars) - open_count + len(bc.zero_length)
     assert closed_count == killers
+
+
+# ------------------------------------ coboundary pairs against the boundary
+
+def boundary_barcode(f):
+    R, _ = reduce_matrix(total_boundary_matrix(f))
+    return extract_pairs(boundary_pairs(R), f, normalize=False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=14),
+    st.sampled_from(sorted(PLANAR_METRICS)),
+    st.integers(min_value=0, max_value=3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_cohomology_pairs_equal_boundary_reduction(seed, n, metric, max_dim, stop, grid):
+    """Union-find plus coboundary reduction with clearing gives the barcode
+    of the boundary reduction, zero-length pairs included.  Points snapped
+    to a 4 × 4 grid repeat and tie their distances."""
+    pts = random_points(np.random.default_rng(seed), n)
+    if grid:
+        pts = np.floor(pts * 4)
+    m = build_distance_matrix(pts, metric)
+    f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
+    assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+def _dice_matrices(convention):
+    g = dice.build_beating_graph(dice.enumerate_dice(6, 6, 21), convention)
+    sub = dice.induced_subgraph(g, dice.non_transitive_subset(g))
+    return [
+        dice.similarity_distance_matrix(sub),
+        dice.euclidean_dice_distance_matrix(sub.nodes),
+        dice.foliation_symmetry_distance_matrix(sub.nodes, "literal"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "convention, max_dim, stop",
+    [("strict", 9, False), ("strict", 9, True), ("majority", 4, True)],
+)
+def test_cohomology_pairs_equal_boundary_reduction_on_dice(convention, max_dim, stop):
+    """The ten strict dice at the CLI's cap and the 31 majority dice as the
+    deep dice benchmark runs them, under all three dice distances."""
+    for m in _dice_matrices(convention):
+        f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
+        assert barcode(f, normalize=False) == boundary_barcode(f)
 
 
 # ------------------------------------------------------------- betti numbers
