@@ -304,12 +304,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if args.metrics:
             raise UsageError("--metrics applies to --input mode; matrices are self-labeled")
         inputs = [_read_input(path, None) for path in args.matrix_paths]
-        labels = [label for _, label, _ in inputs]
-        if len(set(labels)) != len(labels):
-            raise ValueError(f"duplicate run names: {labels}")
-        sizes = sorted({m.n for m, _, _ in inputs})
-        if len(sizes) > 1:
-            raise ValueError(f"runs describe different point counts: {sizes}")
+        # Refused here, before any filtration is built.
+        stats.check_runs([label for _, label, _ in inputs], [m.n for m, _, _ in inputs])
         for m, label, max_dim in inputs:
             runs.append((label, _barcode(args, m, label, max_dim, True)))
     else:

@@ -1,19 +1,23 @@
-"""Vietoris–Rips filtrations built incrementally over distance thresholds.
+"""Vietoris–Rips filtrations over the sorted pairwise distances.
 
 The complex at threshold ε is the flag complex of the graph whose edges are
 point pairs at distance ≤ ε (closed condition, so births coincide with
-matrix entries), truncated at ``max_dim``.  Simplices are appended threshold
-by threshold: when an edge (u, v) arrives, every clique it completes is
-exactly the edge together with a clique inside the common neighborhood of u
-and v, so each simplex is created precisely once — when its last edge shows
-up.  Within one threshold, new simplices are ordered by (dimension,
-vertex tuple), which keeps every face in front of its cofaces.
+matrix entries), truncated at ``max_dim``.  :func:`build_filtration` works in
+three steps.  A union-find over the sorted edges (:func:`joins`) finds where
+the neighborhood graph becomes connected, so a stopped filtration knows its
+last threshold before any clique is built.  Each edge up to that cut then
+grows the cliques it completes: they are the edge together with a clique
+inside the common neighborhood of its endpoints, so each simplex is created
+exactly once, born at the distance of its last edge.  One sort by (birth,
+dimension, vertex tuple) gives the order, which keeps every face in front of
+its cofaces, and the faces and threshold spans are read off that list.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -45,70 +49,28 @@ class ThresholdSpan:
     end: int
 
 
+@dataclass(frozen=True)
 class Filtration:
-    """Growing flag complex with union-find connectivity tracking."""
+    """A flag complex in filtration order, as :func:`build_filtration` returns it.
 
-    def __init__(self, n_points: int, max_dim: int, max_distance: float):
-        if n_points < 1:
-            raise ValueError("need at least one point")
-        if max_dim < 0:
-            raise ValueError("max_dim must be >= 0")
-        self.n_points = n_points
-        self.max_dim = max_dim
-        #: Maximum pairwise distance of the source matrix (pre-truncation);
-        #: the normalization divisor for barcodes.
-        self.max_distance = max_distance
-        self.simplices: List[Simplex] = []
-        self.thresholds: List[float] = []
-        self.spans: List[ThresholdSpan] = []
-        self.connected_at: Optional[float] = 0.0 if n_points == 1 else None
-        self.stopped_early = False
-        self._index: Dict[Tuple[int, ...], int] = {}
-        self._adj: List[Set[int]] = [set() for _ in range(n_points)]
-        self._parent = list(range(n_points))
-        self._components = n_points
-        for i in range(n_points):
-            self._append((i,), 0.0)
-        self.spans.append(ThresholdSpan(0.0, 0, n_points))
+    ``spans[0]`` holds the vertices; ``spans[k]`` the simplices born at
+    ``thresholds[k - 1]``.  ``max_distance`` is the maximum pairwise distance
+    of the source matrix (before any stop), the normalization divisor for
+    barcodes.
+    """
 
-    def __len__(self) -> int:
-        return len(self.simplices)
-
-    @property
-    def components(self) -> int:
-        return self._components
+    n_points: int
+    max_dim: int
+    max_distance: float
+    simplices: List[Simplex]
+    thresholds: List[float]
+    spans: List[ThresholdSpan]
+    stopped_early: bool
 
     @property
     def span_end(self) -> float:
         """Last processed threshold (0 when no edges were processed)."""
         return self.thresholds[-1] if self.thresholds else 0.0
-
-    def _find(self, i: int) -> int:
-        parent = self._parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def _union(self, i: int, j: int) -> None:
-        ri, rj = self._find(i), self._find(j)
-        if ri != rj:
-            self._parent[max(ri, rj)] = min(ri, rj)
-            self._components -= 1
-
-    def _append(self, vertices: Tuple[int, ...], birth: float) -> None:
-        dim = len(vertices) - 1
-        if dim == 0:
-            faces: Tuple[int, ...] = ()
-        else:
-            faces = tuple(
-                sorted(
-                    self._index[vertices[:k] + vertices[k + 1:]]
-                    for k in range(len(vertices))
-                )
-            )
-        self._index[vertices] = len(self.simplices)
-        self.simplices.append(Simplex(dim=dim, vertices=vertices, faces=faces, birth=birth))
 
 
 def sorted_edges(m: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -124,72 +86,90 @@ def sorted_edges(m: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
     return i, j, d, np.flatnonzero(new)
 
 
-def expand_increment(
-    f: Filtration, new_edges: Sequence[Tuple[int, int]], birth: float
-) -> Filtration:
-    """Insert the edges born at ``birth`` and every clique they complete.
+def joins(n: int, edges: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """Vertex → index in ``edges`` of the edge that merged its component into
+    an older one.
 
-    ``new_edges`` are pairs ``(i, j)`` with ``i < j`` in ascending order, as
-    :func:`build_filtration` takes them from :func:`sorted_edges`.  For each
-    edge, the cliques inside the common neighborhood of its endpoints (at the
-    moment of insertion) name exactly the new simplices having that edge as
-    their last-arriving edge.
-    The batch is then sorted by (dimension, vertex tuple) before it is
-    appended, so faces always precede cofaces in the filtration order.
+    Components are named by their smallest vertex; an edge joining two of
+    them ends the one with the larger name.  The scan stops as soon as the
+    ``n`` points are connected, so no edge past that one is read.
     """
-    batch: List[Tuple[int, ...]] = []
-    adj = f._adj
-
-    def grow(base: Tuple[int, int], chosen: Tuple[int, ...], cands: List[int]) -> None:
-        for pos, w in enumerate(cands):
-            cell = chosen + (w,)
-            batch.append(tuple(sorted(base + cell)))
-            if len(cell) + 2 <= f.max_dim:
-                grow(base, cell, [z for z in cands[pos + 1:] if z in adj[w]])
-
-    for u, v in new_edges:
-        if v in adj[u]:
-            raise ValueError(f"edge ({u}, {v}) already present")
-        if f.max_dim >= 1:
-            batch.append((u, v))
-            if f.max_dim >= 2:
-                common = sorted(adj[u] & adj[v])
-                if common:
-                    grow((u, v), (), common)
-        # Adjacency and connectivity always follow the neighborhood graph,
-        # even when the truncation excludes the edge simplices themselves.
-        adj[u].add(v)
-        adj[v].add(u)
-        f._union(u, v)
-
-    batch.sort(key=lambda verts: (len(verts), verts))
-    for verts in batch:
-        f._append(verts, birth)
-    return f
+    parent = list(range(n))
+    merged: Dict[int, int] = {}
+    for k, ends in enumerate(edges):
+        roots = []
+        for v in ends:
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            roots.append(v)
+        old, young = sorted(roots)
+        if old != young:
+            parent[young] = old
+            merged[young] = k
+            if len(merged) == n - 1:
+                break
+    return merged
 
 
 def build_filtration(
     m: DistanceMatrix, max_dim: int = 2, stop_when_connected: bool = False
 ) -> Filtration:
-    """Run the full pipeline: thresholds, edges, flag expansion, stopping.
+    """The flag complex of ``m`` up to dimension ``max_dim``, in filtration order.
 
-    With ``stop_when_connected`` the construction halts after the first
-    threshold at which the complex has a single connected component (that
-    threshold is processed completely).  ``connected_at`` records that
-    threshold in either mode.
+    With ``stop_when_connected`` the filtration ends after the first
+    threshold at which the neighborhood graph is connected (that threshold
+    is processed completely); connectivity follows the graph even when
+    ``max_dim`` is 0 and no edge simplex is kept.
     """
-    f = Filtration(n_points=m.n, max_dim=max_dim, max_distance=m.max_distance())
+    if max_dim < 0:
+        raise ValueError("max_dim must be >= 0")
+    n = m.n
     i, j, d, starts = sorted_edges(m)
-    for lo, hi in zip(starts, np.append(starts[1:], len(d))):
-        eps = float(d[lo])
-        start = len(f.simplices)
-        expand_increment(f, list(zip(i[lo:hi].tolist(), j[lo:hi].tolist())), eps)
-        f.thresholds.append(eps)
-        f.spans.append(ThresholdSpan(eps, start, len(f.simplices)))
-        if f.connected_at is None and f.components == 1:
-            f.connected_at = eps
-        if stop_when_connected and f.components == 1:
-            f.stopped_early = hi < len(d)
-            break
-    return f
+    end = len(d)
+    if stop_when_connected and n > 1:
+        last = max(joins(n, zip(i, j)).values())
+        end = int(np.searchsorted(d, d[last], side="right"))
 
+    keys: List[Tuple[float, int, Tuple[int, ...]]] = [(0.0, 0, (v,)) for v in range(n)]
+    adj: List[Set[int]] = [set() for _ in range(n)]
+
+    def grow(
+        birth: float, base: Tuple[int, int], chosen: Tuple[int, ...], cands: List[int]
+    ) -> None:
+        for pos, w in enumerate(cands):
+            cell = chosen + (w,)
+            keys.append((birth, len(cell) + 1, tuple(sorted(base + cell))))
+            if len(cell) + 2 <= max_dim:
+                grow(birth, base, cell, [z for z in cands[pos + 1:] if z in adj[w]])
+
+    if max_dim >= 1:
+        for u, v, birth in zip(i[:end].tolist(), j[:end].tolist(), d[:end].tolist()):
+            keys.append((birth, 1, (u, v)))
+            if max_dim >= 2:
+                grow(birth, (u, v), (), sorted(adj[u] & adj[v]))
+                adj[u].add(v)
+                adj[v].add(u)
+    keys.sort()
+
+    index: Dict[Tuple[int, ...], int] = {}
+    simplices: List[Simplex] = []
+    for pos, (birth, dim, verts) in enumerate(keys):
+        faces = sorted(index[verts[:k] + verts[k + 1:]] for k in range(dim + 1)) if dim else []
+        index[verts] = pos
+        simplices.append(Simplex(dim=dim, vertices=verts, faces=tuple(faces), birth=birth))
+
+    births = [birth for birth, _, _ in keys]
+    thresholds = d[starts[starts < end]].tolist()
+    spans = [ThresholdSpan(0.0, 0, n)] + [
+        ThresholdSpan(t, bisect_left(births, t, n), bisect_right(births, t, n))
+        for t in thresholds
+    ]
+    return Filtration(
+        n_points=n,
+        max_dim=max_dim,
+        max_distance=m.max_distance(),
+        simplices=simplices,
+        thresholds=thresholds,
+        spans=spans,
+        stopped_early=end < len(d),
+    )

@@ -1,13 +1,14 @@
 """Persistence pairs over Z/2 and barcode extraction.
 
 The pipeline pairs simplices without the boundary matrix.  H0 comes from
-union-find over the edges in filtration order: an edge that joins two
-components kills the younger one.  Each higher dimension k below the cap
-reduces the coboundary columns of its k-simplices, latest first, with
-clearing: a simplex that killed a class in dimension k − 1 would reduce to
-zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson 2011,
-*Dualities in persistent (co)homology*; Bauer 2021, *Ripser*).  Working mod 2
-drops orientation signs (and any torsion).
+the filtration's union-find (``joins``) over the edges in filtration order:
+an edge that joins two components kills the younger one.  Each higher
+dimension k below the cap reduces the coboundary columns of its
+k-simplices, latest first, with clearing: a simplex that killed a class in
+dimension k − 1 would reduce to zero, so its column is skipped (de Silva,
+Morozov & Vejdemo-Johansson 2011, *Dualities in persistent (co)homology*;
+Bauer 2021, *Ripser*).  Working mod 2 drops orientation signs (and any
+torsion).
 
 The total boundary matrix and its left-to-right reduction stay as the
 reference the tests compare these pairs against, and as the replay that
@@ -25,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 
 from . import fileio
 from .fileio import BARCODE_META_KEY, ParseError, fmt
-from .filtration import Filtration
+from .filtration import Filtration, joins
 
 
 @dataclass
@@ -130,27 +131,20 @@ class Barcode:
 def persistence_pairs(f: Filtration) -> Dict[int, int]:
     """Birth → death positions in ``f.simplices`` of every finite pair.
 
-    Vertices sit at positions 0 … n − 1, so a union-find root is the oldest
-    vertex of its component.  A k-simplex's coboundary column lists its
-    (k+1)-cofaces in filtration order; its pivot is the earliest one, which
-    kills the class the column was born with, and clears that coface's own
-    column in dimension k + 1.  Top-dimension simplices have no cofaces.
+    H0 is :func:`~ripsbars.filtration.joins` over the edges in filtration
+    order: vertices sit at positions 0 … n − 1, so the edge that merges a
+    component into an older one kills the class born with its smallest
+    vertex.  A k-simplex's coboundary column lists its (k+1)-cofaces in
+    filtration order; its pivot is the earliest one, which kills the class
+    the column was born with, and clears that coface's own column in
+    dimension k + 1.  Top-dimension simplices have no cofaces.
     """
     by_dim: List[List[int]] = [[] for _ in range(f.max_dim + 2)]
     for j, s in enumerate(f.simplices):
         by_dim[s.dim].append(j)
-    pairs: Dict[int, int] = {}
-    parent = list(range(f.n_points))
-    for e in by_dim[1]:
-        roots = []
-        for i in f.simplices[e].faces:
-            while parent[i] != i:
-                parent[i] = i = parent[parent[i]]
-            roots.append(i)
-        old, young = sorted(roots)
-        if old != young:
-            parent[young] = old
-            pairs[young] = e
+    edges = by_dim[1]
+    merged = joins(f.n_points, (f.simplices[e].vertices for e in edges))
+    pairs = {v: edges[k] for v, k in merged.items()}
     cleared = set(pairs.values())
     for k in range(1, f.max_dim):
         cofaces: Dict[int, List[int]] = {j: [] for j in by_dim[k] if j not in cleared}

@@ -65,10 +65,17 @@ class ComparisonReport:
     n_points: int
 
 
+def check_runs(names: Sequence[str], point_counts: Sequence[int] = ()) -> None:
+    """Refuse duplicate run names, and runs over different numbers of points."""
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate run names: {list(names)}")
+    sizes = sorted(set(point_counts))
+    if len(sizes) > 1:
+        raise ValueError(f"runs describe different point counts: {sizes}")
+
+
 def _build_report(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
     names = [name for name, _ in runs]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate run names: {names}")
     for name, bc in runs:
         if not bc.normalized:
             raise ValueError(f"run {name!r}: bar statistics require a normalized barcode")
@@ -93,9 +100,7 @@ def compare(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
     """
     if len(runs) < 2:
         raise ValueError(f"compare needs at least 2 runs, got {len(runs)}")
-    counts = {bc.n_points for _, bc in runs}
-    if len(counts) != 1:
-        raise ValueError(f"runs describe different point counts: {sorted(counts)}")
+    check_runs([name for name, _ in runs], [bc.n_points for _, bc in runs])
     return _build_report(runs)
 
 
@@ -103,6 +108,7 @@ def stats_report(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
     """Like :func:`compare` but for reporting on any number of runs ≥ 1."""
     if not runs:
         raise ValueError("need at least one barcode")
+    check_runs([name for name, _ in runs])
     return _build_report(runs)
 
 

@@ -1,7 +1,8 @@
 """Independent oracles the test suite checks the library against.
 
 Everything here is deliberately brute force and shares no code with the
-implementation under test: cliques by direct enumeration, cycle membership
+implementation under test: cliques by direct enumeration, spanning trees by
+Prim's scan over all pairs, cycle membership
 and longest cycles by exhaustive DFS, simplex births by max pairwise
 distance, Betti numbers by dense elimination over Z/2, bottleneck distances
 by matching, pseudometric axioms and live bars checked entry by entry.
@@ -46,6 +47,24 @@ def simplex_birth_brute(m: DistanceMatrix, vertices: Sequence[int]) -> float:
     if len(vertices) < 2:
         return 0.0
     return max(m.entries[i, j] for i, j in itertools.combinations(vertices, 2))
+
+
+def mst_edge_lengths(m: DistanceMatrix) -> List[float]:
+    """Edge lengths of a minimum spanning tree of the complete graph on the
+    points, in the order Prim's algorithm adds them: each step scans every
+    pair with one end inside the tree for the shortest."""
+    inside = {0}
+    lengths: List[float] = []
+    while len(inside) < m.n:
+        length, v = min(
+            (float(m.entries[a, b]), b)
+            for a in inside
+            for b in range(m.n)
+            if b not in inside
+        )
+        inside.add(v)
+        lengths.append(length)
+    return lengths
 
 
 def _rank_gf2(columns: List[int]) -> int:

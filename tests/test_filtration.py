@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
-from oracles import edge_order_loop, flag_complex_brute, simplex_birth_brute
-from ripsbars.filtration import Filtration, build_filtration, expand_increment, sorted_edges
+from oracles import edge_order_loop, flag_complex_brute, mst_edge_lengths, simplex_birth_brute
+from ripsbars.filtration import build_filtration, sorted_edges
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
 
 
@@ -67,12 +67,13 @@ def test_critical_thresholds_single_point():
 
 
 def test_expand_triangle_completes_at_third_edge():
-    f = Filtration(n_points=3, max_dim=2, max_distance=2.0)
-    expand_increment(f, [(0, 1)], 1.0)
-    expand_increment(f, [(1, 2)], 1.5)
-    assert (0, 1, 2) not in births(f)
-    expand_increment(f, [(0, 2)], 2.0)
+    m = matrix_from([[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]])
+    f = build_filtration(m, max_dim=2)
+    assert [(span.threshold, span.end - span.start) for span in f.spans] == [
+        (0.0, 3), (1.0, 1), (1.5, 1), (2.0, 2)
+    ]
     assert births(f)[(0, 1, 2)] == 2.0
+    assert f.simplices[-1].vertices == (0, 1, 2)
 
 
 def test_four_close_points_full_complex():
@@ -109,8 +110,7 @@ def test_duplicate_points_respect_dim_cap():
     assert (0, 1, 2, 3) not in births(f)
 
 
-def test_order_soundness_faces_precede_cofaces(square_matrix):
-    f = build_filtration(square_matrix, max_dim=2)
+def assert_faces_precede_cofaces(f):
     for position, s in enumerate(f.simplices):
         assert s.faces == tuple(sorted(s.faces))
         for face_position in s.faces:
@@ -121,17 +121,17 @@ def test_order_soundness_faces_precede_cofaces(square_matrix):
             assert set(face.vertices) < set(s.vertices)
 
 
-def test_filtration_sorted_by_birth_dim_vertices(square_matrix):
-    f = build_filtration(square_matrix, max_dim=2)
+def assert_sorted_by_birth_dim_vertices(f):
     keys = [(s.birth, s.dim, s.vertices) for s in f.simplices]
     assert keys == sorted(keys)
 
 
-def test_expand_rejects_duplicate_edge():
-    f = Filtration(n_points=2, max_dim=2, max_distance=1.0)
-    expand_increment(f, [(0, 1)], 1.0)
-    with pytest.raises(ValueError, match="already present"):
-        expand_increment(f, [(0, 1)], 2.0)
+def test_order_soundness_faces_precede_cofaces(square_matrix):
+    assert_faces_precede_cofaces(build_filtration(square_matrix, max_dim=2))
+
+
+def test_filtration_sorted_by_birth_dim_vertices(square_matrix):
+    assert_sorted_by_birth_dim_vertices(build_filtration(square_matrix, max_dim=2))
 
 
 def test_two_points_stopping():
@@ -139,7 +139,7 @@ def test_two_points_stopping():
     f = build_filtration(m, max_dim=2, stop_when_connected=True)
     births = [(s.dim, s.birth) for s in f.simplices]
     assert births == [(0, 0.0), (0, 0.0), (1, 1.0)]
-    assert f.connected_at == 1.0
+    assert f.span_end == 1.0
     assert not f.stopped_early  # nothing remained after ε = 1
 
 
@@ -148,32 +148,40 @@ def test_collinear_points_stop_at_second_threshold():
     m = build_distance_matrix(pts, "euclidean")
     f = build_filtration(m, max_dim=2, stop_when_connected=True)
     assert f.thresholds == [1.0, 2.0]
-    assert f.connected_at == 2.0
     assert f.stopped_early  # the 0–2 pair at distance 3 was never processed
     assert f.span_end == 2.0
 
 
-def test_connected_at_recorded_without_stopping():
+def test_unstopped_filtration_runs_past_connectivity():
     pts = [(0, 0), (1, 0), (3, 0)]
     m = build_distance_matrix(pts, "euclidean")
     f = build_filtration(m, max_dim=2, stop_when_connected=False)
-    assert f.connected_at == 2.0
     assert f.thresholds == [1.0, 2.0, 3.0]
+    assert f.span_end == 3.0
     assert not f.stopped_early
 
 
 def test_single_point_trivially_connected():
-    f = build_filtration(matrix_from([[0]]), max_dim=2)
-    assert f.connected_at == 0.0
-    assert len(f) == 1
+    f = build_filtration(matrix_from([[0]]), max_dim=2, stop_when_connected=True)
+    assert len(f.simplices) == 1
+    assert f.thresholds == []
     assert f.span_end == 0.0
+    assert not f.stopped_early
 
 
 def test_max_dim_zero_keeps_only_vertices():
     m = matrix_from([[0, 1], [1, 0]])
     f = build_filtration(m, max_dim=0)
     assert [s.dim for s in f.simplices] == [0, 0]
-    assert f.connected_at == 1.0  # connectivity follows the neighborhood graph
+    assert f.thresholds == [1.0]
+    # The stop follows the neighborhood graph, not the kept simplices.
+    pts = [(0, 0), (1, 0), (3, 0)]
+    m = build_distance_matrix(pts, "euclidean")
+    f = build_filtration(m, max_dim=0, stop_when_connected=True)
+    assert [s.dim for s in f.simplices] == [0, 0, 0]
+    assert f.thresholds == [1.0, 2.0]
+    assert [(span.start, span.end) for span in f.spans] == [(0, 3), (3, 3), (3, 3)]
+    assert f.stopped_early
 
 
 def test_monotone_growth_across_thresholds(square_matrix):
@@ -194,7 +202,8 @@ def test_monotone_growth_across_thresholds(square_matrix):
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2, max_value=10))
 def test_flag_property_matches_brute_force(seed, n):
     """At every threshold the simplex set equals brute-force clique search,
-    and every simplex is born exactly when its longest edge appears."""
+    every simplex is born exactly when its longest edge appears, and the
+    order is (birth, dim, vertices) with every face before its cofaces."""
     rng = np.random.default_rng(seed)
     pts = random_points(rng, n)
     max_dim = int(rng.integers(1, 4))
@@ -205,6 +214,25 @@ def test_flag_property_matches_brute_force(seed, n):
         assert have == flag_complex_brute(m, eps, max_dim)
     for s in f.simplices:
         assert s.birth == simplex_birth_brute(m, s.vertices)
+    assert_sorted_by_birth_dim_vertices(f)
+    assert_faces_precede_cofaces(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds, st.sampled_from(["euclidean", "taxicab", "supremum"]), st.sampled_from([0, 1, 2]))
+def test_stop_path_matches_minimum_spanning_tree(pts, metric, max_dim):
+    """A stopped filtration ends at the longest minimum-spanning-tree edge
+    and is the prefix of the full one born by then."""
+    m = build_distance_matrix(pts, metric)
+    stopped = build_filtration(m, max_dim=max_dim, stop_when_connected=True)
+    full = build_filtration(m, max_dim=max_dim)
+    assert stopped.span_end == max(mst_edge_lengths(m), default=0.0)
+    cut = len(stopped.simplices)
+    assert stopped.simplices == full.simplices[:cut]
+    assert all(s.birth > stopped.span_end for s in full.simplices[cut:])
+    assert stopped.thresholds == [t for t in full.thresholds if t <= stopped.span_end]
+    assert stopped.spans == full.spans[:len(stopped.spans)]
+    assert stopped.stopped_early == (stopped.span_end < m.max_distance())
 
 
 def test_incremental_matches_rebuild_from_scratch():

@@ -166,8 +166,18 @@ def test_exactly_one_open_h0_iff_connected():
     f = build_filtration(m, max_dim=2)
     bc = barcode(f, normalize=False)
     h0_open = [b for b in bc.bars if b.dim == 0 and b.open]
-    assert f.components == 1
+    assert betti_numbers(f, f.span_end)[0] == 1
     assert len(h0_open) == 1
+
+
+def test_max_dim_zero_stop_keeps_every_h0_bar_open():
+    """The stop follows the neighborhood graph: with no edge simplices kept,
+    every point still has its own open H0 bar."""
+    pts = random_points(np.random.default_rng(31), 9)
+    m = build_distance_matrix(pts, "euclidean")
+    f = build_filtration(m, max_dim=0, stop_when_connected=True)
+    bc = barcode(f, normalize=False)
+    assert [(b.dim, b.open) for b in bc.bars] == [(0, True)] * 9
 
 
 def test_pairing_partition():
@@ -181,7 +191,7 @@ def test_pairing_partition():
     R, _ = reduce_matrix(M)
     births = sum(1 for c in R.columns if not c)
     killers = sum(1 for c in R.columns if c)
-    assert births + killers == len(f)
+    assert births + killers == len(f.simplices)
     bc = extract_pairs(boundary_pairs(R), f, normalize=False)
     assert len(bc.bars) + len(bc.zero_length) == births
     open_count = sum(1 for b in bc.bars if b.open)
