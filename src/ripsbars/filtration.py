@@ -8,36 +8,30 @@ the neighborhood graph becomes connected, so a stopped filtration knows its
 last threshold before any clique is built.  Each edge up to that cut then
 grows the cliques it completes: they are the edge together with a clique
 inside the common neighborhood of its endpoints, so each simplex is created
-exactly once, born at the distance of its last edge.  One sort by (birth,
-dimension, vertex tuple) gives the order, which keeps every face in front of
-its cofaces, and the faces and threshold spans are read off that list.
+exactly once, born at the distance of its last edge.  One sort of the
+(birth, dimension, vertex tuple) records gives the order, which keeps every
+face in front of its cofaces, and the threshold spans are read off that
+list.  Faces are not stored: a facet is the vertex tuple less one vertex.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 import numpy as np
 
 from .metrics import DistanceMatrix
 
 
-@dataclass(frozen=True)
-class Simplex:
-    """One simplex of the filtration.
+class Simplex(NamedTuple):
+    """One simplex, ``vertices`` ascending; the field order is the filtration order."""
 
-    ``faces`` holds the positions in ``Filtration.simplices`` of the
-    (dim−1)-faces in increasing order — the boundary matrix is read straight
-    off this field.  Vertices have no faces and carry their point index in
-    ``vertices``.
-    """
-
+    birth: float
     dim: int
     vertices: Tuple[int, ...]
-    faces: Tuple[int, ...]
-    birth: float
 
 
 @dataclass(frozen=True)
@@ -130,7 +124,7 @@ def build_filtration(
         last = max(joins(n, zip(i, j)).values())
         end = int(np.searchsorted(d, d[last], side="right"))
 
-    keys: List[Tuple[float, int, Tuple[int, ...]]] = [(0.0, 0, (v,)) for v in range(n)]
+    simplices = [Simplex(0.0, 0, (v,)) for v in range(n)]
     adj: List[Set[int]] = [set() for _ in range(n)]
 
     def grow(
@@ -138,32 +132,24 @@ def build_filtration(
     ) -> None:
         for pos, w in enumerate(cands):
             cell = chosen + (w,)
-            keys.append((birth, len(cell) + 1, tuple(sorted(base + cell))))
+            simplices.append(Simplex(birth, len(cell) + 1, tuple(sorted(base + cell))))
             if len(cell) + 2 <= max_dim:
                 grow(birth, base, cell, [z for z in cands[pos + 1:] if z in adj[w]])
 
     if max_dim >= 1:
         for u, v, birth in zip(i[:end].tolist(), j[:end].tolist(), d[:end].tolist()):
-            keys.append((birth, 1, (u, v)))
+            simplices.append(Simplex(birth, 1, (u, v)))
             if max_dim >= 2:
                 grow(birth, (u, v), (), sorted(adj[u] & adj[v]))
                 adj[u].add(v)
                 adj[v].add(u)
-    keys.sort()
+    simplices.sort()
 
-    index: Dict[Tuple[int, ...], int] = {}
-    simplices: List[Simplex] = []
-    for pos, (birth, dim, verts) in enumerate(keys):
-        faces = sorted(index[verts[:k] + verts[k + 1:]] for k in range(dim + 1)) if dim else []
-        index[verts] = pos
-        simplices.append(Simplex(dim=dim, vertices=verts, faces=tuple(faces), birth=birth))
-
-    births = [birth for birth, _, _ in keys]
     thresholds = d[starts[starts < end]].tolist()
-    spans = [ThresholdSpan(0.0, 0, n)] + [
-        ThresholdSpan(t, bisect_left(births, t, n), bisect_right(births, t, n))
-        for t in thresholds
-    ]
+    spans = [ThresholdSpan(0.0, 0, n)]
+    for t in thresholds:  # each simplex past the vertices is born at a threshold
+        stop = bisect_right(simplices, t, key=attrgetter("birth"))
+        spans.append(ThresholdSpan(t, spans[-1].end, stop))
     return Filtration(
         n_points=n,
         max_dim=max_dim,

@@ -111,8 +111,12 @@ def write_distance_csv(
     """Write n lines of n comma-separated values, preceded by metadata.
 
     Point labels, when present, are recorded in a comment line so the matrix
-    body stays purely numeric.
+    body stays purely numeric.  That line is comma-separated, so a label
+    holding a comma (a die with a face above 9) is refused up front.
     """
+    for label in m.labels or ():
+        if "," in label:
+            raise ValueError(f"label {label!r} contains ',', the label separator")
     lines = fileio.metadata_lines(config)
     if m.metric:
         lines.append(f"# metric {m.metric}")

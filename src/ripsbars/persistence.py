@@ -13,8 +13,9 @@ torsion).
 The total boundary matrix and its left-to-right reduction stay as the
 reference the tests compare these pairs against, and as the replay that
 counts column additions in the benchmark's tracer.  Entry (i, j) of that
-matrix is 1 exactly when simplex i is a face of simplex j; a zero reduced
-column births a class, a nonzero one kills the class born at its lowest 1.
+matrix is 1 exactly when simplex i is a facet of simplex j (its vertices
+less one); a zero reduced column births a class, a nonzero one kills the
+class born at its lowest 1.  Both paths compute faces from vertex tuples.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from . import fileio
 from .fileio import BARCODE_META_KEY, ParseError, fmt
@@ -40,8 +41,13 @@ class SparseBinaryMatrix:
 
 
 def total_boundary_matrix(f: Filtration) -> SparseBinaryMatrix:
-    """Column j holds the faces of simplex j (empty for vertices)."""
-    return SparseBinaryMatrix(columns=[list(s.faces) for s in f.simplices])
+    """Column j holds the positions of simplex j's facets, ascending."""
+    index = {v: j for j, (_, _, v) in enumerate(f.simplices)}
+    columns = [
+        sorted(index[v[:i] + v[i + 1:]] for i in range(len(v))) if dim else []
+        for _, dim, v in f.simplices
+    ]
+    return SparseBinaryMatrix(columns=columns)
 
 
 def _xor_sorted(a: List[int], b: List[int]) -> List[int]:
@@ -92,9 +98,9 @@ def reduce_matrix(
     return SparseBinaryMatrix(columns=cols), ops
 
 
-@dataclass(frozen=True)
-class Bar:
-    """One persistence interval [birth, death); open bars never die."""
+class Bar(NamedTuple):
+    """One persistence interval [birth, death); open bars never die.  Bars
+    sort by their fields: on a tie, a closed bar before an open one."""
 
     dim: int
     birth: float
@@ -137,7 +143,9 @@ def persistence_pairs(f: Filtration) -> Dict[int, int]:
     vertex.  A k-simplex's coboundary column lists its (k+1)-cofaces in
     filtration order; its pivot is the earliest one, which kills the class
     the column was born with, and clears that coface's own column in
-    dimension k + 1.  Top-dimension simplices have no cofaces.
+    dimension k + 1.  Columns are keyed by vertex tuple and filled from each
+    (k+1)-simplex's facets in filtration order, so they need no sort.
+    Top-dimension simplices have no cofaces.
     """
     by_dim: List[List[int]] = [[] for _ in range(f.max_dim + 2)]
     for j, s in enumerate(f.simplices):
@@ -147,14 +155,16 @@ def persistence_pairs(f: Filtration) -> Dict[int, int]:
     pairs = {v: edges[k] for v, k in merged.items()}
     cleared = set(pairs.values())
     for k in range(1, f.max_dim):
-        cofaces: Dict[int, List[int]] = {j: [] for j in by_dim[k] if j not in cleared}
+        cofaces = {f.simplices[j].vertices: [] for j in by_dim[k] if j not in cleared}
         for t in by_dim[k + 1]:
-            for j in f.simplices[t].faces:
-                if j in cofaces:
-                    cofaces[j].append(t)
+            verts = f.simplices[t].vertices
+            for i in range(k + 2):
+                col = cofaces.get(verts[:i] + verts[i + 1:])
+                if col is not None:
+                    col.append(t)
         owner: Dict[int, List[int]] = {}
         for j in reversed(by_dim[k]):
-            col = cofaces.get(j)
+            col = cofaces.get(f.simplices[j].vertices)
             while col:
                 other = owner.get(col[0])
                 if other is None:
@@ -202,10 +212,9 @@ def extract_pairs(
             death = f.simplices[killer].birth
             bar = Bar(dim=dim, birth=birth / divisor, death=death / divisor)
             (zero_length if birth == death else closed).append(bar)
-    key = lambda b: (b.dim, b.birth, b.death)
     return Barcode(
-        bars=tuple(sorted(closed + opens, key=key)),
-        zero_length=tuple(sorted(zero_length, key=key)),
+        bars=tuple(sorted(closed + opens)),
+        zero_length=tuple(sorted(zero_length)),
         metric=metric,
         max_dim=f.max_dim,
         n_points=f.n_points,

@@ -446,6 +446,49 @@ def test_compare_mismatched_point_counts(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+#: SHA-256 of every file the two cloud workload chains write for the seed-7
+#: cloud, headers included: (extra ``cloud`` args, command argv, digests).
+CLOUD_CHAINS = {
+    "persist-full": (
+        ["--points", "40"],
+        ["persist", "--input", "c/points.csv", "--out", "c"],
+        {
+            "barcode_euclidean.csv":
+                "b7593beb8fc7b3d10a03b60a9705e4982aa7193c837e6c788d5c7d82d8761c7b",
+            "points.csv": "4fe713f442fcddfdf6f6eda3f50dcbf0743d67590d941d6377df32daae1a2a23",
+        },
+    ),
+    "compare-wide": (
+        ["--points", "300"],
+        ["compare", "--input", "c/points.csv", "--out", "c", "--stop-on-connected",
+         "--max-dim", "1"],
+        {
+            "barcode_euclidean.csv":
+                "aceeb01101e3447c7284bb858adead47a3ddd04b64cce5bacec528a0ef6cb322",
+            "barcode_supremum.csv":
+                "184d93adbf513943b4f6f8d93b55926db70e984cc4bce3e5a73bed527cf6bfbd",
+            "barcode_taxicab.csv":
+                "4a4577d29b4d134f3b926be1ca42d930bd0679b92332c43a8586a522bb22fd2f",
+            "points.csv": "079978956971206fce81585eb5456767c90810f101e2ca93e44a11195a5245c5",
+            "stats.csv": "90e5176753e117c22aee853087169799617ab37ce4a96ae7c57b7ad9ebdf6aea",
+            "stats.txt": "134b445100d498755b6eb83a58dd0831da17345fdd700505ec2c3f1d5e6e4bb5",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("chain", sorted(CLOUD_CHAINS))
+def test_cloud_chain_outputs_are_byte_stable(tmp_path, monkeypatch, chain):
+    cloud_args, argv, expected = CLOUD_CHAINS[chain]
+    monkeypatch.chdir(tmp_path)  # headers record --input and --out as given
+    assert main(["cloud", "--out", "c", "--seed", "7", *cloud_args]) == 0
+    assert main(argv) == 0
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (tmp_path / "c").iterdir()
+    }
+    assert digests == expected
+
+
 # ------------------------------------------------------------ malformed files
 
 BARCODE_META = (

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import random_points
 from oracles import edge_order_loop, flag_complex_brute, mst_edge_lengths, simplex_birth_brute
 from ripsbars.filtration import build_filtration, sorted_edges
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
+from ripsbars.persistence import total_boundary_matrix
 
 
 def matrix_from(entries):
@@ -111,14 +113,19 @@ def test_duplicate_points_respect_dim_cap():
 
 
 def assert_faces_precede_cofaces(f):
-    for position, s in enumerate(f.simplices):
-        assert s.faces == tuple(sorted(s.faces))
-        for face_position in s.faces:
-            assert face_position < position
-            face = f.simplices[face_position]
-            assert face.dim == s.dim - 1
-            assert face.birth <= s.birth
-            assert set(face.vertices) < set(s.vertices)
+    """Each facet of a simplex (its vertices less one) sits earlier and is
+    born no later, and the reference boundary matrix lists exactly the
+    facet positions, ascending."""
+    position = {s.vertices: j for j, s in enumerate(f.simplices)}
+    assert len(position) == len(f.simplices)
+    columns = total_boundary_matrix(f).columns
+    for j, s in enumerate(f.simplices):
+        facets = [position[c] for c in combinations(s.vertices, s.dim)] if s.dim else []
+        for i in facets:
+            assert i < j
+            assert f.simplices[i].dim == s.dim - 1
+            assert f.simplices[i].birth <= s.birth
+        assert columns[j] == sorted(facets)
 
 
 def assert_sorted_by_birth_dim_vertices(f):

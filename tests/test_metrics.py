@@ -187,6 +187,16 @@ def test_distance_csv_round_trip(tmp_path):
     assert header["config"] == {"command": "test"}
 
 
+def test_distance_csv_refuses_label_with_comma(tmp_path):
+    """The labels line is comma-separated, so "1,2,10" would read back as
+    three labels; the writer refuses it and leaves no file."""
+    m = DistanceMatrix(entries=np.array([[0, 1.0], [1.0, 0]]), labels=("1,2,10", "123"))
+    path = tmp_path / "dist.csv"
+    with pytest.raises(ValueError, match="'1,2,10'"):
+        write_distance_csv(str(path), m)
+    assert not path.exists()
+
+
 def test_distance_csv_rejects_ragged(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1\n1\n")
