@@ -1,11 +1,11 @@
 """Vietoris–Rips persistent homology barcodes under interchangeable metrics.
 
 The pipeline: a distance matrix (any pseudometric) → flag-complex filtration
-over its sorted edges → Z/2 persistence pairs (union-find, then coboundary
-reduction with clearing) → barcode → per-dimension statistics
-of bar lifespans.  Two data domains ship built in: planar point clouds under
-Euclidean/taxicab/supremum metrics, and non-transitive dice under
-graph-derived distances.
+stored as per-dimension vertex and birth arrays → Z/2 persistence pairs
+(union-find, then coboundary reduction with clearing) → barcode →
+per-dimension statistics of bar lifespans.  Two data domains ship built in:
+planar point clouds under Euclidean/taxicab/supremum metrics, and
+non-transitive dice under graph-derived distances.
 """
 
 from .cloud import Region, four_hole_disk, sample_region

@@ -26,7 +26,6 @@ from typing import List, Optional, Sequence, Tuple
 from . import cloud as cloud_mod
 from . import dice as dice_mod
 from . import fileio, metrics, persistence, render, stats
-from .fileio import ParseError
 from .filtration import build_filtration
 from .metrics import PLANAR_METRICS, DistanceMatrix
 
@@ -358,10 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # invariant violations and everything unexpected

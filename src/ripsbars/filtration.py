@@ -5,21 +5,20 @@ point pairs at distance ≤ ε (closed condition, so births coincide with
 matrix entries), truncated at ``max_dim``.  :func:`build_filtration` works in
 three steps.  A union-find over the sorted edges (:func:`joins`) finds where
 the neighborhood graph becomes connected, so a stopped filtration knows its
-last threshold before any clique is built.  Each edge up to that cut then
-grows the cliques it completes: they are the edge together with a clique
-inside the common neighborhood of its endpoints, so each simplex is created
-exactly once, born at the distance of its last edge.  One sort of the
-(birth, dimension, vertex tuple) records gives the order, which keeps every
-face in front of its cofaces, and the threshold spans are read off that
-list.  Faces are not stored: a facet is the vertex tuple less one vertex.
+last threshold before any clique is built.  The edges up to that cut are
+dimension 1, and each dimension k + 1 grows from dimension k with numpy
+(Zomorodian 2010): a k-simplex is extended by every larger vertex adjacent
+to all of its vertices, so each simplex is created once, born at the largest
+of its facet's birth and the new vertex's distances.  One ``lexsort`` per
+dimension orders its rows by (birth, vertices).  Faces are not stored: a
+facet is a row less one vertex.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -34,8 +33,7 @@ class Simplex(NamedTuple):
     vertices: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ThresholdSpan:
+class ThresholdSpan(NamedTuple):
     """Slice [start, end) of the simplex list created at one threshold."""
 
     threshold: float
@@ -43,28 +41,48 @@ class ThresholdSpan:
     end: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class Filtration:
-    """A flag complex in filtration order, as :func:`build_filtration` returns it.
+    """A flag complex by dimension, as :func:`build_filtration` returns it.
 
-    ``spans[0]`` holds the vertices; ``spans[k]`` the simplices born at
-    ``thresholds[k - 1]``.  ``max_distance`` is the maximum pairwise distance
-    of the source matrix (before any stop), the normalization divisor for
-    barcodes.
+    ``vertices[k]`` holds one k-simplex per row, an (m_k, k + 1) int array
+    (zero rows when the dimension is empty), and ``births[k]`` their births,
+    both in (birth, vertices) order.  ``simplices`` and ``spans`` merge the
+    dimensions into the filtration order (birth, dimension, vertices), which
+    keeps every face in front of its cofaces; they are read-only views
+    derived on first access, and the pipeline never builds them.
+    ``max_distance`` is the maximum pairwise distance of the source matrix
+    (before any stop), the normalization divisor for barcodes.
     """
 
     n_points: int
     max_dim: int
     max_distance: float
-    simplices: List[Simplex]
+    vertices: Tuple[np.ndarray, ...]
+    births: Tuple[np.ndarray, ...]
     thresholds: List[float]
-    spans: List[ThresholdSpan]
     stopped_early: bool
 
     @property
     def span_end(self) -> float:
         """Last processed threshold (0 when no edges were processed)."""
         return self.thresholds[-1] if self.thresholds else 0.0
+
+    @cached_property
+    def simplices(self) -> Tuple[Simplex, ...]:
+        """Every simplex as a record, in filtration order."""
+        return tuple(sorted(
+            Simplex(birth, k, tuple(row))
+            for k, (rows, births) in enumerate(zip(self.vertices, self.births))
+            for birth, row in zip(births.tolist(), rows.tolist())
+        ))
+
+    @cached_property
+    def spans(self) -> Tuple[ThresholdSpan, ...]:
+        """Slices of ``simplices``: the vertices, then those born at each threshold."""
+        ends = sum(np.searchsorted(b, self.thresholds, side="right") for b in self.births)
+        ends = [0, self.n_points] + ends.tolist()
+        return tuple(map(ThresholdSpan, [0.0] + self.thresholds, ends[:-1], ends[1:]))
 
 
 def sorted_edges(m: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -124,38 +142,23 @@ def build_filtration(
         last = max(joins(n, zip(i, j)).values())
         end = int(np.searchsorted(d, d[last], side="right"))
 
-    simplices = [Simplex(0.0, 0, (v,)) for v in range(n)]
-    adj: List[Set[int]] = [set() for _ in range(n)]
-
-    def grow(
-        birth: float, base: Tuple[int, int], chosen: Tuple[int, ...], cands: List[int]
-    ) -> None:
-        for pos, w in enumerate(cands):
-            cell = chosen + (w,)
-            simplices.append(Simplex(birth, len(cell) + 1, tuple(sorted(base + cell))))
-            if len(cell) + 2 <= max_dim:
-                grow(birth, base, cell, [z for z in cands[pos + 1:] if z in adj[w]])
-
-    if max_dim >= 1:
-        for u, v, birth in zip(i[:end].tolist(), j[:end].tolist(), d[:end].tolist()):
-            simplices.append(Simplex(birth, 1, (u, v)))
-            if max_dim >= 2:
-                grow(birth, (u, v), (), sorted(adj[u] & adj[v]))
-                adj[u].add(v)
-                adj[v].add(u)
-    simplices.sort()
-
-    thresholds = d[starts[starts < end]].tolist()
-    spans = [ThresholdSpan(0.0, 0, n)]
-    for t in thresholds:  # each simplex past the vertices is born at a threshold
-        stop = bisect_right(simplices, t, key=attrgetter("birth"))
-        spans.append(ThresholdSpan(t, spans[-1].end, stop))
+    adjacent = np.zeros((n, n), dtype=bool)  # adjacent[u, w]: edge u < w is kept
+    adjacent[i[:end], j[:end]] = True
+    vertices = [np.arange(n)[:, None], np.column_stack((i[:end], j[:end]))]
+    births = [np.zeros(n), d[:end]]
+    while len(vertices) <= max_dim:
+        r, w = np.nonzero(np.logical_and.reduce(adjacent[vertices[-1]], axis=1))
+        rows = np.column_stack((vertices[-1][r], w))
+        born = np.maximum(births[-1][r], m.entries[rows[:, :-1], w[:, None]].max(axis=1))
+        order = np.lexsort((*rows.T[::-1], born))
+        vertices.append(rows[order])
+        births.append(born[order])
     return Filtration(
         n_points=n,
         max_dim=max_dim,
         max_distance=m.max_distance(),
-        simplices=simplices,
-        thresholds=thresholds,
-        spans=spans,
+        vertices=tuple(vertices[: max_dim + 1]),
+        births=tuple(births[: max_dim + 1]),
+        thresholds=d[starts[starts < end]].tolist(),
         stopped_early=end < len(d),
     )

@@ -1,21 +1,20 @@
 """Persistence pairs over Z/2 and barcode extraction.
 
-The pipeline pairs simplices without the boundary matrix.  H0 comes from
-the filtration's union-find (``joins``) over the edges in filtration order:
-an edge that joins two components kills the younger one.  Each higher
-dimension k below the cap reduces the coboundary columns of its
-k-simplices, latest first, with clearing: a simplex that killed a class in
-dimension k − 1 would reduce to zero, so its column is skipped (de Silva,
-Morozov & Vejdemo-Johansson 2011, *Dualities in persistent (co)homology*;
-Bauer 2021, *Ripser*).  Working mod 2 drops orientation signs (and any
+The pipeline pairs simplices without the boundary matrix, on the
+filtration's per-dimension arrays.  H0 comes from the filtration's
+union-find (``joins``) over the edges in filtration order: an edge that
+joins two components kills the younger one.  Each higher dimension k below
+the cap reduces the coboundary columns of its k-simplices, latest first,
+with clearing: a simplex that killed a class in dimension k − 1 would reduce
+to zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson
+2011; Bauer 2021, *Ripser*).  Working mod 2 drops orientation signs (and any
 torsion).
 
-The total boundary matrix and its left-to-right reduction stay as the
-reference the tests compare these pairs against, and as the replay that
-counts column additions in the benchmark's tracer.  Entry (i, j) of that
-matrix is 1 exactly when simplex i is a facet of simplex j (its vertices
-less one); a zero reduced column births a class, a nonzero one kills the
-class born at its lowest 1.  Both paths compute faces from vertex tuples.
+The total boundary matrix over ``Filtration.simplices`` and its
+left-to-right reduction stay as the reference the tests compare these pairs
+against, and as the replay that counts column additions in the benchmark's
+tracer: a zero reduced column births a class, a nonzero one kills the class
+born at its lowest 1.
 """
 
 from __future__ import annotations
@@ -23,19 +22,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from . import fileio
 from .fileio import BARCODE_META_KEY, ParseError, fmt
 from .filtration import Filtration, joins
 
 
-@dataclass
-class SparseBinaryMatrix:
-    """Column-major Z/2 matrix; each column is a sorted list of row indices.
-
-    Row and column indices are positions in ``Filtration.simplices``.
-    """
+class SparseBinaryMatrix(NamedTuple):
+    """Column-major Z/2 matrix over positions in ``Filtration.simplices``;
+    each column is a sorted list of row indices."""
 
     columns: List[List[int]]
 
@@ -51,23 +49,8 @@ def total_boundary_matrix(f: Filtration) -> SparseBinaryMatrix:
 
 
 def _xor_sorted(a: List[int], b: List[int]) -> List[int]:
-    """Symmetric difference of two sorted index lists."""
-    out: List[int] = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        x, y = a[i], b[j]
-        if x == y:
-            i += 1
-            j += 1
-        elif x < y:
-            out.append(x)
-            i += 1
-        else:
-            out.append(y)
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
+    """Symmetric difference of two sorted index lists, sorted."""
+    return sorted(set(a).symmetric_difference(b))
 
 
 def reduce_matrix(
@@ -134,87 +117,107 @@ class Barcode:
         return max((b.dim for b in self.bars), default=-1)
 
 
-def persistence_pairs(f: Filtration) -> Dict[int, int]:
-    """Birth → death positions in ``f.simplices`` of every finite pair.
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def coboundaries(lower: np.ndarray, upper: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Coboundary columns of the simplices ``lower`` as CSR arrays: column j
+    is ``cofaces[ptr[j]:ptr[j + 1]]``, the rows of ``upper`` that have row j
+    as a facet, ascending.  Each facet, an ``upper`` row less one vertex, is
+    found by one exact search among the sorted row keys of ``lower``."""
+    keys = _row_keys(lower)
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    facets = np.column_stack([
+        by_key[np.searchsorted(keys, _row_keys(np.delete(upper, i, axis=1)))]
+        for i in range(upper.shape[1])
+    ]).ravel()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(facets, minlength=len(lower)))))
+    return ptr, np.argsort(facets, kind="stable") // upper.shape[1]
+
+
+def _pair_rows(pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
+    return np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+
+
+def persistence_pairs(f: Filtration) -> List[np.ndarray]:
+    """Every finite pair of ``f``: per dimension k below the cap, a (2, p_k)
+    int array of the rows in ``f.vertices[k]`` of the classes that die over
+    the rows in ``f.vertices[k + 1]`` of the simplices that kill them.
 
     H0 is :func:`~ripsbars.filtration.joins` over the edges in filtration
-    order: vertices sit at positions 0 … n − 1, so the edge that merges a
-    component into an older one kills the class born with its smallest
-    vertex.  A k-simplex's coboundary column lists its (k+1)-cofaces in
-    filtration order; its pivot is the earliest one, which kills the class
-    the column was born with, and clears that coface's own column in
-    dimension k + 1.  Columns are keyed by vertex tuple and filled from each
-    (k+1)-simplex's facets in filtration order, so they need no sort.
+    order: the edge that merges a component into an older one kills the
+    class born with its smallest vertex.  A k-simplex's coboundary column
+    lists its (k+1)-cofaces in filtration order; its pivot is the earliest
+    one, which kills the class the column was born with and clears that
+    coface's own column in dimension k + 1.  Columns are reduced latest
+    first, and one becomes a list only when its pivot is already owned.
     Top-dimension simplices have no cofaces.
     """
-    by_dim: List[List[int]] = [[] for _ in range(f.max_dim + 2)]
-    for j, s in enumerate(f.simplices):
-        by_dim[s.dim].append(j)
-    edges = by_dim[1]
-    merged = joins(f.n_points, (f.simplices[e].vertices for e in edges))
-    pairs = {v: edges[k] for v, k in merged.items()}
-    cleared = set(pairs.values())
+    pairs = [_pair_rows(joins(f.n_points, f.vertices[1].tolist()).items())] if f.max_dim else []
     for k in range(1, f.max_dim):
-        cofaces = {f.simplices[j].vertices: [] for j in by_dim[k] if j not in cleared}
-        for t in by_dim[k + 1]:
-            verts = f.simplices[t].vertices
-            for i in range(k + 2):
-                col = cofaces.get(verts[:i] + verts[i + 1:])
-                if col is not None:
-                    col.append(t)
-        owner: Dict[int, List[int]] = {}
-        for j in reversed(by_dim[k]):
-            col = cofaces.get(f.simplices[j].vertices)
-            while col:
-                other = owner.get(col[0])
-                if other is None:
-                    owner[col[0]] = col
-                    pairs[j] = col[0]
+        ptr, cofaces = coboundaries(f.vertices[k], f.vertices[k + 1])
+        todo = ptr[1:] > ptr[:-1]
+        todo[pairs[-1][1]] = False
+        todo = np.flatnonzero(todo)[::-1]
+        owner: Dict[int, int] = {}
+        lists: Dict[int, Optional[List[int]]] = {}  # reduced columns; None: as built
+        column = lambda j: lists.get(j) or cofaces[ptr[j]:ptr[j + 1]].tolist()
+        for j, pivot in zip(todo.tolist(), cofaces[ptr[todo]].tolist()):
+            col = None
+            while pivot in owner:
+                col = _xor_sorted(col or column(j), column(owner[pivot]))
+                if not col:
                     break
-                col = _xor_sorted(col, other)
-        cleared = set(owner)
+                pivot = col[0]
+            else:
+                owner[pivot] = j
+                lists[j] = col
+        pairs.append(_pair_rows((j, t) for t, j in owner.items()))
     return pairs
 
 
 def extract_pairs(
-    pairs: Dict[int, int],
-    f: Filtration,
-    normalize: bool = True,
-    metric: str = "",
+    pairs: List[np.ndarray], f: Filtration, normalize: bool = True, metric: str = ""
 ) -> Barcode:
-    """Turn the birth → death positions ``pairs`` into bars.
+    """Turn the pairs of :func:`persistence_pairs` into bars.
 
-    A simplex that is no pair's death births a class of its dimension.  The
-    class born with σ_i dies when σ_{pairs[i]} arrives.  Unkilled classes
-    become open bars: death is the last processed threshold raw, or exactly
-    1.0 after normalization (open bars reach the right edge of the examined
-    range).  Normalization divides births and deaths by the maximum distance
-    of the source matrix.
+    A simplex that kills no class births one, which dies at its killer's
+    birth or, unkilled, becomes an open bar: death is the last processed
+    threshold raw, or exactly 1.0 after normalization (the right edge of
+    the examined range).  Normalization divides births and deaths by the
+    maximum distance of the source matrix.
     """
     divisor = 1.0
     if normalize:
         if f.max_distance <= 0.0:
             raise ValueError("cannot normalize: no strictly positive distance")
         divisor = f.max_distance
-    deaths = set(pairs.values())
-    closed: List[Bar] = []
-    zero_length: List[Bar] = []
-    opens: List[Bar] = []
-    for j, s in enumerate(f.simplices):
-        if j in deaths:
-            continue
-        birth, dim = s.birth, s.dim
-        killer = pairs.get(j)
-        if killer is None:
-            death = 1.0 if normalize else f.span_end
-            opens.append(Bar(dim=dim, birth=birth / divisor, death=death, open=True))
-        else:
-            death = f.simplices[killer].birth
-            bar = Bar(dim=dim, birth=birth / divisor, death=death / divisor)
-            (zero_length if birth == death else closed).append(bar)
+    columns = []
+    for k, born in enumerate(f.births):
+        death = np.full(len(born), np.nan)  # nan: the class never dies
+        if k < len(pairs):
+            death[pairs[k][0]] = f.births[k + 1][pairs[k][1]]
+        killers = pairs[k - 1][1] if k else []
+        born, death = np.delete(born, killers), np.delete(death, killers)
+        columns.append((np.full(len(born), k), born, death))
+    dim, birth, death = map(np.concatenate, zip(*columns))
+    zero = birth == death  # false for every open bar's nan
+    is_open = np.isnan(death)
+    death = np.where(is_open, 1.0 if normalize else f.span_end, death / divisor)
+    birth = birth / divisor
+
+    def bars(mask: np.ndarray) -> Tuple[Bar, ...]:
+        fields = (dim[mask], birth[mask], death[mask], is_open[mask])
+        order = np.lexsort(fields[::-1])
+        return tuple(map(Bar._make, zip(*(x[order].tolist() for x in fields))))
+
     return Barcode(
-        bars=tuple(sorted(closed + opens)),
-        zero_length=tuple(sorted(zero_length)),
+        bars=bars(~zero),
+        zero_length=bars(zero),
         metric=metric,
         max_dim=f.max_dim,
         n_points=f.n_points,
@@ -223,9 +226,7 @@ def extract_pairs(
     )
 
 
-def barcode(
-    f: Filtration, normalize: bool = True, metric: str = ""
-) -> Barcode:
+def barcode(f: Filtration, normalize: bool = True, metric: str = "") -> Barcode:
     """Convenience pipeline: persistence pairs → bars."""
     return extract_pairs(persistence_pairs(f), f, normalize=normalize, metric=metric)
 

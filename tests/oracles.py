@@ -104,10 +104,23 @@ def betti_numbers(f: Filtration, eps: float) -> List[int]:
     return [len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(f.max_dim + 1)]
 
 
-def boundary_pairs(R: SparseBinaryMatrix) -> Dict[int, int]:
-    """Birth → death positions of a reduced boundary matrix, the form that
-    ``extract_pairs`` reads: nonzero column j kills the class born at its lowest 1."""
-    return {col[-1]: j for j, col in enumerate(R.columns) if col}
+def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
+    """The pairs of a reduced boundary matrix in the shape ``extract_pairs``
+    reads: per dimension k below the cap, a (2, p_k) array of the rows in
+    ``f.vertices[k]`` of the classes that die over the rows in
+    ``f.vertices[k + 1]`` of their killers.  Nonzero column j kills the class
+    born at its lowest 1; a simplex's row is its rank among the simplices of
+    its dimension in ``f.simplices``."""
+    rank: List[int] = []
+    seen = [0] * (f.max_dim + 1)
+    for s in f.simplices:
+        rank.append(seen[s.dim])
+        seen[s.dim] += 1
+    pairs: List[List[Tuple[int, int]]] = [[] for _ in range(f.max_dim)]
+    for j, col in enumerate(R.columns):
+        if col:
+            pairs[f.simplices[col[-1]].dim].append((rank[col[-1]], rank[j]))
+    return [np.array(p, dtype=np.intp).reshape(-1, 2).T for p in pairs]
 
 
 def bars_alive(bars: Sequence[Bar], eps: float) -> Dict[int, int]:

@@ -129,8 +129,14 @@ def assert_faces_precede_cofaces(f):
 
 
 def assert_sorted_by_birth_dim_vertices(f):
+    """The records view, and each dimension's rows, which the pairing reads
+    in place: (birth, vertices) order, vertices strictly ascending in a row."""
     keys = [(s.birth, s.dim, s.vertices) for s in f.simplices]
     assert keys == sorted(keys)
+    for rows, births in zip(f.vertices, f.births):
+        keys = list(zip(births.tolist(), map(tuple, rows.tolist())))
+        assert keys == sorted(keys)
+        assert all(list(v) == sorted(set(v)) for _, v in keys)
 
 
 def test_order_soundness_faces_precede_cofaces(square_matrix):

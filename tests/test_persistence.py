@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
-from oracles import bars_alive, betti_numbers, bottleneck_distance, boundary_pairs
+from oracles import (
+    bars_alive,
+    betti_numbers,
+    bottleneck_distance,
+    boundary_pairs,
+    flag_complex_brute,
+    mst_edge_lengths,
+    simplex_birth_brute,
+)
 from ripsbars import dice
 from ripsbars.fileio import ParseError
 from ripsbars.filtration import build_filtration
@@ -192,7 +200,7 @@ def test_pairing_partition():
     births = sum(1 for c in R.columns if not c)
     killers = sum(1 for c in R.columns if c)
     assert births + killers == len(f.simplices)
-    bc = extract_pairs(boundary_pairs(R), f, normalize=False)
+    bc = extract_pairs(boundary_pairs(R, f), f, normalize=False)
     assert len(bc.bars) + len(bc.zero_length) == births
     open_count = sum(1 for b in bc.bars if b.open)
     closed_count = len(bc.bars) - open_count + len(bc.zero_length)
@@ -203,7 +211,7 @@ def test_pairing_partition():
 
 def boundary_barcode(f):
     R, _ = reduce_matrix(total_boundary_matrix(f))
-    return extract_pairs(boundary_pairs(R), f, normalize=False)
+    return extract_pairs(boundary_pairs(R, f), f, normalize=False)
 
 
 @settings(max_examples=80, deadline=None)
@@ -247,6 +255,71 @@ def test_cohomology_pairs_equal_boundary_reduction_on_dice(convention, max_dim, 
     for m in _dice_matrices(convention):
         f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
         assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+def test_deep_simplices_on_many_points_equal_boundary_reduction():
+    """A 489-point unit path with an 11-point tight cluster beside its last
+    point, stopped at connectivity with cap 10: the 9-simplices, whose
+    cofaces pair them, have vertices up to 499, where C(499, 10) > 2**63,
+    so facet lookups must not rest on int64 simplex indices in the
+    combinatorial number system."""
+    rng = np.random.default_rng(5)
+    path = np.column_stack((np.arange(489.0), np.zeros(489)))
+    cluster = np.array([488.5, 0.0]) + rng.uniform(-0.01, 0.01, size=(11, 2))
+    m = build_distance_matrix(np.vstack((path, cluster)), "euclidean")
+    f = build_filtration(m, max_dim=10, stop_when_connected=True)
+    assert math.comb(499, 10) > 2**63
+    assert f.n_points == 500 and f.stopped_early
+    # The cluster and point 488 form the only 12-clique.
+    assert [len(f.vertices[k]) for k in (9, 10)] == [math.comb(12, 10), math.comb(12, 11)]
+    assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+#: name → (distance matrix, cap)
+DEGENERATE = {
+    "one-point": ([[0]], 2),
+    "two-points": ([[0, 1], [1, 0]], 2),
+    "all-zero": (np.zeros((4, 4)), 3),
+    "cap-above-n": ([[0, 1, 2], [1, 0, 1.5], [2, 1.5, 0]], 9),
+}
+
+
+@pytest.mark.parametrize("stop", [False, True])
+@pytest.mark.parametrize("name", sorted(DEGENERATE))
+def test_degenerate_shapes_match_references(name, stop):
+    """Thresholds, spans, simplices and the barcode of tiny, all-zero and
+    over-capped inputs against brute-force cliques and the boundary
+    reduction; a dimension with no simplex is a zero-row array."""
+    entries, max_dim = DEGENERATE[name]
+    m = matrix_from(entries)
+    f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
+    distinct = sorted({float(x) for x in m.entries[np.triu_indices(m.n, 1)]})
+    cut = max(mst_edge_lengths(m), default=0.0) if stop else math.inf
+    assert f.thresholds == [t for t in distinct if t <= cut]
+    previous = {(v,) for v in range(m.n)}
+    assert f.spans[0] == (0.0, 0, m.n)
+    for t, span in zip(f.thresholds, f.spans[1:]):
+        current = flag_complex_brute(m, t, max_dim)
+        born = {s.vertices for s in f.simplices[span.start:span.end]}
+        assert span.threshold == t and born == current - previous
+        previous = current
+    assert {s.vertices for s in f.simplices} == previous
+    assert [span.start for span in f.spans[1:]] == [span.end for span in f.spans[:-1]]
+    assert f.spans[-1].end == len(f.simplices)
+    assert all(s.birth == simplex_birth_brute(m, s.vertices) for s in f.simplices)
+    assert len(f.vertices) == len(f.births) == max_dim + 1
+    for k, (rows, births) in enumerate(zip(f.vertices, f.births)):
+        assert rows.shape == (len(births), k + 1)
+        assert len(births) == sum(len(v) == k + 1 for v in previous)
+    assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+def test_pipeline_builds_no_simplex_records(square_matrix):
+    """The records view is derived on access only: a barcode never builds it."""
+    f = build_filtration(square_matrix, max_dim=2)
+    barcode(f)
+    assert "simplices" not in vars(f) and "spans" not in vars(f)
+    assert len(f.simplices) == 4 + 6 + 4
 
 
 # ------------------------------------------------------------- betti numbers
