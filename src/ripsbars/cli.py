@@ -20,8 +20,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections import Counter
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from . import cloud as cloud_mod
 from . import dice as dice_mod
@@ -280,8 +281,8 @@ def _cmd_persist(args: argparse.Namespace) -> int:
     m, label, max_dim = _read_input(args.input_path, args.metric)
     bc = _barcode(args, m, label, max_dim, args.normalize)
     _write_barcodes(args, [(label, bc)])
-    alive = Counter(b.dim for b in bc.bars)
-    summary = ", ".join(f"H{d}: {alive[d]}" for d in sorted(alive))
+    alive = np.bincount(bc.dim[: bc.n_bars])
+    summary = ", ".join(f"H{d}: {count}" for d, count in enumerate(alive.tolist()) if count)
     print(f"bars ({label}): {summary if summary else 'none'}")
     return 0
 

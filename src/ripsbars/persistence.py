@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -91,30 +92,52 @@ class Bar(NamedTuple):
     open: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # __eq__ compares the arrays by value
 class Barcode:
     """All bars of one pipeline run plus the metadata to interpret them.
 
-    ``zero_length`` holds the birth=death pairs from simultaneous arrivals;
-    they are kept out of ``bars`` (and hence out of statistics and plots).
-    ``span_end`` is the last threshold actually processed, in the same scale
-    as the bars.
+    ``dim``, ``birth``, ``death`` and ``open`` are aligned arrays with one
+    row per bar: the first ``n_bars`` rows are the bars, the rest are the
+    zero-length pairs (birth = death, from simultaneous arrivals), which stay
+    out of statistics and plots.  ``bars`` and ``zero_length`` are read-only
+    views of the two parts as :class:`Bar` records, derived on first access;
+    the pipeline never builds them.  ``span_end`` is the last threshold
+    actually processed, in the same scale as the bars.
     """
 
-    bars: Tuple[Bar, ...]
-    zero_length: Tuple[Bar, ...]
+    dim: np.ndarray
+    birth: np.ndarray
+    death: np.ndarray
+    open: np.ndarray
+    n_bars: int
     metric: str
     max_dim: int
     n_points: int
     normalized: bool
     span_end: float
 
-    def in_dim(self, dim: int) -> Tuple[Bar, ...]:
-        return tuple(b for b in self.bars if b.dim == dim)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Barcode):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
+        )
+
+    def _records(self, rows: slice) -> Tuple[Bar, ...]:
+        columns = (self.dim, self.birth, self.death, self.open)
+        return tuple(map(Bar._make, zip(*(x[rows].tolist() for x in columns))))
+
+    @cached_property
+    def bars(self) -> Tuple[Bar, ...]:
+        return self._records(slice(self.n_bars))
+
+    @cached_property
+    def zero_length(self) -> Tuple[Bar, ...]:
+        return self._records(slice(self.n_bars, None))
 
     def top_dim(self) -> int:
         """Highest dimension holding at least one bar (-1 when empty)."""
-        return max((b.dim for b in self.bars), default=-1)
+        return int(self.dim[: self.n_bars].max(initial=-1))
 
 
 def _row_keys(rows: np.ndarray) -> np.ndarray:
@@ -209,15 +232,14 @@ def extract_pairs(
     is_open = np.isnan(death)
     death = np.where(is_open, 1.0 if normalize else f.span_end, death / divisor)
     birth = birth / divisor
-
-    def bars(mask: np.ndarray) -> Tuple[Bar, ...]:
-        fields = (dim[mask], birth[mask], death[mask], is_open[mask])
-        order = np.lexsort(fields[::-1])
-        return tuple(map(Bar._make, zip(*(x[order].tolist() for x in fields))))
-
+    # The bars sorted by their fields, then the zero-length pairs sorted alike.
+    order = np.lexsort((is_open, death, birth, dim, zero))
     return Barcode(
-        bars=bars(~zero),
-        zero_length=bars(zero),
+        dim=dim[order],
+        birth=birth[order],
+        death=death[order],
+        open=is_open[order],
+        n_bars=int(np.count_nonzero(~zero)),
         metric=metric,
         max_dim=f.max_dim,
         n_points=f.n_points,
@@ -238,7 +260,11 @@ def write_barcode_csv(
     path: str, bc: Barcode, config: Optional[Dict] = None
 ) -> None:
     """CSV with one bar per line; zero-length pairs included and marked by
-    birth = death, so the reader can reconstruct the full object."""
+    birth = death, so the reader can reconstruct the full object.
+
+    Each distinct value is formatted once (told apart by bit pattern, so
+    -0.0 keeps its sign), and each run of equal bars, which a sorted barcode
+    of few distinct values is made of, becomes one line repeated."""
     lines = fileio.metadata_lines(config)
     meta = {
         "metric": bc.metric,
@@ -249,8 +275,19 @@ def write_barcode_csv(
     }
     lines.append(f"# {BARCODE_META_KEY} " + json.dumps(meta, sort_keys=True))
     lines.append(BARCODE_HEADER)
-    for b in list(bc.bars) + list(bc.zero_length):
-        lines.append(f"{b.dim},{fmt(b.birth)},{fmt(b.death)},{1 if b.open else 0}")
+    n = len(bc.dim)
+    values = np.concatenate((bc.birth, bc.death), dtype=np.float64)
+    bits, index = np.unique(values.view(np.int64), return_inverse=True)
+    text = [fmt(x) for x in bits.view(np.float64).tolist()]
+    row = (bc.dim, index[:n], index[n:], bc.open)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in row])
+    starts = np.flatnonzero(starts)
+    runs = [
+        f"{dim},{text[birth]},{text[death]},{int(is_open)}"
+        for dim, birth, death, is_open in zip(*(x[starts].tolist() for x in row))
+    ]
+    lines.extend(np.repeat(np.array(runs, dtype=object), np.diff(starts, append=n)).tolist())
     fileio.write_text(path, lines)
 
 
@@ -283,8 +320,7 @@ def read_barcode_csv(path: str) -> Barcode:
             )
     normalized = meta.get("normalized", True)
     open_end = 1.0 if normalized else meta.get("span_end")
-    bars: List[Bar] = []
-    zero_length: List[Bar] = []
+    rows: List[Tuple[int, float, float, bool]] = []
     saw_header = False
     for lineno, text in fileio.data_lines(lines):
         if not saw_header:
@@ -309,19 +345,20 @@ def read_barcode_csv(path: str) -> Barcode:
             raise ParseError(path, lineno, f"dim above max_dim {meta['max_dim']}: {text!r}")
         if is_open and open_end is not None and death != open_end:
             raise ParseError(path, lineno, f"open bar must die at {fmt(open_end)}: {text!r}")
-        bar = Bar(dim=dim, birth=birth, death=death, open=is_open)
-        if not is_open and birth == death:
-            zero_length.append(bar)
-        else:
-            bars.append(bar)
+        rows.append((dim, birth, death, is_open))
     if not saw_header:
         raise ParseError(path, len(lines) or 1, "no barcode header found")
-    top = max((b.dim for b in bars + zero_length), default=0)
+    table = np.array(rows, dtype=[("dim", int), ("birth", float), ("death", float), ("open", bool)])
+    zero = ~table["open"] & (table["birth"] == table["death"])
+    table = table[np.argsort(zero, kind="stable")]  # the bars, then the zero-length pairs
     return Barcode(
-        bars=tuple(bars),
-        zero_length=tuple(zero_length),
+        dim=table["dim"],
+        birth=table["birth"],
+        death=table["death"],
+        open=table["open"],
+        n_bars=int(np.count_nonzero(~zero)),
         metric=meta.get("metric", ""),
-        max_dim=meta.get("max_dim", top),
+        max_dim=meta.get("max_dim", int(table["dim"].max(initial=0))),
         n_points=meta.get("n_points", 0),
         normalized=normalized,
         span_end=float(meta.get("span_end", 1.0)),

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
+import numpy as np
+
 from . import fileio
 from .persistence import Barcode
 
@@ -59,14 +61,15 @@ def barcode_svg(bc: Barcode, config: Optional[Dict[str, Any]] = None) -> str:
             f'<text x="6" y="{top + 24}" font-family="monospace" '
             f'font-size="13" fill="{color}">H{dim}</text>'
         )
-        bars = bc.in_dim(dim)
-        slot = BAND_HEIGHT / (len(bars) + 1)
-        for idx, bar in enumerate(bars):
+        rows = np.flatnonzero(bc.dim[: bc.n_bars] == dim)
+        slot = BAND_HEIGHT / (len(rows) + 1)
+        bars = zip(bc.birth[rows].tolist(), bc.death[rows].tolist(), bc.open[rows].tolist())
+        for idx, (birth, death, is_open) in enumerate(bars):
             y = top + slot * (idx + 1)
-            dash = ' stroke-dasharray="6,3"' if bar.open else ""
+            dash = ' stroke-dasharray="6,3"' if is_open else ""
             lines.append(
-                f'<line x1="{_num(x_of(bar.birth))}" y1="{_num(y)}" '
-                f'x2="{_num(x_of(bar.death))}" y2="{_num(y)}" '
+                f'<line x1="{_num(x_of(birth))}" y1="{_num(y)}" '
+                f'x2="{_num(x_of(death))}" y2="{_num(y)}" '
                 f'stroke="{color}" stroke-width="3"{dash}/>'
             )
     axis_y = height - 2

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from . import fileio
 from .fileio import fmt
 from .persistence import Barcode
@@ -34,20 +36,28 @@ class BarStats:
 
 def bar_stats(bc: Barcode, dim: int) -> BarStats:
     """Summarize the bars of one dimension; rejects un-normalized input."""
+    return _stats_by_dim(bc, (dim,))[0]
+
+
+def _stats_by_dim(bc: Barcode, dims: Sequence[int]) -> List[BarStats]:
+    """:func:`bar_stats` of each dimension in ``dims``, after one stable
+    sort of the bars by dimension.  The average is a left-to-right sum over
+    the bars in order, so its bits do not depend on how a Python version's
+    ``sum`` rounds."""
     if not bc.normalized:
         raise ValueError("bar statistics require a normalized barcode")
-    spans = [
-        (1.0 - b.birth) if b.open else (b.death - b.birth) for b in bc.in_dim(dim)
-    ]
-    if not spans:
-        return BarStats(dim=dim, count=0, avg_lifespan=None, min_lifespan=None, max_lifespan=None)
-    return BarStats(
-        dim=dim,
-        count=len(spans),
-        avg_lifespan=sum(spans) / len(spans),
-        min_lifespan=min(spans),
-        max_lifespan=max(spans),
-    )
+    n = bc.n_bars
+    span = np.where(bc.open[:n], 1.0 - bc.birth[:n], bc.death[:n] - bc.birth[:n])
+    order = np.argsort(bc.dim[:n], kind="stable")
+    dim, span = bc.dim[:n][order], span[order]
+    cells = []
+    for d, lo, hi in zip(dims, np.searchsorted(dim, dims), np.searchsorted(dim, dims, "right")):
+        s = span[lo:hi]
+        cells.append(
+            BarStats(d, len(s), float(np.cumsum(s)[-1]) / len(s), float(s.min()), float(s.max()))
+            if len(s) else BarStats(d, 0, None, None, None)
+        )
+    return cells
 
 
 @dataclass(frozen=True)
@@ -82,7 +92,7 @@ def _build_report(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
     top = max((bc.top_dim() for _, bc in runs), default=-1)
     dims = tuple(range(max(top, 0) + 1))
     cells = {
-        (name, dim): bar_stats(bc, dim) for name, bc in runs for dim in dims
+        (name, s.dim): s for name, bc in runs for s in _stats_by_dim(bc, dims)
     }
     return ComparisonReport(
         metrics=tuple(names),

@@ -8,9 +8,10 @@ distance, Betti numbers by dense elimination over Z/2, bottleneck distances
 by matching, pseudometric axioms and live bars checked entry by entry.
 ``boundary_pairs`` reads the pairs off the library's boundary reduction,
 which the tests keep as the reference for its coboundary reduction.  The
-reference loops at the end evaluate one point, pair or candidate at a time,
-the way the library did before it switched to array expressions; the array
-code must match them bit for bit.
+reference loops at the end evaluate one point, pair, candidate or bar
+record at a time, the way the library did before it switched to array
+expressions; the array code must match them bit for bit.  ``barcode_of``
+builds a barcode's columns from bar records.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ from ripsbars.cloud import Region
 from ripsbars.dice import BeatingGraph, Die, foliation, symmetry
 from ripsbars.filtration import Filtration
 from ripsbars.metrics import TRIANGLE_TOL, DistanceMatrix
-from ripsbars.persistence import Bar, SparseBinaryMatrix
+from ripsbars.fileio import fmt
+from ripsbars.persistence import Bar, Barcode, SparseBinaryMatrix
+from ripsbars.stats import BarStats
 
 
 def flag_complex_brute(m: DistanceMatrix, eps: float, max_dim: int) -> Set[Tuple[int, ...]]:
@@ -121,6 +124,25 @@ def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
         if col:
             pairs[f.simplices[col[-1]].dim].append((rank[col[-1]], rank[j]))
     return [np.array(p, dtype=np.intp).reshape(-1, 2).T for p in pairs]
+
+
+def barcode_of(bars: Sequence[Bar], zero_length: Sequence[Bar] = (), **meta) -> Barcode:
+    """The barcode whose record views are ``bars`` and ``zero_length``, in
+    that order; ``meta`` gives the remaining fields."""
+    rows = list(bars) + list(zero_length)
+    return Barcode(
+        dim=np.array([b.dim for b in rows], dtype=int),
+        birth=np.array([b.birth for b in rows], dtype=float),
+        death=np.array([b.death for b in rows], dtype=float),
+        open=np.array([b.open for b in rows], dtype=bool),
+        n_bars=len(bars),
+        **meta,
+    )
+
+
+def in_dim(bc: Barcode, dim: int) -> Tuple[Bar, ...]:
+    """The bars of one dimension, in barcode order."""
+    return tuple(b for b in bc.bars if b.dim == dim)
 
 
 def bars_alive(bars: Sequence[Bar], eps: float) -> Dict[int, int]:
@@ -462,3 +484,22 @@ def foliation_symmetry_matrix_loop(nodes: Sequence[Die], pairing: str) -> np.nda
     return pairwise_loop(
         nodes, lambda x, y: float(foliation_symmetry_distance(x, y, pairing))
     )
+
+
+def barcode_csv_lines_loop(bc: Barcode) -> List[str]:
+    """The bar lines of a barcode CSV, one record and two ``fmt`` calls per bar."""
+    return [
+        f"{b.dim},{fmt(b.birth)},{fmt(b.death)},{int(b.open)}"
+        for b in bc.bars + bc.zero_length
+    ]
+
+
+def bar_stats_loop(bc: Barcode, dim: int) -> BarStats:
+    """Lifespans of one dimension's bar records, summed left to right."""
+    spans = [(1.0 - b.birth) if b.open else (b.death - b.birth) for b in in_dim(bc, dim)]
+    if not spans:
+        return BarStats(dim, 0, None, None, None)
+    total = 0.0
+    for x in spans:
+        total += x
+    return BarStats(dim, len(spans), total / len(spans), min(spans), max(spans))

@@ -14,7 +14,15 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from oracles import bars_alive, betti_numbers, flag_complex_brute, longest_cycle, parse_die
+from oracles import (
+    bars_alive,
+    barcode_of,
+    betti_numbers,
+    flag_complex_brute,
+    in_dim,
+    longest_cycle,
+    parse_die,
+)
 from ripsbars.cli import main
 from ripsbars.cloud import four_hole_disk, sample_region
 from ripsbars.dice import (
@@ -29,7 +37,6 @@ from ripsbars.filtration import build_filtration
 from ripsbars.metrics import build_distance_matrix
 from ripsbars.persistence import (
     Bar,
-    Barcode,
     barcode,
     read_barcode_csv,
 )
@@ -117,12 +124,12 @@ def test_c03_unit_square_fixture(capsys):
         m = build_distance_matrix(pts, "euclidean")
         f = build_filtration(m, max_dim=2)
         bc = barcode(f, normalize=True, metric="euclidean")
-        h1 = bc.in_dim(1)
+        h1 = in_dim(bc, 1)
         assert len(h1) == 1
         assert abs(h1[0].birth - 1 / math.sqrt(2)) <= 1e-12
         assert abs(h1[0].death - 1.0) <= 1e-12
         assert not h1[0].open
-        h0_open = [b for b in bc.in_dim(0) if b.open]
+        h0_open = [b for b in in_dim(bc, 0) if b.open]
         assert len(h0_open) == 1
         assert betti_numbers(f, m.max_distance() / math.sqrt(2))[0] == 1
 
@@ -275,9 +282,8 @@ def test_c10_bar_statistics_closed_forms(capsys):
     max 0.4; an empty dimension has no lifespans; a single open bar [0,1)
     gives avg = min = max = 1."""
     with gate(capsys, "C10", "bar statistics match closed forms"):
-        two = Barcode(
-            bars=(Bar(dim=1, birth=0.1, death=0.3), Bar(dim=1, birth=0.2, death=0.6)),
-            zero_length=(),
+        two = barcode_of(
+            (Bar(dim=1, birth=0.1, death=0.3), Bar(dim=1, birth=0.2, death=0.6)),
             metric="euclidean",
             max_dim=2,
             n_points=4,
@@ -296,9 +302,8 @@ def test_c10_bar_statistics_closed_forms(capsys):
         assert empty.min_lifespan is None
         assert empty.max_lifespan is None
 
-        lone = Barcode(
-            bars=(Bar(dim=0, birth=0.0, death=1.0, open=True),),
-            zero_length=(),
+        lone = barcode_of(
+            (Bar(dim=0, birth=0.0, death=1.0, open=True),),
             metric="euclidean",
             max_dim=2,
             n_points=1,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,21 +8,25 @@ from hypothesis import strategies as st
 
 from conftest import random_points
 from oracles import (
+    barcode_csv_lines_loop,
+    barcode_of,
     bars_alive,
     betti_numbers,
     bottleneck_distance,
     boundary_pairs,
     flag_complex_brute,
+    in_dim,
     mst_edge_lengths,
     simplex_birth_brute,
 )
-from ripsbars import dice
+from ripsbars import cli, dice, persistence
+from ripsbars.cloud import write_points_csv
 from ripsbars.fileio import ParseError
 from ripsbars.filtration import build_filtration
 from ripsbars.metrics import PLANAR_METRICS, DistanceMatrix, build_distance_matrix
 from ripsbars.persistence import (
+    BARCODE_HEADER,
     Bar,
-    Barcode,
     SparseBinaryMatrix,
     barcode,
     extract_pairs,
@@ -126,12 +131,12 @@ def test_two_points_barcode():
 def test_square_barcode_raw_and_normalized(square_matrix):
     f = build_filtration(square_matrix, max_dim=2)
     raw = barcode(f, normalize=False)
-    h1 = raw.in_dim(1)
+    h1 = in_dim(raw, 1)
     assert len(h1) == 1
     assert h1[0].birth == 1.0
     assert h1[0].death == pytest.approx(math.sqrt(2))
     norm = barcode(f, normalize=True)
-    nh1 = norm.in_dim(1)
+    nh1 = in_dim(norm, 1)
     assert nh1[0].birth == pytest.approx(1 / math.sqrt(2))
     assert nh1[0].death == 1.0
     # two simultaneous-arrival pairs at the diagonal threshold
@@ -142,7 +147,7 @@ def test_square_barcode_raw_and_normalized(square_matrix):
 def test_triangle_cycle_filled_instantly():
     m = matrix_from([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     bc = barcode(build_filtration(m, max_dim=2), normalize=False)
-    assert bc.in_dim(1) == ()
+    assert in_dim(bc, 1) == ()
     assert len(bc.zero_length) == 1
 
 
@@ -322,6 +327,46 @@ def test_pipeline_builds_no_simplex_records(square_matrix):
     assert len(f.simplices) == 4 + 6 + 4
 
 
+def test_pipeline_builds_no_bar_records(tmp_path, monkeypatch, square_points):
+    """The bar records views are derived on access only: a persist, compare
+    and stats chain (SVGs included) never builds them."""
+    made = []
+
+    def keep(fn):
+        def wrapper(*args, **kwargs):
+            made.append(fn(*args, **kwargs))
+            return made[-1]
+        return wrapper
+
+    monkeypatch.setattr(persistence, "extract_pairs", keep(persistence.extract_pairs))
+    monkeypatch.setattr(persistence, "read_barcode_csv", keep(persistence.read_barcode_csv))
+    write_points_csv(str(tmp_path / "points.csv"), square_points)
+    out = str(tmp_path / "out")
+    chain = [
+        ["persist", "--input", str(tmp_path / "points.csv"), "--out", out, "--svg"],
+        ["compare", "--input", str(tmp_path / "points.csv"), "--out", out, "--svg"],
+        ["stats", *(f"{out}/barcode_{m}.csv" for m in ("euclidean", "taxicab", "supremum")),
+         "--out", out],
+    ]
+    assert all(cli.main(argv) == 0 for argv in chain)
+    assert len(made) == 1 + 3 + 3
+    assert not any("bars" in vars(bc) or "zero_length" in vars(bc) for bc in made)
+    assert len(made[0].bars) + len(made[0].zero_length) == len(made[0].dim)
+
+
+def test_barcode_equality_compares_every_field(square_matrix):
+    f = build_filtration(square_matrix, max_dim=2)
+    bc = barcode(f)
+    assert bc == barcode(f)
+    death = bc.death.copy()
+    death[0] = np.nextafter(death[0], 0.0)
+    assert bc != dataclasses.replace(bc, death=death)
+    assert bc != dataclasses.replace(bc, open=~bc.open)
+    assert bc != dataclasses.replace(bc, n_bars=bc.n_bars - 1)
+    assert bc != dataclasses.replace(bc, span_end=0.5)
+    assert bc != barcode(f, metric="taxicab")
+
+
 # ------------------------------------------------------------- betti numbers
 
 def test_betti_isolated_vertices():
@@ -424,7 +469,7 @@ def test_stability_bottleneck_within_sup_distance(seed, n, compared):
     b1 = barcode(build_filtration(m1, max_dim=2), normalize=False)
     b2 = barcode(build_filtration(m2, max_dim=2), normalize=False)
     for dim in (0, 1):
-        assert bottleneck_distance(b1.in_dim(dim), b2.in_dim(dim)) <= bound
+        assert bottleneck_distance(in_dim(b1, dim), in_dim(b2, dim)) <= bound
 
 
 # ---------------------------------------------------------------- barcode CSV
@@ -435,6 +480,7 @@ def test_barcode_csv_round_trip(tmp_path, square_matrix):
     path = tmp_path / "barcode.csv"
     write_barcode_csv(str(path), bc, config={"command": "persist"})
     back = read_barcode_csv(str(path))
+    assert back == bc
     assert back.bars == bc.bars
     assert back.zero_length == bc.zero_length
     assert back.metric == "euclidean"
@@ -446,9 +492,8 @@ def test_barcode_csv_round_trip(tmp_path, square_matrix):
 
 def test_barcode_csv_17_digit_round_trip(tmp_path):
     # An irrational birth must survive the decimal round trip bit for bit.
-    bc = Barcode(
-        bars=(Bar(dim=1, birth=1 / math.sqrt(2), death=1.0, open=False),),
-        zero_length=(),
+    bc = barcode_of(
+        (Bar(dim=1, birth=1 / math.sqrt(2), death=1.0, open=False),),
         metric="euclidean",
         max_dim=2,
         n_points=4,
@@ -459,6 +504,78 @@ def test_barcode_csv_17_digit_round_trip(tmp_path):
     write_barcode_csv(str(path), bc)
     back = read_barcode_csv(str(path))
     assert back.bars[0].birth == 1 / math.sqrt(2)
+
+
+def assert_csv_lines_equal_loop(path, bc):
+    """The file ``write_barcode_csv`` wrote is its header plus one
+    ``f"{dim},{fmt(birth)},{fmt(death)},{int(open)}"`` line per bar record."""
+    lines = path.read_text().splitlines()
+    head = lines[: lines.index(BARCODE_HEADER) + 1]
+    assert path.read_text() == "\n".join(head + barcode_csv_lines_loop(bc)) + "\n"
+
+
+# Repeated values, and values whose 17 digits are easy to get wrong.
+VALUE_POOL = (0.0, -0.0, 0.1 + 0.2, 0.3, 5e-324, 1 / 3, 2.0**-1074 * 3, 1.0, 1e300)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.one_of(st.sampled_from(VALUE_POOL), st.floats(0.0, 1e6)),
+            st.one_of(st.sampled_from(VALUE_POOL), st.floats(0.0, 1e6)),
+            st.booleans(),
+        ),
+        max_size=40,
+    ),
+    st.integers(min_value=0, max_value=40),
+    st.booleans(),
+)
+def test_barcode_csv_lines_equal_per_bar_loop(tmp_path_factory, rows, zeros, normalized):
+    """Bars in any order, repeated or all distinct, open or closed, then
+    zero-length pairs: each line equals the per-record reference."""
+    bars = [Bar(d, min(a, b), max(a, b), o) for d, a, b, o in rows[zeros:]]
+    zero = [Bar(d, a, a) for d, a, _, _ in rows[:zeros]]
+    bc = barcode_of(bars, zero, metric="m", max_dim=4, n_points=3,
+                    normalized=normalized, span_end=1.0)
+    path = tmp_path_factory.mktemp("csv") / "barcode.csv"
+    write_barcode_csv(str(path), bc)
+    assert_csv_lines_equal_loop(path, bc)
+
+
+def test_barcode_csv_line_changes_with_any_one_field(tmp_path):
+    """Each bar differs from the one before it in one field only: dim,
+    birth, death, open, or the sign of a zero."""
+    bars = [
+        Bar(1, 0.25, 0.5), Bar(1, 0.25, 0.5), Bar(2, 0.25, 0.5), Bar(2, 0.125, 0.5),
+        Bar(2, 0.125, 0.75), Bar(2, 0.125, 0.75, True), Bar(2, 0.0, 0.75, True),
+        Bar(2, -0.0, 0.75, True),
+    ]
+    bc = barcode_of(bars, [Bar(2, 0.75, 0.75)] * 2, metric="m", max_dim=2,
+                    n_points=3, normalized=True, span_end=1.0)
+    write_barcode_csv(str(tmp_path / "barcode.csv"), bc)
+    assert_csv_lines_equal_loop(tmp_path / "barcode.csv", bc)
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_pipeline_barcode_csv_lines_equal_per_bar_loop(tmp_path, normalize):
+    """Pipeline barcodes, raw and normalized: all-distinct cloud values, the
+    ten strict dice's few repeated values, and an empty barcode."""
+    rng = np.random.default_rng(3)
+    filtrations = [
+        build_filtration(build_distance_matrix(random_points(rng, 12), metric), max_dim=3)
+        for metric in sorted(PLANAR_METRICS)
+    ] + [build_filtration(m, max_dim=9) for m in _dice_matrices("strict")]
+    for k, f in enumerate(filtrations):
+        bc = barcode(f, normalize=normalize)
+        assert len(bc.zero_length) > 0
+        write_barcode_csv(str(tmp_path / f"{k}.csv"), bc)
+        assert_csv_lines_equal_loop(tmp_path / f"{k}.csv", bc)
+    empty = barcode_of((), metric="", max_dim=0, n_points=0, normalized=normalize, span_end=0.0)
+    write_barcode_csv(str(tmp_path / "empty.csv"), empty)
+    assert (tmp_path / "empty.csv").read_text().endswith(BARCODE_HEADER + "\n")
+    assert_csv_lines_equal_loop(tmp_path / "empty.csv", empty)
 
 
 def test_barcode_csv_rejects_garbage(tmp_path):

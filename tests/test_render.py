@@ -1,13 +1,13 @@
 from xml.etree import ElementTree
 
-from ripsbars.persistence import Bar, Barcode
+from oracles import barcode_of
+from ripsbars.persistence import Bar
 from ripsbars.render import BAND_HEIGHT, WIDTH, barcode_svg
 
 
 def make_barcode(bars, normalized=True, span_end=1.0):
-    return Barcode(
-        bars=tuple(bars),
-        zero_length=(),
+    return barcode_of(
+        tuple(bars),
         metric="euclidean",
         max_dim=2,
         n_points=4,

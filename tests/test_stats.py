@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
+from oracles import bar_stats_loop, barcode_of
 from ripsbars.filtration import build_filtration
 from ripsbars.metrics import build_distance_matrix
-from ripsbars.persistence import Bar, Barcode, barcode
+from ripsbars.persistence import Bar, barcode
 from ripsbars.stats import (
     BarStats,
     bar_stats,
@@ -18,9 +19,8 @@ from ripsbars.stats import (
 
 
 def make_barcode(bars, n_points=5, normalized=True, metric="euclidean"):
-    return Barcode(
-        bars=tuple(bars),
-        zero_length=(),
+    return barcode_of(
+        tuple(bars),
         metric=metric,
         max_dim=2,
         n_points=n_points,
@@ -96,6 +96,52 @@ def test_stats_are_order_invariant(raw, shuffler):
         assert bar_stats(make_barcode(bars), dim) == bar_stats(
             make_barcode(shuffled), dim
         )
+
+
+def test_average_is_a_left_to_right_sum(tmp_path):
+    """Ten lifespans of 0.1 sum left to right to 0.9999999999999999, so the
+    average prints as 0.099999999999999992 on every Python; a compensated
+    sum (Python 3.12's ``sum``) would print 0.10000000000000001."""
+    bc = make_barcode([Bar(dim=1, birth=0.0, death=0.1)] * 10)
+    path = tmp_path / "stats.csv"
+    write_stats_csv(str(path), stats_report([("euclidean", bc)]))
+    row = "euclidean,1,10,0.099999999999999992,0.10000000000000001,0.10000000000000001"
+    assert row in path.read_text().splitlines()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.one_of(st.sampled_from((0.0, 0.1, 0.25, 1 / 3)), st.floats(0.0, 1.0)),
+            st.one_of(st.sampled_from((0.1, 0.5, 1.0)), st.floats(0.0, 1.0)),
+            st.booleans(),
+        ),
+        max_size=30,
+    ),
+    st.integers(min_value=0, max_value=5),
+)
+def test_stats_from_columns_equal_record_loop(rows, zeros):
+    """Unsorted bars, repeated or distinct lifespans, open bars, zero-length
+    pairs to skip, and empty dimensions below and above the occupied ones."""
+    bars = [
+        Bar(d, min(a, b), 1.0 if o else max(a, b), o) for d, a, b, o in rows
+    ]
+    bc = barcode_of(bars, [Bar(2, 0.5, 0.5)] * zeros, metric="m", max_dim=5,
+                    n_points=5, normalized=True, span_end=1.0)
+    for dim in range(6):
+        assert bar_stats(bc, dim) == bar_stats_loop(bc, dim)
+    report = stats_report([("m", bc)])
+    assert all(report.cells[("m", d)] == bar_stats_loop(bc, d) for d in report.dims)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pipeline_stats_equal_record_loop(seed):
+    m = build_distance_matrix(random_points(np.random.default_rng(seed), 14), "taxicab")
+    bc = barcode(build_filtration(m, max_dim=3), normalize=True)
+    for dim in range(5):
+        assert bar_stats(bc, dim) == bar_stats_loop(bc, dim)
 
 
 def test_counts_partition_the_barcode():
