@@ -3,9 +3,10 @@
 The complex at threshold ε is the flag complex of the graph whose edges are
 point pairs at distance ≤ ε (closed condition, so births coincide with
 matrix entries), truncated at ``max_dim``.  :func:`build_filtration` works in
-three steps.  A union-find over the sorted edges (:func:`joins`) finds where
-the neighborhood graph becomes connected, so a stopped filtration knows its
-last threshold before any clique is built.  The edges up to that cut are
+three steps.  One union-find over the sorted edges (:func:`joins`) finds the
+edges that merge components, which are the H0 pairs, and where the
+neighborhood graph becomes connected, so a stopped filtration knows its last
+threshold before any clique is built.  The edges up to that cut are
 dimension 1, and each dimension k + 1 grows from dimension k with numpy
 (Zomorodian 2010): a k-simplex is extended by every larger vertex adjacent
 to all of its vertices, so each simplex is created once, born at the largest
@@ -52,7 +53,10 @@ class Filtration:
     keeps every face in front of its cofaces; they are read-only views
     derived on first access, and the pipeline never builds them.
     ``max_distance`` is the maximum pairwise distance of the source matrix
-    (before any stop), the normalization divisor for barcodes.
+    (before any stop), the normalization divisor for barcodes.  ``merges``
+    is the H0 pairing, a (2, p_0) int array: the vertex whose component an
+    edge merged into an older one, over that edge's row in ``vertices[1]``
+    (empty when ``max_dim`` is 0, as no edge is kept).
     """
 
     n_points: int
@@ -62,6 +66,7 @@ class Filtration:
     births: Tuple[np.ndarray, ...]
     thresholds: List[float]
     stopped_early: bool
+    merges: np.ndarray
 
     @property
     def span_end(self) -> float:
@@ -137,10 +142,11 @@ def build_filtration(
         raise ValueError("max_dim must be >= 0")
     n = m.n
     i, j, d, starts = sorted_edges(m)
+    merged = joins(n, zip(i, j))
     end = len(d)
-    if stop_when_connected and n > 1:
-        last = max(joins(n, zip(i, j)).values())
-        end = int(np.searchsorted(d, d[last], side="right"))
+    if stop_when_connected and merged:
+        end = int(np.searchsorted(d, d[max(merged.values())], side="right"))
+    merges = np.array([list(merged), list(merged.values())], dtype=np.intp)
 
     adjacent = np.zeros((n, n), dtype=bool)  # adjacent[u, w]: edge u < w is kept
     adjacent[i[:end], j[:end]] = True
@@ -161,4 +167,5 @@ def build_filtration(
         births=tuple(births[: max_dim + 1]),
         thresholds=d[starts[starts < end]].tolist(),
         stopped_early=end < len(d),
+        merges=merges if max_dim else merges[:, :0],
     )

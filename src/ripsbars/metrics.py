@@ -17,8 +17,9 @@ import numpy as np
 from . import fileio
 from .fileio import ParseError, fmt
 
-#: Default slack for symmetry and triangle-inequality checks on float-derived
-#: matrices.  Use 0.0 for matrices assembled from exact integer/rational arithmetic.
+#: Slack for the symmetry check on a matrix read from a file, and the default
+#: slack of the triangle-inequality check in the tests
+#: (``tests/oracles.py:validate_pseudometric``) on float-derived matrices.
 TRIANGLE_TOL = 1e-9
 
 
@@ -127,11 +128,9 @@ def write_distance_csv(
     fileio.write_text(path, lines)
 
 
-def read_distance_csv(
-    path: str, lines: List[str], tol: float = TRIANGLE_TOL
-) -> Tuple[DistanceMatrix, Dict[str, Any]]:
+def read_distance_csv(path: str, lines: List[str]) -> Tuple[DistanceMatrix, Dict[str, Any]]:
     """Parse the ``lines`` of the distance-matrix CSV at ``path`` (which only
-    labels errors), validating shape and symmetry within ``tol``.  Returns
+    labels errors), validating shape and symmetry within ``TRIANGLE_TOL``.  Returns
     the matrix and its header, as :func:`fileio.parse_metadata` gives it."""
     meta = fileio.parse_metadata(path, lines)
     rows: List[List[float]] = []
@@ -149,7 +148,7 @@ def read_distance_csv(
             )
     arr = np.array(rows, dtype=float)
     asym = np.abs(arr - arr.T).max()
-    if asym > tol:
+    if asym > TRIANGLE_TOL:
         raise ParseError(path, row_lines[0], f"matrix not symmetric (max gap {asym:.3g})")
     if (np.diag(arr) != 0.0).any():
         raise ParseError(path, row_lines[0], "matrix diagonal must be zero")

@@ -1,9 +1,10 @@
 """Persistence pairs over Z/2 and barcode extraction.
 
 The pipeline pairs simplices without the boundary matrix, on the
-filtration's per-dimension arrays.  H0 comes from the filtration's
-union-find (``joins``) over the edges in filtration order: an edge that
-joins two components kills the younger one.  Each higher dimension k below
+filtration's per-dimension arrays.  H0 comes from the filtration itself:
+``Filtration.merges``, found by the union-find that also decides where a
+stopped filtration ends, pairs each edge that joins two components with
+the younger one.  Each higher dimension k below
 the cap reduces the coboundary columns of its k-simplices, latest first,
 with clearing: a simplex that killed a class in dimension k − 1 would reduce
 to zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson
@@ -21,15 +22,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import fileio
 from .fileio import BARCODE_META_KEY, ParseError, fmt
-from .filtration import Filtration, joins
+from .filtration import Filtration
 
 
 class SparseBinaryMatrix(NamedTuple):
@@ -97,9 +98,12 @@ class Barcode:
     """All bars of one pipeline run plus the metadata to interpret them.
 
     ``dim``, ``birth``, ``death`` and ``open`` are aligned arrays with one
-    row per bar: the first ``n_bars`` rows are the bars, the rest are the
-    zero-length pairs (birth = death, from simultaneous arrivals), which stay
-    out of statistics and plots.  ``bars`` and ``zero_length`` are read-only
+    row per bar, given in any order.  The constructor sorts them: first the
+    ``n_bars`` bars, then the zero-length pairs (closed rows with birth =
+    death as stored, from simultaneous arrivals), which stay out of
+    statistics and plots, each part by (dim, birth, death, open).  So a
+    barcode read back from its file equals the one written, whatever the
+    row order.  ``bars`` and ``zero_length`` are read-only
     views of the two parts as :class:`Bar` records, derived on first access;
     the pipeline never builds them.  ``span_end`` is the last threshold
     actually processed, in the same scale as the bars.
@@ -109,12 +113,19 @@ class Barcode:
     birth: np.ndarray
     death: np.ndarray
     open: np.ndarray
-    n_bars: int
     metric: str
     max_dim: int
     n_points: int
     normalized: bool
     span_end: float
+    n_bars: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        zero = ~self.open & (self.birth == self.death)
+        order = np.lexsort((self.open, self.death, self.birth, self.dim, zero))
+        for name in ("dim", "birth", "death", "open"):
+            object.__setattr__(self, name, getattr(self, name)[order])
+        object.__setattr__(self, "n_bars", int(np.count_nonzero(~zero)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Barcode):
@@ -162,25 +173,21 @@ def coboundaries(lower: np.ndarray, upper: np.ndarray) -> Tuple[np.ndarray, np.n
     return ptr, np.argsort(facets, kind="stable") // upper.shape[1]
 
 
-def _pair_rows(pairs: Iterable[Tuple[int, int]]) -> np.ndarray:
-    return np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
-
-
 def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     """Every finite pair of ``f``: per dimension k below the cap, a (2, p_k)
     int array of the rows in ``f.vertices[k]`` of the classes that die over
     the rows in ``f.vertices[k + 1]`` of the simplices that kill them.
 
-    H0 is :func:`~ripsbars.filtration.joins` over the edges in filtration
-    order: the edge that merges a component into an older one kills the
-    class born with its smallest vertex.  A k-simplex's coboundary column
+    H0 is ``f.merges``, computed once when the filtration was built: the
+    edge that merges a component into an older one kills the class born
+    with its smallest vertex.  A k-simplex's coboundary column
     lists its (k+1)-cofaces in filtration order; its pivot is the earliest
     one, which kills the class the column was born with and clears that
     coface's own column in dimension k + 1.  Columns are reduced latest
     first, and one becomes a list only when its pivot is already owned.
     Top-dimension simplices have no cofaces.
     """
-    pairs = [_pair_rows(joins(f.n_points, f.vertices[1].tolist()).items())] if f.max_dim else []
+    pairs = [f.merges] if f.max_dim else []
     for k in range(1, f.max_dim):
         ptr, cofaces = coboundaries(f.vertices[k], f.vertices[k + 1])
         todo = ptr[1:] > ptr[:-1]
@@ -199,7 +206,7 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
             else:
                 owner[pivot] = j
                 lists[j] = col
-        pairs.append(_pair_rows((j, t) for t, j in owner.items()))
+        pairs.append(np.array([list(owner.values()), list(owner)], dtype=np.intp))
     return pairs
 
 
@@ -228,18 +235,12 @@ def extract_pairs(
         born, death = np.delete(born, killers), np.delete(death, killers)
         columns.append((np.full(len(born), k), born, death))
     dim, birth, death = map(np.concatenate, zip(*columns))
-    zero = birth == death  # false for every open bar's nan
     is_open = np.isnan(death)
-    death = np.where(is_open, 1.0 if normalize else f.span_end, death / divisor)
-    birth = birth / divisor
-    # The bars sorted by their fields, then the zero-length pairs sorted alike.
-    order = np.lexsort((is_open, death, birth, dim, zero))
     return Barcode(
-        dim=dim[order],
-        birth=birth[order],
-        death=death[order],
-        open=is_open[order],
-        n_bars=int(np.count_nonzero(~zero)),
+        dim=dim,
+        birth=birth / divisor,
+        death=np.where(is_open, 1.0 if normalize else f.span_end, death / divisor),
+        open=is_open,
         metric=metric,
         max_dim=f.max_dim,
         n_points=f.n_points,
@@ -303,23 +304,28 @@ _META_TYPES = {
 
 
 def read_barcode_csv(path: str) -> Barcode:
-    """Parse a barcode CSV, refusing what no pipeline run writes: a mistyped
-    ``barcode-meta`` field, and bars with ``dim < 0``, a dim above the meta
-    ``max_dim``, ``birth < 0``, ``death < birth``, in a normalized barcode
-    ``death > 1``, or an open bar that does not die at the right edge (1 when
-    normalized, else the meta ``span_end``)."""
+    """Parse a barcode CSV, refusing what no pipeline run writes: a missing
+    ``barcode-meta`` line, a missing or mistyped field in it, a ``max_dim``
+    or ``n_points`` outside [0, 2**63), and bars with ``dim < 0``, a dim
+    above the meta ``max_dim``, ``birth < 0``, ``death < birth``, in a
+    normalized barcode ``death > 1``, or an open bar that does not die at the
+    right edge (1 when normalized, else the meta ``span_end``)."""
     lines = fileio.read_lines(path)
     header = fileio.parse_metadata(path, lines)
-    meta = header.get(BARCODE_META_KEY, {})
+    if BARCODE_META_KEY not in header:
+        raise ParseError(path, 1, f"no '# {BARCODE_META_KEY}' line found")
+    meta = header[BARCODE_META_KEY]
+    at = header["lines"][BARCODE_META_KEY]
     for key, (kind, types) in _META_TYPES.items():
-        if key in meta and type(meta[key]) not in types:
-            raise ParseError(
-                path,
-                header["lines"][BARCODE_META_KEY],
-                f"{BARCODE_META_KEY} {key!r} must be a JSON {kind}, got {meta[key]!r}",
-            )
-    normalized = meta.get("normalized", True)
-    open_end = 1.0 if normalized else meta.get("span_end")
+        got = meta.get(key)
+        if type(got) not in types:
+            message = f"{BARCODE_META_KEY} {key!r} must be a JSON {kind}, got {got!r}"
+            raise ParseError(path, at, message)
+    for key in ("max_dim", "n_points"):
+        if not 0 <= meta[key] < 2**63:
+            raise ParseError(path, at, f"{BARCODE_META_KEY} {key!r} out of range: {meta[key]}")
+    normalized = meta["normalized"]
+    open_end = 1.0 if normalized else meta["span_end"]
     rows: List[Tuple[int, float, float, bool]] = []
     saw_header = False
     for lineno, text in fileio.data_lines(lines):
@@ -341,25 +347,22 @@ def read_barcode_csv(path: str) -> Barcode:
         if dim < 0 or not 0.0 <= birth <= death <= (1.0 if normalized else math.inf):
             rule = "0 <= birth <= death" + (" <= 1" if normalized else "")
             raise ParseError(path, lineno, f"need dim >= 0 and {rule}, got {text!r}")
-        if dim > meta.get("max_dim", dim):
+        if dim > meta["max_dim"]:
             raise ParseError(path, lineno, f"dim above max_dim {meta['max_dim']}: {text!r}")
-        if is_open and open_end is not None and death != open_end:
+        if is_open and death != open_end:
             raise ParseError(path, lineno, f"open bar must die at {fmt(open_end)}: {text!r}")
         rows.append((dim, birth, death, is_open))
     if not saw_header:
         raise ParseError(path, len(lines) or 1, "no barcode header found")
     table = np.array(rows, dtype=[("dim", int), ("birth", float), ("death", float), ("open", bool)])
-    zero = ~table["open"] & (table["birth"] == table["death"])
-    table = table[np.argsort(zero, kind="stable")]  # the bars, then the zero-length pairs
     return Barcode(
         dim=table["dim"],
         birth=table["birth"],
         death=table["death"],
         open=table["open"],
-        n_bars=int(np.count_nonzero(~zero)),
-        metric=meta.get("metric", ""),
-        max_dim=meta.get("max_dim", int(table["dim"].max(initial=0))),
-        n_points=meta.get("n_points", 0),
+        metric=meta["metric"],
+        max_dim=meta["max_dim"],
+        n_points=meta["n_points"],
         normalized=normalized,
-        span_end=float(meta.get("span_end", 1.0)),
+        span_end=float(meta["span_end"]),
     )

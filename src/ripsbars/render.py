@@ -26,20 +26,12 @@ _PALETTE = (
 )
 
 
-def _num(x: float) -> str:
-    """Compact deterministic coordinate rendering."""
-    return format(float(x), ".6g")
-
-
 def barcode_svg(bc: Barcode, config: Optional[Dict[str, Any]] = None) -> str:
     """Render one barcode as a standalone SVG document string."""
     groups = max(bc.top_dim(), 0) + 1
     height = BAND_HEIGHT * groups
     domain = 1.0 if bc.normalized else max(bc.span_end, 1e-300)
     span = WIDTH - 2 * MARGIN_X
-
-    def x_of(value: float) -> float:
-        return MARGIN_X + span * min(value, domain) / domain
 
     lines: List[str] = ['<?xml version="1.0" encoding="UTF-8"?>']
     for meta in fileio.metadata_lines(config, comment=""):
@@ -63,13 +55,18 @@ def barcode_svg(bc: Barcode, config: Optional[Dict[str, Any]] = None) -> str:
         )
         rows = np.flatnonzero(bc.dim[: bc.n_bars] == dim)
         slot = BAND_HEIGHT / (len(rows) + 1)
-        bars = zip(bc.birth[rows].tolist(), bc.death[rows].tolist(), bc.open[rows].tolist())
-        for idx, (birth, death, is_open) in enumerate(bars):
-            y = top + slot * (idx + 1)
+        x1, x2, ys = (
+            [format(v, ".6g") for v in coords.tolist()]
+            for coords in (
+                MARGIN_X + span * np.minimum(bc.birth[rows], domain) / domain,
+                MARGIN_X + span * np.minimum(bc.death[rows], domain) / domain,
+                top + slot * np.arange(1, len(rows) + 1),
+            )
+        )
+        for a, b, y, is_open in zip(x1, x2, ys, bc.open[rows].tolist()):
             dash = ' stroke-dasharray="6,3"' if is_open else ""
             lines.append(
-                f'<line x1="{_num(x_of(birth))}" y1="{_num(y)}" '
-                f'x2="{_num(x_of(death))}" y2="{_num(y)}" '
+                f'<line x1="{a}" y1="{y}" x2="{b}" y2="{y}" '
                 f'stroke="{color}" stroke-width="3"{dash}/>'
             )
     axis_y = height - 2
@@ -79,9 +76,9 @@ def barcode_svg(bc: Barcode, config: Optional[Dict[str, Any]] = None) -> str:
     )
     for frac in (0.0, 0.5, 1.0):
         lines.append(
-            f'<text x="{_num(MARGIN_X + span * frac)}" y="{axis_y - 4}" '
+            f'<text x="{MARGIN_X + span * frac:.6g}" y="{axis_y - 4}" '
             f'font-family="monospace" font-size="10" fill="black" '
-            f'text-anchor="middle">{_num(domain * frac)}</text>'
+            f'text-anchor="middle">{domain * frac:.6g}</text>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -40,16 +40,15 @@ def bar_stats(bc: Barcode, dim: int) -> BarStats:
 
 
 def _stats_by_dim(bc: Barcode, dims: Sequence[int]) -> List[BarStats]:
-    """:func:`bar_stats` of each dimension in ``dims``, after one stable
-    sort of the bars by dimension.  The average is a left-to-right sum over
-    the bars in order, so its bits do not depend on how a Python version's
-    ``sum`` rounds."""
+    """:func:`bar_stats` of each dimension in ``dims``.  The bars are
+    already sorted by dimension, so each dimension is one slice of them.
+    The average is a left-to-right sum over the bars in order, so its bits
+    do not depend on how a Python version's ``sum`` rounds."""
     if not bc.normalized:
         raise ValueError("bar statistics require a normalized barcode")
     n = bc.n_bars
+    dim = bc.dim[:n]
     span = np.where(bc.open[:n], 1.0 - bc.birth[:n], bc.death[:n] - bc.birth[:n])
-    order = np.argsort(bc.dim[:n], kind="stable")
-    dim, span = bc.dim[:n][order], span[order]
     cells = []
     for d, lo, hi in zip(dims, np.searchsorted(dim, dims), np.searchsorted(dim, dims, "right")):
         s = span[lo:hi]
@@ -72,7 +71,6 @@ class ComparisonReport:
     metrics: Tuple[str, ...]
     dims: Tuple[int, ...]
     cells: Dict[Tuple[str, int], BarStats]
-    n_points: int
 
 
 def check_runs(names: Sequence[str], point_counts: Sequence[int] = ()) -> None:
@@ -94,12 +92,7 @@ def _build_report(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
     cells = {
         (name, s.dim): s for name, bc in runs for s in _stats_by_dim(bc, dims)
     }
-    return ComparisonReport(
-        metrics=tuple(names),
-        dims=dims,
-        cells=cells,
-        n_points=runs[0][1].n_points if runs else 0,
-    )
+    return ComparisonReport(metrics=tuple(names), dims=dims, cells=cells)
 
 
 def compare(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:

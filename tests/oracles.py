@@ -11,7 +11,7 @@ which the tests keep as the reference for its coboundary reduction.  The
 reference loops at the end evaluate one point, pair, candidate or bar
 record at a time, the way the library did before it switched to array
 expressions; the array code must match them bit for bit.  ``barcode_of``
-builds a barcode's columns from bar records.
+builds a barcode from bar records.
 """
 
 from __future__ import annotations
@@ -127,15 +127,15 @@ def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
 
 
 def barcode_of(bars: Sequence[Bar], zero_length: Sequence[Bar] = (), **meta) -> Barcode:
-    """The barcode whose record views are ``bars`` and ``zero_length``, in
-    that order; ``meta`` gives the remaining fields."""
+    """The barcode of the bar records ``bars`` and ``zero_length``, which
+    the constructor puts in barcode order; ``meta`` gives the remaining
+    fields."""
     rows = list(bars) + list(zero_length)
     return Barcode(
         dim=np.array([b.dim for b in rows], dtype=int),
         birth=np.array([b.birth for b in rows], dtype=float),
         death=np.array([b.death for b in rows], dtype=float),
         open=np.array([b.open for b in rows], dtype=bool),
-        n_bars=len(bars),
         **meta,
     )
 

@@ -525,10 +525,22 @@ def bad_bar(row):
             "0,0,2,1", BARCODE_META.replace("true", "false").replace("1.0", "1.5")), 3,
          "open bar must die at 1.5: '0,0,2,1'"),
         ("stats", barcode_file("3,0.1,0.2,0"), 3, "dim above max_dim 2: '3,0.1,0.2,0'"),
+        ("stats", barcode_file(f"{10**23},0,0.5,0"), 3,
+         f"dim above max_dim 2: '{10**23},0,0.5,0'"),
+        ("stats", "dim,birth,death,open\n100000,0,0.5,0\n", 1, "no '# barcode-meta' line found"),
+        ("stats", f"dim,birth,death,open\n{10**23},0,0.5,0\n", 1,
+         "no '# barcode-meta' line found"),
+        ("stats", barcode_file("0,0,1,1", BARCODE_META.replace(', "span_end": 1.0', "")), 1,
+         "barcode-meta 'span_end' must be a JSON number, got None"),
+        ("stats", barcode_file("0,0,1,1", BARCODE_META.replace("2,", f"{2**63},")), 1,
+         f"barcode-meta 'max_dim' out of range: {2**63}"),
+        ("stats", barcode_file("0,0,1,1", BARCODE_META.replace("4,", "-1,")), 1,
+         "barcode-meta 'n_points' out of range: -1"),
     ],
     ids=["negative-dim", "death-before-birth", "death-past-1", "negative-birth",
          "string-boolean", "string-integer", "label-count", "open-bar-short",
-         "open-bar-past-span-end", "dim-above-max-dim"],
+         "open-bar-past-span-end", "dim-above-max-dim", "huge-dim", "no-meta",
+         "no-meta-huge-dim", "meta-field-missing", "max-dim-too-large", "negative-n-points"],
 )
 def test_malformed_file_names_its_line(tmp_path, capsys, command, text, line, message):
     path = tmp_path / "bad.csv"
@@ -683,6 +695,26 @@ def test_stats_from_barcode_files(tmp_path, capsys):
         if l and not l.startswith("#")
     ]
     assert data[0] == "metric,dim,count,avg,min,max"
+
+
+def test_stats_do_not_depend_on_the_row_order_of_a_barcode_file(tmp_path, monkeypatch):
+    """A barcode file with its bar lines shuffled reads back as the same
+    barcode, so ``stats`` writes the same bytes, the averages included."""
+    for d in ("a", "b"):
+        (tmp_path / d).mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    assert main(["cloud", "--out", ".", "--points", "30", "--seed", "5"]) == 0
+    assert main(["persist", "--input", "points.csv", "--out", "."]) == 0
+    lines = (tmp_path / "a" / "barcode_euclidean.csv").read_text().splitlines()
+    start = lines.index("dim,birth,death,open") + 1
+    bars = lines[start:]
+    np.random.default_rng(0).shuffle(bars)
+    assert bars != lines[start:]
+    (tmp_path / "b" / "barcode_euclidean.csv").write_text("\n".join(lines[:start] + bars) + "\n")
+    for d in ("a", "b"):
+        monkeypatch.chdir(tmp_path / d)
+        assert main(["stats", "barcode_euclidean.csv", "--out", "s"]) == 0
+    assert (tmp_path / "a/s/stats.csv").read_bytes() == (tmp_path / "b/s/stats.csv").read_bytes()
 
 
 def test_stats_missing_file(tmp_path, capsys):

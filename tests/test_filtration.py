@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import random_points
 from oracles import edge_order_loop, flag_complex_brute, mst_edge_lengths, simplex_birth_brute
-from ripsbars.filtration import build_filtration, sorted_edges
+from ripsbars.filtration import build_filtration, joins, sorted_edges
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
-from ripsbars.persistence import total_boundary_matrix
+from ripsbars.persistence import persistence_pairs, total_boundary_matrix
 
 
 def matrix_from(entries):
@@ -246,6 +246,24 @@ def test_stop_path_matches_minimum_spanning_tree(pts, metric, max_dim):
     assert stopped.thresholds == [t for t in full.thresholds if t <= stopped.span_end]
     assert stopped.spans == full.spans[:len(stopped.spans)]
     assert stopped.stopped_early == (stopped.span_end < m.max_distance())
+
+
+@settings(max_examples=60, deadline=None)
+@given(clouds, st.sampled_from(["euclidean", "taxicab", "supremum"]),
+       st.sampled_from([0, 1, 2, 3]), st.booleans())
+def test_merges_are_the_union_find_over_the_kept_edges(pts, metric, max_dim, stop):
+    """``f.merges`` is ``joins`` over ``f.vertices[1]``, whether or not the
+    filtration stopped, and its edges are a minimum spanning tree's; with no
+    edge kept there are no merges and no pairs."""
+    m = build_distance_matrix(pts, metric)
+    f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
+    assert f.merges.shape == (2, min(max_dim, 1) * (m.n - 1))
+    if max_dim == 0:
+        assert persistence_pairs(f) == []
+        return
+    merged = joins(f.n_points, f.vertices[1].tolist())
+    assert f.merges.tolist() == [list(merged), list(merged.values())]
+    assert sorted(f.births[1][f.merges[1]]) == sorted(mst_edge_lengths(m))
 
 
 def test_incremental_matches_rebuild_from_scratch():

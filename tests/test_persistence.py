@@ -362,7 +362,12 @@ def test_barcode_equality_compares_every_field(square_matrix):
     death[0] = np.nextafter(death[0], 0.0)
     assert bc != dataclasses.replace(bc, death=death)
     assert bc != dataclasses.replace(bc, open=~bc.open)
-    assert bc != dataclasses.replace(bc, n_bars=bc.n_bars - 1)
+    k = np.flatnonzero(~bc.open[: bc.n_bars])[0]
+    death = bc.death.copy()
+    death[k] = bc.birth[k]
+    shorter = dataclasses.replace(bc, death=death)
+    assert len(shorter.zero_length) == len(bc.zero_length) + 1
+    assert bc != shorter
     assert bc != dataclasses.replace(bc, span_end=0.5)
     assert bc != barcode(f, metric="taxicab")
 
@@ -490,6 +495,42 @@ def test_barcode_csv_round_trip(tmp_path, square_matrix):
     assert back.span_end == bc.span_end
 
 
+UNIT_POOL = (0.0, -0.0, 0.1 + 0.2, 0.3, 5e-324, 1 / 3, 1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=4),
+            st.one_of(st.sampled_from(UNIT_POOL), st.floats(0.0, 1.0)),
+            st.one_of(st.sampled_from(UNIT_POOL), st.floats(0.0, 1.0)),
+            st.sampled_from(("closed", "open", "zero")),
+        ),
+        max_size=40,
+    ),
+    st.booleans(),
+    st.sampled_from((1.0, 0.3, 7.5)),
+)
+def test_barcode_csv_round_trip_of_any_rows(tmp_path_factory, rows, normalized, span_end):
+    """Rows in any order, repeated values, open and closed bars and
+    birth = death rows mixed in, raw or normalized: the constructor orders
+    them the same whatever their order, and the file reads back equal."""
+    end = 1.0 if normalized else span_end
+    bars = [
+        Bar(d, a * end, end, True) if kind == "open"
+        else Bar(d, a * end, a * end) if kind == "zero"
+        else Bar(d, min(a, b) * end, max(a, b) * end)
+        for d, a, b, kind in rows
+    ]
+    meta = dict(metric="m", max_dim=4, n_points=3, normalized=normalized, span_end=end)
+    bc = barcode_of(bars, **meta)
+    assert barcode_of(bars[::-1], **meta) == bc
+    path = tmp_path_factory.mktemp("csv") / "barcode.csv"
+    write_barcode_csv(str(path), bc)
+    assert read_barcode_csv(str(path)) == bc
+
+
 def test_barcode_csv_17_digit_round_trip(tmp_path):
     # An irrational birth must survive the decimal round trip bit for bit.
     bc = barcode_of(
@@ -578,16 +619,22 @@ def test_pipeline_barcode_csv_lines_equal_per_bar_loop(tmp_path, normalize):
     assert_csv_lines_equal_loop(tmp_path / "empty.csv", empty)
 
 
+META = (
+    '# barcode-meta {"max_dim": 2, "metric": "m", "n_points": 4, '
+    '"normalized": true, "span_end": 1.0}\n'
+)
+
+
 def test_barcode_csv_rejects_garbage(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("dim,birth,death,open\n1,0.5\n")
+    path.write_text(META + "dim,birth,death,open\n1,0.5\n")
     with pytest.raises(Exception, match="fields"):
         read_barcode_csv(str(path))
 
 
 def test_barcode_csv_requires_header(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("1,0.5,0.7,0\n")
+    path.write_text(META + "1,0.5,0.7,0\n")
     with pytest.raises(Exception, match="header"):
         read_barcode_csv(str(path))
 
