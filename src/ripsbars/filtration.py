@@ -10,9 +10,12 @@ threshold before any clique is built.  The edges up to that cut are
 dimension 1, and each dimension k + 1 grows from dimension k with numpy
 (Zomorodian 2010): a k-simplex is extended by every larger vertex adjacent
 to all of its vertices, so each simplex is created once, born at the largest
-of its facet's birth and the new vertex's distances.  One ``lexsort`` per
-dimension orders its rows by (birth, vertices).  Faces are not stored: a
-facet is a row less one vertex.
+of its parent's birth and the new vertex's distances, and growth stops at
+the first empty dimension.  The rows are grown in lexicographic order and
+each new row records its facets' rows: the one that drops the new vertex
+is its parent, and the one that drops vertex v is found by one integer
+search, as the parent's facet v extended by the new vertex.  One stable
+sort by birth per dimension then puts the rows in (birth, vertices) order.
 """
 
 from __future__ import annotations
@@ -48,7 +51,9 @@ class Filtration:
 
     ``vertices[k]`` holds one k-simplex per row, an (m_k, k + 1) int array
     (zero rows when the dimension is empty), and ``births[k]`` their births,
-    both in (birth, vertices) order.  ``simplices`` and ``spans`` merge the
+    both in (birth, vertices) order.  ``facets[k]`` is an (m_k, k + 1) intp
+    array (no columns at k = 0) whose column v holds the row in
+    ``vertices[k - 1]`` of the facet that drops the row's vertex v.  ``simplices`` and ``spans`` merge the
     dimensions into the filtration order (birth, dimension, vertices), which
     keeps every face in front of its cofaces; they are read-only views
     derived on first access, and the pipeline never builds them.
@@ -64,6 +69,7 @@ class Filtration:
     max_distance: float
     vertices: Tuple[np.ndarray, ...]
     births: Tuple[np.ndarray, ...]
+    facets: Tuple[np.ndarray, ...]
     thresholds: List[float]
     stopped_early: bool
     merges: np.ndarray
@@ -152,19 +158,50 @@ def build_filtration(
     adjacent[i[:end], j[:end]] = True
     vertices = [np.arange(n)[:, None], np.column_stack((i[:end], j[:end]))]
     births = [np.zeros(n), d[:end]]
-    while len(vertices) <= max_dim:
-        r, w = np.nonzero(np.logical_and.reduce(adjacent[vertices[-1]], axis=1))
-        rows = np.column_stack((vertices[-1][r], w))
-        born = np.maximum(births[-1][r], m.entries[rows[:, :-1], w[:, None]].max(axis=1))
-        order = np.lexsort((*rows.T[::-1], born))
-        vertices.append(rows[order])
-        births.append(born[order])
+    facets = [np.empty((n, 0), dtype=np.intp), vertices[1][:, ::-1]]
+    if max_dim > 1:
+        # Dimensions 1 and up are grown with their rows in lexicographic
+        # order, the ascending order of ``keys``: the rank of the row's
+        # parent (the row less its last vertex) times n plus that vertex.
+        # Their facets are ranks until each is sorted by birth below.
+        lex = np.argsort(i[:end] * n + j[:end])
+        for dims in (vertices, births, facets):
+            dims[1] = dims[1][lex]
+        keys = vertices[1][:, 0] * n + vertices[1][:, 1]
+        while len(vertices) <= max_dim and len(vertices[-1]):
+            p, w = np.nonzero(np.logical_and.reduce(adjacent[vertices[-1]], axis=1))
+            rows = np.column_stack((np.take(vertices[-1], p, axis=0), w))
+            born = births[-1][p]
+            faces = np.empty_like(rows)
+            faces[:, -1] = p  # the facet that drops w is row p itself
+            for v in range(rows.shape[1] - 1):
+                born = np.maximum(born, m.entries[rows[:, v], w])
+                # Row p less its vertex v, extended by w, is its facet v
+                # extended by w.
+                faces[:, v] = np.searchsorted(keys, facets[-1][p, v] * n + w)
+            vertices.append(rows)
+            births.append(born)
+            facets.append(faces)
+            keys = p * n + w
+        lex = np.arange(n)  # the row of each rank in the dimension below
+        for k in range(1, len(vertices)):
+            order = np.argsort(births[k], kind="stable")
+            for x in (vertices[k], births[k], facets[k]):
+                x[:] = np.take(x, order, axis=0)  # in place: no unsorted copy stays
+            facets[k][:] = lex[facets[k]]
+            lex = np.empty_like(order)
+            lex[order] = np.arange(len(order))
+    for k in range(len(vertices), max_dim + 1):
+        vertices.append(np.empty((0, k + 1), dtype=np.intp))
+        births.append(np.empty(0))
+        facets.append(np.empty((0, k + 1), dtype=np.intp))
     return Filtration(
         n_points=n,
         max_dim=max_dim,
         max_distance=m.max_distance(),
         vertices=tuple(vertices[: max_dim + 1]),
         births=tuple(births[: max_dim + 1]),
+        facets=tuple(facets[: max_dim + 1]),
         thresholds=d[starts[starts < end]].tolist(),
         stopped_early=end < len(d),
         merges=merges if max_dim else merges[:, :0],

@@ -4,12 +4,14 @@ The pipeline pairs simplices without the boundary matrix, on the
 filtration's per-dimension arrays.  H0 comes from the filtration itself:
 ``Filtration.merges``, found by the union-find that also decides where a
 stopped filtration ends, pairs each edge that joins two components with
-the younger one.  Each higher dimension k below
-the cap reduces the coboundary columns of its k-simplices, latest first,
-with clearing: a simplex that killed a class in dimension k − 1 would reduce
-to zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson
-2011; Bauer 2021, *Ripser*).  Working mod 2 drops orientation signs (and any
-torsion).
+the younger one.  Each higher dimension k below the cap reduces the
+coboundary columns of its k-simplices, latest first, with clearing: a
+simplex that killed a class in dimension k − 1 would reduce to zero, so its
+column is skipped (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer 2021,
+*Ripser*).  The coboundary columns are the transpose of
+``Filtration.facets[k + 1]``, the facet rows the clique expansion
+recorded, so no facet is searched for here.  Working mod 2 drops
+orientation signs (and any torsion).
 
 The total boundary matrix over ``Filtration.simplices`` and its
 left-to-right reduction stay as the reference the tests compare these pairs
@@ -151,26 +153,16 @@ class Barcode:
         return int(self.dim[: self.n_bars].max(initial=-1))
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row, equal exactly when the rows are."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-
-
-def coboundaries(lower: np.ndarray, upper: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Coboundary columns of the simplices ``lower`` as CSR arrays: column j
-    is ``cofaces[ptr[j]:ptr[j + 1]]``, the rows of ``upper`` that have row j
-    as a facet, ascending.  Each facet, an ``upper`` row less one vertex, is
-    found by one exact search among the sorted row keys of ``lower``."""
-    keys = _row_keys(lower)
-    by_key = np.argsort(keys)
-    keys = keys[by_key]
-    facets = np.column_stack([
-        by_key[np.searchsorted(keys, _row_keys(np.delete(upper, i, axis=1)))]
-        for i in range(upper.shape[1])
-    ]).ravel()
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(facets, minlength=len(lower)))))
-    return ptr, np.argsort(facets, kind="stable") // upper.shape[1]
+def coboundaries(facets: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Coboundary columns of the ``m`` simplices one dimension below
+    ``facets`` (a ``Filtration.facets`` array) as CSR arrays: column j is
+    ``cofaces[ptr[j]:ptr[j + 1]]``, the rows of ``facets`` that hold j,
+    ascending.  It is the transpose of ``facets``."""
+    flat = facets.ravel()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
+    cofaces = np.argsort(flat, kind="stable")
+    cofaces //= facets.shape[1]
+    return ptr, cofaces
 
 
 def persistence_pairs(f: Filtration) -> List[np.ndarray]:
@@ -189,7 +181,10 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     """
     pairs = [f.merges] if f.max_dim else []
     for k in range(1, f.max_dim):
-        ptr, cofaces = coboundaries(f.vertices[k], f.vertices[k + 1])
+        if not len(f.vertices[k + 1]):  # no coface, so no pair
+            pairs.append(pairs[-1][:, :0])
+            continue
+        ptr, cofaces = coboundaries(f.facets[k + 1], len(f.vertices[k]))
         todo = ptr[1:] > ptr[:-1]
         todo[pairs[-1][1]] = False
         todo = np.flatnonzero(todo)[::-1]
@@ -228,6 +223,8 @@ def extract_pairs(
         divisor = f.max_distance
     columns = []
     for k, born in enumerate(f.births):
+        if k and not len(born):
+            break  # every higher dimension is empty too
         death = np.full(len(born), np.nan)  # nan: the class never dies
         if k < len(pairs):
             death[pairs[k][0]] = f.births[k + 1][pairs[k][1]]
@@ -307,9 +304,10 @@ def read_barcode_csv(path: str) -> Barcode:
     """Parse a barcode CSV, refusing what no pipeline run writes: a missing
     ``barcode-meta`` line, a missing or mistyped field in it, a ``max_dim``
     or ``n_points`` outside [0, 2**63), and bars with ``dim < 0``, a dim
-    above the meta ``max_dim``, ``birth < 0``, ``death < birth``, in a
-    normalized barcode ``death > 1``, or an open bar that does not die at the
-    right edge (1 when normalized, else the meta ``span_end``)."""
+    above the meta ``max_dim`` or not below its ``n_points`` (a k-simplex
+    has k + 1 vertices), ``birth < 0``, ``death < birth``, in a normalized
+    barcode ``death > 1``, or an open bar that does not die at the right
+    edge (1 when normalized, else the meta ``span_end``)."""
     lines = fileio.read_lines(path)
     header = fileio.parse_metadata(path, lines)
     if BARCODE_META_KEY not in header:
@@ -349,6 +347,9 @@ def read_barcode_csv(path: str) -> Barcode:
             raise ParseError(path, lineno, f"need dim >= 0 and {rule}, got {text!r}")
         if dim > meta["max_dim"]:
             raise ParseError(path, lineno, f"dim above max_dim {meta['max_dim']}: {text!r}")
+        if dim >= meta["n_points"]:
+            message = f"dim not below n_points {meta['n_points']}: {text!r}"
+            raise ParseError(path, lineno, message)
         if is_open and death != open_end:
             raise ParseError(path, lineno, f"open bar must die at {fmt(open_end)}: {text!r}")
         rows.append((dim, birth, death, is_open))

@@ -7,11 +7,14 @@ and longest cycles by exhaustive DFS, simplex births by max pairwise
 distance, Betti numbers by dense elimination over Z/2, bottleneck distances
 by matching, pseudometric axioms and live bars checked entry by entry.
 ``boundary_pairs`` reads the pairs off the library's boundary reduction,
-which the tests keep as the reference for its coboundary reduction.  The
-reference loops at the end evaluate one point, pair, candidate or bar
-record at a time, the way the library did before it switched to array
-expressions; the array code must match them bit for bit.  ``barcode_of``
-builds a barcode from bar records.
+which the tests keep as the reference for its coboundary reduction.
+``facets_by_lookup`` finds each facet's row through a dict of vertex
+tuples, and ``coboundaries_by_search`` builds coboundaries by searching
+each row less one vertex among the rows below.  The reference loops at
+the end evaluate one point, pair, candidate or bar record at a time, the
+way the library did before it switched to array expressions; the array
+code must match them bit for bit.  ``barcode_of`` builds a barcode from
+bar records.
 """
 
 from __future__ import annotations
@@ -124,6 +127,44 @@ def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
         if col:
             pairs[f.simplices[col[-1]].dim].append((rank[col[-1]], rank[j]))
     return [np.array(p, dtype=np.intp).reshape(-1, 2).T for p in pairs]
+
+
+def facets_by_lookup(f: Filtration) -> List[np.ndarray]:
+    """Per dimension k, an (m_k, k + 1) array (no columns at k = 0) whose
+    column v holds the row in ``f.vertices[k - 1]`` of the facet that drops
+    vertex v, looked up in a dict from vertex tuple to row."""
+    result: List[np.ndarray] = []
+    row_of: Dict[Tuple[int, ...], int] = {}
+    for k, rows in enumerate(f.vertices):
+        simplices = [tuple(row) for row in rows.tolist()]
+        width = k + 1 if k else 0
+        facets = [[row_of[s[:v] + s[v + 1:]] for v in range(width)] for s in simplices]
+        result.append(np.array(facets, dtype=np.intp).reshape(len(simplices), width))
+        row_of = {s: r for r, s in enumerate(simplices)}
+    return result
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row, equal exactly when the rows are."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def coboundaries_by_search(lower: np.ndarray, upper: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Coboundary columns of the simplices ``lower`` as CSR arrays: column j
+    is ``cofaces[ptr[j]:ptr[j + 1]]``, the rows of ``upper`` that have row j
+    as a facet, ascending.  Each facet, an ``upper`` row less one vertex, is
+    found by one exact search among the sorted void-row keys of ``lower``,
+    with no use of ``Filtration.facets``."""
+    keys = _row_keys(lower)
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    facets = np.column_stack([
+        by_key[np.searchsorted(keys, _row_keys(np.delete(upper, i, axis=1)))]
+        for i in range(upper.shape[1])
+    ]).ravel()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(facets, minlength=len(lower)))))
+    return ptr, np.argsort(facets, kind="stable") // upper.shape[1]
 
 
 def barcode_of(bars: Sequence[Bar], zero_length: Sequence[Bar] = (), **meta) -> Barcode:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -266,6 +267,25 @@ def test_negative_max_dim_is_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+def test_cap_far_above_the_points_stops_at_the_first_empty_dimension(tmp_path):
+    """No 10-simplex exists on 10 points, so cap 3000 builds and pairs
+    nothing past cap 9 and writes the same bars, in well under a second."""
+    assert main(["cloud", "--out", str(tmp_path), "--points", "10", "--seed", "7"]) == 0
+    pts = str(tmp_path / "points.csv")
+    columns = {}
+    for cap in (9, 3000):
+        out = tmp_path / f"cap{cap}"
+        start = time.perf_counter()
+        assert main(["persist", "--input", pts, "--max-dim", str(cap), "--out", str(out)]) == 0
+        seconds = time.perf_counter() - start
+        bc = read_barcode_csv(str(out / "barcode_euclidean.csv"))
+        columns[cap] = (bc.dim, bc.birth, bc.death, bc.open)
+    assert seconds < 1.0
+    assert bc.max_dim == 3000 and (bc.dim <= 9).all()
+    for a, b in zip(columns[9], columns[3000]):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_each_input_is_read_once(tmp_path, monkeypatch):
     dice_out = tmp_path / "dice"
     assert main(["dice", "--out", str(dice_out), "--tie-convention", "strict"]) == 0
@@ -527,6 +547,11 @@ def bad_bar(row):
         ("stats", barcode_file("3,0.1,0.2,0"), 3, "dim above max_dim 2: '3,0.1,0.2,0'"),
         ("stats", barcode_file(f"{10**23},0,0.5,0"), 3,
          f"dim above max_dim 2: '{10**23},0,0.5,0'"),
+        ("stats", barcode_file("100000,0,0.5,0", BARCODE_META.replace("2,", "100000,")
+                               .replace("4,", "5,")), 3,
+         "dim not below n_points 5: '100000,0,0.5,0'"),
+        ("stats", barcode_file("4,0.1,0.2,0", BARCODE_META.replace("2,", "9,")), 3,
+         "dim not below n_points 4: '4,0.1,0.2,0'"),
         ("stats", "dim,birth,death,open\n100000,0,0.5,0\n", 1, "no '# barcode-meta' line found"),
         ("stats", f"dim,birth,death,open\n{10**23},0,0.5,0\n", 1,
          "no '# barcode-meta' line found"),
@@ -539,7 +564,8 @@ def bad_bar(row):
     ],
     ids=["negative-dim", "death-before-birth", "death-past-1", "negative-birth",
          "string-boolean", "string-integer", "label-count", "open-bar-short",
-         "open-bar-past-span-end", "dim-above-max-dim", "huge-dim", "no-meta",
+         "open-bar-past-span-end", "dim-above-max-dim", "huge-dim", "huge-dim-below-max-dim",
+         "dim-not-below-n-points", "no-meta",
          "no-meta-huge-dim", "meta-field-missing", "max-dim-too-large", "negative-n-points"],
 )
 def test_malformed_file_names_its_line(tmp_path, capsys, command, text, line, message):

@@ -14,6 +14,8 @@ from oracles import (
     betti_numbers,
     bottleneck_distance,
     boundary_pairs,
+    coboundaries_by_search,
+    facets_by_lookup,
     flag_complex_brute,
     in_dim,
     mst_edge_lengths,
@@ -219,6 +221,42 @@ def boundary_barcode(f):
     return extract_pairs(boundary_pairs(R, f), f, normalize=False)
 
 
+def assert_facets_equal_lookup(f):
+    """``f.facets`` equals a dict lookup of every facet by its vertices, and
+    the coboundaries transposed from it equal the search of each row less
+    one vertex among the rows below."""
+    want = facets_by_lookup(f)
+    assert len(f.facets) == len(want) == f.max_dim + 1
+    for got, expected in zip(f.facets, want):
+        assert got.dtype == np.intp
+        np.testing.assert_array_equal(got, expected, strict=True)
+    for k in range(1, f.max_dim):
+        got = persistence.coboundaries(f.facets[k + 1], len(f.vertices[k]))
+        expected = coboundaries_by_search(f.vertices[k], f.vertices[k + 1])
+        for a, b in zip(got, expected):
+            np.testing.assert_array_equal(a, b, strict=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=14),
+    st.sampled_from(sorted(PLANAR_METRICS)),
+    st.integers(min_value=0, max_value=4),
+    st.booleans(),
+    st.booleans(),
+)
+def test_facets_equal_lookup(seed, n, metric, max_dim, stop, grid):
+    """Facet rows and coboundaries of random clouds and of clouds snapped to
+    a 4 × 4 grid, whose points repeat and whose distances tie."""
+    pts = random_points(np.random.default_rng(seed), n)
+    if grid:
+        pts = np.floor(pts * 4)
+    f = build_filtration(build_distance_matrix(pts, metric), max_dim=max_dim,
+                         stop_when_connected=stop)
+    assert_facets_equal_lookup(f)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -259,6 +297,7 @@ def test_cohomology_pairs_equal_boundary_reduction_on_dice(convention, max_dim, 
     deep dice benchmark runs them, under all three dice distances."""
     for m in _dice_matrices(convention):
         f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
+        assert_facets_equal_lookup(f)
         assert barcode(f, normalize=False) == boundary_barcode(f)
 
 
@@ -266,7 +305,7 @@ def test_deep_simplices_on_many_points_equal_boundary_reduction():
     """A 489-point unit path with an 11-point tight cluster beside its last
     point, stopped at connectivity with cap 10: the 9-simplices, whose
     cofaces pair them, have vertices up to 499, where C(499, 10) > 2**63,
-    so facet lookups must not rest on int64 simplex indices in the
+    so facet rows must not rest on int64 simplex indices in the
     combinatorial number system."""
     rng = np.random.default_rng(5)
     path = np.column_stack((np.arange(489.0), np.zeros(489)))
@@ -277,6 +316,7 @@ def test_deep_simplices_on_many_points_equal_boundary_reduction():
     assert f.n_points == 500 and f.stopped_early
     # The cluster and point 488 form the only 12-clique.
     assert [len(f.vertices[k]) for k in (9, 10)] == [math.comb(12, 10), math.comb(12, 11)]
+    assert_facets_equal_lookup(f)
     assert barcode(f, normalize=False) == boundary_barcode(f)
 
 
@@ -312,9 +352,10 @@ def test_degenerate_shapes_match_references(name, stop):
     assert [span.start for span in f.spans[1:]] == [span.end for span in f.spans[:-1]]
     assert f.spans[-1].end == len(f.simplices)
     assert all(s.birth == simplex_birth_brute(m, s.vertices) for s in f.simplices)
-    assert len(f.vertices) == len(f.births) == max_dim + 1
-    for k, (rows, births) in enumerate(zip(f.vertices, f.births)):
+    assert len(f.vertices) == len(f.births) == len(f.facets) == max_dim + 1
+    for k, (rows, births, facets) in enumerate(zip(f.vertices, f.births, f.facets)):
         assert rows.shape == (len(births), k + 1)
+        assert facets.shape == (len(births), k + 1 if k else 0)
         assert len(births) == sum(len(v) == k + 1 for v in previous)
     assert barcode(f, normalize=False) == boundary_barcode(f)
 
@@ -523,7 +564,7 @@ def test_barcode_csv_round_trip_of_any_rows(tmp_path_factory, rows, normalized, 
         else Bar(d, min(a, b) * end, max(a, b) * end)
         for d, a, b, kind in rows
     ]
-    meta = dict(metric="m", max_dim=4, n_points=3, normalized=normalized, span_end=end)
+    meta = dict(metric="m", max_dim=4, n_points=5, normalized=normalized, span_end=end)
     bc = barcode_of(bars, **meta)
     assert barcode_of(bars[::-1], **meta) == bc
     path = tmp_path_factory.mktemp("csv") / "barcode.csv"
@@ -578,7 +619,7 @@ def test_barcode_csv_lines_equal_per_bar_loop(tmp_path_factory, rows, zeros, nor
     zero-length pairs: each line equals the per-record reference."""
     bars = [Bar(d, min(a, b), max(a, b), o) for d, a, b, o in rows[zeros:]]
     zero = [Bar(d, a, a) for d, a, _, _ in rows[:zeros]]
-    bc = barcode_of(bars, zero, metric="m", max_dim=4, n_points=3,
+    bc = barcode_of(bars, zero, metric="m", max_dim=4, n_points=5,
                     normalized=normalized, span_end=1.0)
     path = tmp_path_factory.mktemp("csv") / "barcode.csv"
     write_barcode_csv(str(path), bc)
@@ -594,7 +635,7 @@ def test_barcode_csv_line_changes_with_any_one_field(tmp_path):
         Bar(2, -0.0, 0.75, True),
     ]
     bc = barcode_of(bars, [Bar(2, 0.75, 0.75)] * 2, metric="m", max_dim=2,
-                    n_points=3, normalized=True, span_end=1.0)
+                    n_points=5, normalized=True, span_end=1.0)
     write_barcode_csv(str(tmp_path / "barcode.csv"), bc)
     assert_csv_lines_equal_loop(tmp_path / "barcode.csv", bc)
 
