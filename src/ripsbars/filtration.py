@@ -53,10 +53,11 @@ class Filtration:
     (zero rows when the dimension is empty), and ``births[k]`` their births,
     both in (birth, vertices) order.  ``facets[k]`` is an (m_k, k + 1) intp
     array (no columns at k = 0) whose column v holds the row in
-    ``vertices[k - 1]`` of the facet that drops the row's vertex v.  ``simplices`` and ``spans`` merge the
-    dimensions into the filtration order (birth, dimension, vertices), which
-    keeps every face in front of its cofaces; they are read-only views
-    derived on first access, and the pipeline never builds them.
+    ``vertices[k - 1]`` of the facet that drops the row's vertex v.
+    ``simplices`` and ``spans`` merge the dimensions into the filtration
+    order (birth, dimension, vertices), which keeps every face in front of
+    its cofaces; they are read-only views derived on first access, and the
+    pipeline never builds them.
     ``max_distance`` is the maximum pairwise distance of the source matrix
     (before any stop), the normalization divisor for barcodes.  ``merges``
     is the H0 pairing, a (2, p_0) int array: the vertex whose component an
@@ -156,41 +157,38 @@ def build_filtration(
 
     adjacent = np.zeros((n, n), dtype=bool)  # adjacent[u, w]: edge u < w is kept
     adjacent[i[:end], j[:end]] = True
-    vertices = [np.arange(n)[:, None], np.column_stack((i[:end], j[:end]))]
-    births = [np.zeros(n), d[:end]]
-    facets = [np.empty((n, 0), dtype=np.intp), vertices[1][:, ::-1]]
-    if max_dim > 1:
-        # Dimensions 1 and up are grown with their rows in lexicographic
-        # order, the ascending order of ``keys``: the rank of the row's
-        # parent (the row less its last vertex) times n plus that vertex.
-        # Their facets are ranks until each is sorted by birth below.
-        lex = np.argsort(i[:end] * n + j[:end])
-        for dims in (vertices, births, facets):
-            dims[1] = dims[1][lex]
-        keys = vertices[1][:, 0] * n + vertices[1][:, 1]
-        while len(vertices) <= max_dim and len(vertices[-1]):
-            p, w = np.nonzero(np.logical_and.reduce(adjacent[vertices[-1]], axis=1))
-            rows = np.column_stack((np.take(vertices[-1], p, axis=0), w))
-            born = births[-1][p]
-            faces = np.empty_like(rows)
-            faces[:, -1] = p  # the facet that drops w is row p itself
-            for v in range(rows.shape[1] - 1):
-                born = np.maximum(born, m.entries[rows[:, v], w])
-                # Row p less its vertex v, extended by w, is its facet v
-                # extended by w.
-                faces[:, v] = np.searchsorted(keys, facets[-1][p, v] * n + w)
-            vertices.append(rows)
-            births.append(born)
-            facets.append(faces)
-            keys = p * n + w
-        lex = np.arange(n)  # the row of each rank in the dimension below
-        for k in range(1, len(vertices)):
-            order = np.argsort(births[k], kind="stable")
-            for x in (vertices[k], births[k], facets[k]):
-                x[:] = np.take(x, order, axis=0)  # in place: no unsorted copy stays
-            facets[k][:] = lex[facets[k]]
-            lex = np.empty_like(order)
-            lex[order] = np.arange(len(order))
+    # Dimensions 1 and up are grown with their rows in lexicographic
+    # order, the ascending order of ``keys``: the rank of the row's
+    # parent (the row less its last vertex) times n plus that vertex.
+    # Their facets are ranks until each is sorted by birth below.
+    keys = np.flatnonzero(adjacent)  # u * n + w for each kept edge u < w
+    u, w = np.divmod(keys, n)
+    vertices = [np.arange(n)[:, None], np.column_stack((u, w))]
+    births = [np.zeros(n), m.entries[u, w]]
+    facets = [np.empty((n, 0), dtype=np.intp), np.column_stack((w, u))]
+    while len(vertices) <= max_dim and len(vertices[-1]):
+        p, w = np.nonzero(np.logical_and.reduce(adjacent[vertices[-1]], axis=1))
+        rows = np.column_stack((np.take(vertices[-1], p, axis=0), w))
+        born = births[-1][p]
+        faces = np.empty_like(rows)
+        faces[:, -1] = p  # the facet that drops w is row p itself
+        for v in range(rows.shape[1] - 1):
+            born = np.maximum(born, m.entries[rows[:, v], w])
+            # Row p less its vertex v, extended by w, is its facet v
+            # extended by w.
+            faces[:, v] = np.searchsorted(keys, facets[-1][p, v] * n + w)
+        vertices.append(rows)
+        births.append(born)
+        facets.append(faces)
+        keys = p * n + w
+    lex = np.arange(n)  # the row of each rank in the dimension below
+    for k in range(1, len(vertices)):
+        order = np.argsort(births[k], kind="stable")
+        for x in (vertices[k], births[k], facets[k]):
+            x[:] = np.take(x, order, axis=0)  # in place: no unsorted copy stays
+        facets[k][:] = lex[facets[k]]
+        lex = np.empty_like(order)
+        lex[order] = np.arange(len(order))
     for k in range(len(vertices), max_dim + 1):
         vertices.append(np.empty((0, k + 1), dtype=np.intp))
         births.append(np.empty(0))

@@ -181,9 +181,6 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     """
     pairs = [f.merges] if f.max_dim else []
     for k in range(1, f.max_dim):
-        if not len(f.vertices[k + 1]):  # no coface, so no pair
-            pairs.append(pairs[-1][:, :0])
-            continue
         ptr, cofaces = coboundaries(f.facets[k + 1], len(f.vertices[k]))
         todo = ptr[1:] > ptr[:-1]
         todo[pairs[-1][1]] = False
@@ -223,8 +220,6 @@ def extract_pairs(
         divisor = f.max_distance
     columns = []
     for k, born in enumerate(f.births):
-        if k and not len(born):
-            break  # every higher dimension is empty too
         death = np.full(len(born), np.nan)  # nan: the class never dies
         if k < len(pairs):
             death[pairs[k][0]] = f.births[k + 1][pairs[k][1]]

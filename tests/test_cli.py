@@ -9,7 +9,8 @@ import pytest
 
 from ripsbars import cli, fileio
 from ripsbars.cli import main
-from ripsbars.cloud import write_points_csv
+from ripsbars.cloud import read_points_csv, write_points_csv
+from ripsbars.filtration import build_filtration
 from ripsbars.metrics import (
     DistanceMatrix,
     build_distance_matrix,
@@ -268,10 +269,21 @@ def test_negative_max_dim_is_usage_error(tmp_path, capsys, command):
 
 
 def test_cap_far_above_the_points_stops_at_the_first_empty_dimension(tmp_path):
-    """No 10-simplex exists on 10 points, so cap 3000 builds and pairs
-    nothing past cap 9 and writes the same bars, in well under a second."""
+    """No 10-simplex exists on 10 points, so cap 3000 pads every dimension
+    from 10 up with zero rows and writes the same bars as cap 9.  The bound
+    on time is loose: it only tells a linear cost in the cap (well under a
+    second) from one that grows with its square (about a minute)."""
     assert main(["cloud", "--out", str(tmp_path), "--points", "10", "--seed", "7"]) == 0
     pts = str(tmp_path / "points.csv")
+    f = build_filtration(
+        build_distance_matrix(read_points_csv(pts, fileio.read_lines(pts)), "euclidean"), 3000
+    )
+    assert len(f.vertices) == len(f.births) == len(f.facets) == 3001
+    assert [k for k, rows in enumerate(f.vertices) if len(rows)] == list(range(10))
+    assert all(
+        f.vertices[k].shape == f.facets[k].shape == (0, k + 1) and not len(f.births[k])
+        for k in range(10, 3001)
+    )
     columns = {}
     for cap in (9, 3000):
         out = tmp_path / f"cap{cap}"
@@ -280,7 +292,7 @@ def test_cap_far_above_the_points_stops_at_the_first_empty_dimension(tmp_path):
         seconds = time.perf_counter() - start
         bc = read_barcode_csv(str(out / "barcode_euclidean.csv"))
         columns[cap] = (bc.dim, bc.birth, bc.death, bc.open)
-    assert seconds < 1.0
+    assert seconds < 10.0
     assert bc.max_dim == 3000 and (bc.dim <= 9).all()
     for a, b in zip(columns[9], columns[3000]):
         np.testing.assert_array_equal(a, b)
