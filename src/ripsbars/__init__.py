@@ -11,7 +11,6 @@ non-transitive dice under graph-derived distances.
 from .cloud import Region, four_hole_disk, sample_region
 from .dice import (
     BeatingGraph,
-    DiceSpace,
     build_beating_graph,
     enumerate_dice,
     non_transitive_subset,
@@ -41,7 +40,6 @@ __all__ = [
     "Barcode",
     "BarStats",
     "BeatingGraph",
-    "DiceSpace",
     "DistanceMatrix",
     "Filtration",
     "Region",

@@ -49,10 +49,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _natural(text: str) -> int:
-    """A ``--max-dim`` or ``--seed`` value: an integer >= 0."""
+    """A ``--seed`` value: an integer >= 0."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
     return int(text)
+
+
+def _max_dim(text: str) -> int:
+    """A ``--max-dim`` value: an integer in [0, 2**63), as a barcode file's is."""
+    cap = _natural(text)
+    if cap >= 2**63:
+        raise argparse.ArgumentTypeError(f"must be below 2**63, got {text!r}")
+    return cap
 
 
 def _metric(name: str) -> str:
@@ -87,7 +95,7 @@ def _build_parser() -> _Parser:
         return p
 
     def add_filtration_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--max-dim", type=_natural, default=None)
+        p.add_argument("--max-dim", type=_max_dim, default=None)
         p.add_argument(
             "--stop-on-connected", dest="stop_when_connected", action="store_true"
         )
@@ -238,7 +246,7 @@ def _cmd_dice(args: argparse.Namespace) -> int:
     texts = {
         "dice.txt": meta + [dice_mod.die_label(d) for d in ntd],
         "beating_graph.dot": fileio.metadata_lines(vars(args), comment="//")
-        + [dice_mod.to_dot(sub).rstrip("\n")],
+        + [dice_mod.to_dot(sub)],
     }
     names = ("similarity", "euclidean", "foliation_symmetry")
     matrices: List[DistanceMatrix] = []
@@ -253,7 +261,7 @@ def _cmd_dice(args: argparse.Namespace) -> int:
     else:
         print(
             f"warning: no non-transitive dice in this space "
-            f"({len(space.dice)} dice, {args.tie_convention})",
+            f"({len(space)} dice, {args.tie_convention})",
             file=sys.stderr,
         )
         texts.update((f"dist_{name}.csv", meta + ["# empty: no dice"]) for name in names)
@@ -268,7 +276,7 @@ def _cmd_dice(args: argparse.Namespace) -> int:
         metrics.write_distance_csv(written[-1], matrix, config=vars(args))
 
     print(
-        f"space: {len(space.dice)} dice (sides={args.sides}, max_face={args.max_face}, "
+        f"space: {len(space)} dice (sides={args.sides}, max_face={args.max_face}, "
         f"face_sum={args.face_sum}); non-transitive subset: {len(ntd)} "
         f"under {args.tie_convention!r}"
     )

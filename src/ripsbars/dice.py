@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,19 +40,10 @@ def die_label(d: Die) -> str:
     return ",".join(str(f) for f in d)
 
 
-@dataclass(frozen=True)
-class DiceSpace:
-    """All canonical dice with given side count, face bound, and face sum."""
-
-    sides: int
-    max_face: int
-    face_sum: Optional[int]
-    dice: Tuple[Die, ...]
-
-
-def enumerate_dice(sides: int, max_face: int, face_sum: int) -> DiceSpace:
-    """Enumerate every non-decreasing tuple with the given sum, once each,
-    in lexicographic order.  An infeasible sum yields an empty space."""
+def enumerate_dice(sides: int, max_face: int, face_sum: int) -> Tuple[Die, ...]:
+    """Every canonical die with ``sides`` faces in 1..``max_face`` summing to
+    ``face_sum``: each non-decreasing tuple once, in lexicographic order.  An
+    infeasible sum yields no dice."""
     if sides < 1 or max_face < 1:
         raise ValueError("sides and max_face must be positive")
     out: List[Die] = []
@@ -72,7 +63,7 @@ def enumerate_dice(sides: int, max_face: int, face_sum: int) -> DiceSpace:
             prefix.pop()
 
     rec([], 1, face_sum, sides)
-    return DiceSpace(sides=sides, max_face=max_face, face_sum=face_sum, dice=tuple(out))
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
@@ -95,7 +86,7 @@ class BeatingGraph:
         return len(self.nodes)
 
 
-def build_beating_graph(space: DiceSpace, convention: str) -> BeatingGraph:
+def build_beating_graph(dice: Iterable[Die], convention: str) -> BeatingGraph:
     """Win counts of every ordered pair of dice, and the edges they imply.
 
     With ``hist[i, a]`` the faces of die ``i`` equal to ``values[a]`` and
@@ -106,7 +97,7 @@ def build_beating_graph(space: DiceSpace, convention: str) -> BeatingGraph:
         raise ValueError(
             f"unknown tie convention {convention!r}; choose from {TIE_CONVENTIONS}"
         )
-    nodes = tuple(sorted(space.dice))
+    nodes = tuple(sorted(dice))
     k = len(nodes[0]) if nodes else 0
     if any(len(d) != k for d in nodes):
         raise ValueError(f"side counts differ: {sorted({len(d) for d in nodes})}")
@@ -260,18 +251,17 @@ def foliation_symmetry_distance_matrix(
     )
 
 
-def to_dot(g: BeatingGraph, name: str = "beating") -> str:
+def to_dot(g: BeatingGraph) -> str:
     """Render the graph in DOT format, deterministically ordered.
 
     Edges carry their exhaustive win counts as labels (``wins/sides²``).
     """
     total = len(g.nodes[0]) ** 2 if g.nodes else 0
-    lines = [f"digraph {name} {{"]
-    lines.append(f'  // tie convention: {g.convention}')
+    lines = ["digraph beating {", f"  // tie convention: {g.convention}"]
     for v in g.nodes:
         lines.append(f'  "{die_label(v)}";')
     for i, j in np.argwhere(g.beats):
         x, y = die_label(g.nodes[i]), die_label(g.nodes[j])
         lines.append(f'  "{x}" -> "{y}" [label="{g.wins[i, j]}/{total}"];')
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines)

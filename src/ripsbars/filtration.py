@@ -49,11 +49,14 @@ class ThresholdSpan(NamedTuple):
 class Filtration:
     """A flag complex by dimension, as :func:`build_filtration` returns it.
 
-    ``vertices[k]`` holds one k-simplex per row, an (m_k, k + 1) int array
-    (zero rows when the dimension is empty), and ``births[k]`` their births,
-    both in (birth, vertices) order.  ``facets[k]`` is an (m_k, k + 1) intp
-    array (no columns at k = 0) whose column v holds the row in
-    ``vertices[k - 1]`` of the facet that drops the row's vertex v.
+    ``vertices[k]`` holds one k-simplex per row, an (m_k, k + 1) int array,
+    and ``births[k]`` their births, both in (birth, vertices) order.
+    ``facets[k]`` is an (m_k, k + 1) intp array (no columns at k = 0) whose
+    column v holds the row in ``vertices[k - 1]`` of the facet that drops
+    the row's vertex v.  The three tuples end at dimension ``max_dim`` or
+    at the first dimension with no simplex, held as zero rows, whichever
+    comes first, so on n points at most n + 1 dimensions are stored;
+    ``max_dim`` stays the cap asked for, which the barcode records.
     ``simplices`` and ``spans`` merge the dimensions into the filtration
     order (birth, dimension, vertices), which keeps every face in front of
     its cofaces; they are read-only views derived on first access, and the
@@ -189,10 +192,6 @@ def build_filtration(
         facets[k][:] = lex[facets[k]]
         lex = np.empty_like(order)
         lex[order] = np.arange(len(order))
-    for k in range(len(vertices), max_dim + 1):
-        vertices.append(np.empty((0, k + 1), dtype=np.intp))
-        births.append(np.empty(0))
-        facets.append(np.empty((0, k + 1), dtype=np.intp))
     return Filtration(
         n_points=n,
         max_dim=max_dim,

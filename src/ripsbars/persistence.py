@@ -4,11 +4,11 @@ The pipeline pairs simplices without the boundary matrix, on the
 filtration's per-dimension arrays.  H0 comes from the filtration itself:
 ``Filtration.merges``, found by the union-find that also decides where a
 stopped filtration ends, pairs each edge that joins two components with
-the younger one.  Each higher dimension k below the cap reduces the
-coboundary columns of its k-simplices, latest first, with clearing: a
-simplex that killed a class in dimension k − 1 would reduce to zero, so its
-column is skipped (de Silva, Morozov & Vejdemo-Johansson 2011; Bauer 2021,
-*Ripser*).  The coboundary columns are the transpose of
+the younger one.  Each higher dimension k below the top stored one
+reduces the coboundary columns of its k-simplices, latest first, with
+clearing: a simplex that killed a class in dimension k − 1 would reduce
+to zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson
+2011; Bauer 2021, *Ripser*).  The coboundary columns are the transpose of
 ``Filtration.facets[k + 1]``, the facet rows the clique expansion
 recorded, so no facet is searched for here.  Working mod 2 drops
 orientation signs (and any torsion).
@@ -166,9 +166,10 @@ def coboundaries(facets: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def persistence_pairs(f: Filtration) -> List[np.ndarray]:
-    """Every finite pair of ``f``: per dimension k below the cap, a (2, p_k)
-    int array of the rows in ``f.vertices[k]`` of the classes that die over
-    the rows in ``f.vertices[k + 1]`` of the simplices that kill them.
+    """Every finite pair of ``f``: per stored dimension k below the top one,
+    a (2, p_k) int array of the rows in ``f.vertices[k]`` of the classes that
+    die over the rows in ``f.vertices[k + 1]`` of the simplices that kill
+    them.
 
     H0 is ``f.merges``, computed once when the filtration was built: the
     edge that merges a component into an older one kills the class born
@@ -177,10 +178,10 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     one, which kills the class the column was born with and clears that
     coface's own column in dimension k + 1.  Columns are reduced latest
     first, and one becomes a list only when its pivot is already owned.
-    Top-dimension simplices have no cofaces.
+    The top stored dimension has no cofaces: it is the cap, or it is empty.
     """
-    pairs = [f.merges] if f.max_dim else []
-    for k in range(1, f.max_dim):
+    pairs = [f.merges] if len(f.vertices) > 1 else []
+    for k in range(1, len(f.vertices) - 1):
         ptr, cofaces = coboundaries(f.facets[k + 1], len(f.vertices[k]))
         todo = ptr[1:] > ptr[:-1]
         todo[pairs[-1][1]] = False

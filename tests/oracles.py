@@ -112,17 +112,17 @@ def betti_numbers(f: Filtration, eps: float) -> List[int]:
 
 def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
     """The pairs of a reduced boundary matrix in the shape ``extract_pairs``
-    reads: per dimension k below the cap, a (2, p_k) array of the rows in
-    ``f.vertices[k]`` of the classes that die over the rows in
+    reads: per stored dimension k below the top one, a (2, p_k) array of the
+    rows in ``f.vertices[k]`` of the classes that die over the rows in
     ``f.vertices[k + 1]`` of their killers.  Nonzero column j kills the class
     born at its lowest 1; a simplex's row is its rank among the simplices of
     its dimension in ``f.simplices``."""
     rank: List[int] = []
-    seen = [0] * (f.max_dim + 1)
+    seen = [0] * len(f.vertices)
     for s in f.simplices:
         rank.append(seen[s.dim])
         seen[s.dim] += 1
-    pairs: List[List[Tuple[int, int]]] = [[] for _ in range(f.max_dim)]
+    pairs: List[List[Tuple[int, int]]] = [[] for _ in f.vertices[1:]]
     for j, col in enumerate(R.columns):
         if col:
             pairs[f.simplices[col[-1]].dim].append((rank[col[-1]], rank[j]))
@@ -130,9 +130,9 @@ def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
 
 
 def facets_by_lookup(f: Filtration) -> List[np.ndarray]:
-    """Per dimension k, an (m_k, k + 1) array (no columns at k = 0) whose
-    column v holds the row in ``f.vertices[k - 1]`` of the facet that drops
-    vertex v, looked up in a dict from vertex tuple to row."""
+    """Per stored dimension k, an (m_k, k + 1) array (no columns at k = 0)
+    whose column v holds the row in ``f.vertices[k - 1]`` of the facet that
+    drops vertex v, looked up in a dict from vertex tuple to row."""
     result: List[np.ndarray] = []
     row_of: Dict[Tuple[int, ...], int] = {}
     for k, rows in enumerate(f.vertices):

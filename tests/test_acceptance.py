@@ -26,7 +26,6 @@ from oracles import (
 from ripsbars.cli import main
 from ripsbars.cloud import four_hole_disk, sample_region
 from ripsbars.dice import (
-    DiceSpace,
     build_beating_graph,
     enumerate_dice,
     induced_subgraph,
@@ -138,7 +137,7 @@ def test_c04_grime_dice_probability(capsys):
     """The classic pair (1,1,5,5,5,5) vs (3,4,4,4,4,4) wins 24 of 36."""
     with gate(capsys, "C4", "Grime dice win 24/36"):
         pair = (parse_die("115555"), parse_die("344444"))
-        g = build_beating_graph(DiceSpace(6, 6, None, pair), "strict")
+        g = build_beating_graph(pair, "strict")
         wins, losses = int(g.wins[0, 1]), int(g.wins[1, 0])
         assert (wins, 36 - wins - losses, losses) == (24, 0, 12)
         assert wins * 3 == 36 * 2  # = 2/3
@@ -203,7 +202,7 @@ def test_c07_convention_reproducing_the_published_ten(capsys):
         capsys,
         "C7",
         f"strict matches all 10 dice; majority marks {len(majority_ntd)} of "
-        f"{len(space.dice)} dice non-transitive",
+        f"{len(space)} dice non-transitive",
     )
 
 

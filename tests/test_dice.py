@@ -25,7 +25,6 @@ from oracles import (
 )
 from ripsbars.dice import (
     BeatingGraph,
-    DiceSpace,
     UnreachableNodeError,
     build_beating_graph,
     die_label,
@@ -61,13 +60,12 @@ SEVEN_CYCLE = [
     for s in ("333336", "112566", "144444", "333345", "222366", "114555", "234444")
 ]
 
-dt6_dice = st.sampled_from(DT6.dice)
+dt6_dice = st.sampled_from(DT6)
 
 
 def _graph(dice, convention="strict"):
     """The beating graph of just these dice."""
-    space = DiceSpace(sides=len(dice[0]), max_face=6, face_sum=None, dice=tuple(dice))
-    return build_beating_graph(space, convention)
+    return build_beating_graph(dice, convention)
 
 
 def _counts(g, x, y):
@@ -84,24 +82,24 @@ def _edge(g, x, y):
 # ---------------------------------------------------------------- enumeration
 
 def test_enumerate_single_side():
-    assert enumerate_dice(1, 6, 4).dice == ((4,),)
+    assert enumerate_dice(1, 6, 4) == ((4,),)
 
 
 def test_enumerate_two_sides():
-    assert enumerate_dice(2, 6, 7).dice == ((1, 6), (2, 5), (3, 4))
+    assert enumerate_dice(2, 6, 7) == ((1, 6), (2, 5), (3, 4))
 
 
 def test_dt6_count_pinned():
     # Frozen regression value: brute-force enumeration of all non-decreasing
     # 6-tuples over 1..6 with face sum 21.
-    assert len(DT6.dice) == 32
-    assert all(sum(d) == 21 for d in DT6.dice)
-    assert all(d == tuple(sorted(d)) for d in DT6.dice)
-    assert DT6.dice == tuple(sorted(set(DT6.dice)))  # unique, lexicographic
+    assert len(DT6) == 32
+    assert all(sum(d) == 21 for d in DT6)
+    assert all(d == tuple(sorted(d)) for d in DT6)
+    assert DT6 == tuple(sorted(set(DT6)))  # unique, lexicographic
 
 
 def test_enumerate_infeasible_sum_is_empty():
-    assert enumerate_dice(2, 6, 13).dice == ()
+    assert enumerate_dice(2, 6, 13) == ()
 
 
 def test_enumerate_rejects_bad_params():
@@ -142,9 +140,8 @@ def test_pair_with_ties_exact():
 def test_mismatched_side_counts_rejected():
     with pytest.raises(ValueError, match="side counts differ"):
         beating_probability((1, 2), (1, 2, 3))
-    space = DiceSpace(sides=2, max_face=3, face_sum=None, dice=((1, 2), (1, 2, 3)))
     with pytest.raises(ValueError, match="side counts differ"):
-        build_beating_graph(space, "strict")
+        build_beating_graph([(1, 2), (1, 2, 3)], "strict")
 
 
 def test_beats_conventions_on_tied_pair():
@@ -201,7 +198,7 @@ def test_tiny_space_has_no_edges():
 
 def test_graph_stores_exact_win_counts():
     for convention, g in DT6_GRAPHS.items():
-        assert g.nodes == DT6.dice
+        assert g.nodes == DT6
         assert g.wins.dtype == np.int64 and g.beats.dtype == bool
         for i, x in enumerate(g.nodes):
             for j, y in enumerate(g.nodes):
@@ -210,8 +207,7 @@ def test_graph_stores_exact_win_counts():
 
 
 def test_singleton_space_no_edges():
-    space = DiceSpace(sides=6, max_face=6, face_sum=21, dice=(parse_die("333336"),))
-    g = build_beating_graph(space, "majority")
+    g = build_beating_graph([parse_die("333336")], "majority")
     assert g.beats.shape == (1, 1)
     assert not g.beats.any()
 
@@ -236,7 +232,7 @@ def small_spaces(draw):
     sides = draw(st.integers(1, 6))
     max_face = draw(st.integers(1, 8))
     space = enumerate_dice(sides, max_face, draw(st.integers(sides, sides * max_face)))
-    dice = draw(st.lists(st.sampled_from(space.dice), min_size=1, max_size=8, unique=True))
+    dice = draw(st.lists(st.sampled_from(space), min_size=1, max_size=8, unique=True))
     return space, dice
 
 
@@ -295,7 +291,7 @@ def test_ntd_majority_pinned():
     g = build_beating_graph(DT6, "majority")
     ntd = non_transitive_subset(g)
     assert len(ntd) == 31
-    assert set(DT6.dice) - set(ntd) == {(1, 2, 3, 4, 5, 6)}
+    assert set(DT6) - set(ntd) == {(1, 2, 3, 4, 5, 6)}
 
 
 def test_ntd_matches_brute_force_cycle_search():
@@ -303,7 +299,7 @@ def test_ntd_matches_brute_force_cycle_search():
     for convention in ("strict", "majority"):
         full = build_beating_graph(DT6, convention)
         for _ in range(12):
-            subset = rng.sample(DT6.dice, rng.randint(2, 8))
+            subset = rng.sample(DT6, rng.randint(2, 8))
             g = induced_subgraph(full, subset)
             expected = cycle_nodes_brute(g.nodes, successors(g))
             assert set(non_transitive_subset(g)) == expected
@@ -563,4 +559,4 @@ def test_to_dot_deterministic_with_labels():
     dot = to_dot(g)
     assert dot == to_dot(g)
     assert '"115555" -> "344444" [label="24/36"];' in dot
-    assert dot.startswith("digraph beating {")
+    assert dot.startswith("digraph beating {") and dot.endswith("\n}")

@@ -222,15 +222,19 @@ def boundary_barcode(f):
 
 
 def assert_facets_equal_lookup(f):
-    """``f.facets`` equals a dict lookup of every facet by its vertices, and
-    the coboundaries transposed from it equal the search of each row less
-    one vertex among the rows below."""
+    """``f`` stores the dimensions up to its cap or up to its first empty
+    one, whichever comes first; ``f.facets`` equals a dict lookup of every
+    facet by its vertices, and the coboundaries transposed from it equal the
+    search of each row less one vertex among the rows below."""
     want = facets_by_lookup(f)
-    assert len(f.facets) == len(want) == f.max_dim + 1
+    top = len(f.vertices) - 1
+    assert len(f.births) == len(f.facets) == len(want) == top + 1 <= f.max_dim + 1
+    assert all(len(rows) for rows in f.vertices[:top])
+    assert top == f.max_dim or not len(f.vertices[top])
     for got, expected in zip(f.facets, want):
         assert got.dtype == np.intp
         np.testing.assert_array_equal(got, expected, strict=True)
-    for k in range(1, f.max_dim):
+    for k in range(1, top):
         got = persistence.coboundaries(f.facets[k + 1], len(f.vertices[k]))
         expected = coboundaries_by_search(f.vertices[k], f.vertices[k + 1])
         for a, b in zip(got, expected):
@@ -276,6 +280,33 @@ def test_cohomology_pairs_equal_boundary_reduction(seed, n, metric, max_dim, sto
     m = build_distance_matrix(pts, metric)
     f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
     assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(sorted(PLANAR_METRICS)),
+    st.booleans(),
+    st.booleans(),
+)
+def test_caps_past_the_points_give_the_same_bars(seed, n, metric, stop, grid):
+    """No flag complex on n points has an n-simplex, so every cap from
+    n − 1 up gives the bars of the boundary reduction, and the same bars."""
+    pts = random_points(np.random.default_rng(seed), n)
+    if grid:
+        pts = np.floor(pts * 4)
+    m = build_distance_matrix(pts, metric)
+    columns = []
+    for cap in range(n - 1, n + 4):
+        f = build_filtration(m, max_dim=cap, stop_when_connected=stop)
+        assert_facets_equal_lookup(f)
+        bc = barcode(f, normalize=False)
+        assert bc == boundary_barcode(f)
+        columns.append((bc.dim, bc.birth, bc.death, bc.open))
+    for other in columns[1:]:
+        for a, b in zip(columns[0], other):
+            np.testing.assert_array_equal(a, b, strict=True)
 
 
 def _dice_matrices(convention):
@@ -334,7 +365,8 @@ DEGENERATE = {
 def test_degenerate_shapes_match_references(name, stop):
     """Thresholds, spans, simplices and the barcode of tiny, all-zero and
     over-capped inputs against brute-force cliques and the boundary
-    reduction; a dimension with no simplex is a zero-row array."""
+    reduction; the dimensions stored end at the cap or at the first one
+    with no clique, whichever comes first."""
     entries, max_dim = DEGENERATE[name]
     m = matrix_from(entries)
     f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
@@ -352,7 +384,8 @@ def test_degenerate_shapes_match_references(name, stop):
     assert [span.start for span in f.spans[1:]] == [span.end for span in f.spans[:-1]]
     assert f.spans[-1].end == len(f.simplices)
     assert all(s.birth == simplex_birth_brute(m, s.vertices) for s in f.simplices)
-    assert len(f.vertices) == len(f.births) == len(f.facets) == max_dim + 1
+    first_empty = max(map(len, previous))
+    assert len(f.vertices) == len(f.births) == len(f.facets) == min(max_dim, first_empty) + 1
     for k, (rows, births, facets) in enumerate(zip(f.vertices, f.births, f.facets)):
         assert rows.shape == (len(births), k + 1)
         assert facets.shape == (len(births), k + 1 if k else 0)
