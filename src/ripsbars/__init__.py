@@ -16,7 +16,7 @@ from .dice import (
     non_transitive_subset,
 )
 from .fileio import VERSION as __version__
-from .filtration import Filtration, Simplex, build_filtration
+from .filtration import Filtration, build_filtration
 from .metrics import (
     DistanceMatrix,
     build_distance_matrix,
@@ -24,26 +24,16 @@ from .metrics import (
     supremum,
     taxicab,
 )
-from .persistence import (
-    Bar,
-    Barcode,
-    barcode,
-    extract_pairs,
-    persistence_pairs,
-    reduce_matrix,
-    total_boundary_matrix,
-)
+from .persistence import Barcode, barcode, extract_pairs, persistence_pairs
 from .stats import BarStats, bar_stats, compare
 
 __all__ = [
-    "Bar",
     "Barcode",
     "BarStats",
     "BeatingGraph",
     "DistanceMatrix",
     "Filtration",
     "Region",
-    "Simplex",
     "bar_stats",
     "barcode",
     "build_beating_graph",
@@ -56,10 +46,8 @@ __all__ = [
     "four_hole_disk",
     "non_transitive_subset",
     "persistence_pairs",
-    "reduce_matrix",
     "sample_region",
     "supremum",
     "taxicab",
-    "total_boundary_matrix",
     "__version__",
 ]

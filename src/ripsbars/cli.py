@@ -353,16 +353,13 @@ _HANDLERS = {
     "compare": _cmd_compare,
     "stats": _cmd_stats,
 }
-
-
-def _run(argv: Optional[Sequence[str]]) -> int:
-    args = _build_parser().parse_args(argv)
-    return _HANDLERS[args.command](args)
+_PARSER = _build_parser()
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        return _run(argv)
+        args = _PARSER.parse_args(argv)
+        return _HANDLERS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

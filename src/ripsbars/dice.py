@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,11 @@ Die = Tuple[int, ...]
 
 TIE_CONVENTIONS = ("strict", "majority")
 SYMMETRY_PAIRINGS = ("literal", "opposite")
+#: Largest dice space enumerated.  The beating graph holds n² win counts and
+#: the non-transitive search takes boolean matrix products, O(n³) each:
+#: 974 dice take about 1.4 s there on a 2-vCPU x86-64 VM.  The paper's space
+#: DT(6) has 32.
+MAX_DICE = 1024
 
 
 class UnreachableNodeError(ValueError):
@@ -43,27 +48,33 @@ def die_label(d: Die) -> str:
 def enumerate_dice(sides: int, max_face: int, face_sum: int) -> Tuple[Die, ...]:
     """Every canonical die with ``sides`` faces in 1..``max_face`` summing to
     ``face_sum``: each non-decreasing tuple once, in lexicographic order.  An
-    infeasible sum yields no dice."""
+    infeasible sum yields no dice.
+
+    The space grows one face at a time, as one int64 row per feasible prefix
+    in lexicographic order.  A prefix with ``rest`` of the sum left and
+    ``slots`` faces to place after the next one takes every next face v from
+    its last face up with ``v * slots <= rest - v <= max_face * slots``: the
+    remaining slots can still reach the sum with faces in [v, max_face].
+    Those faces form an interval, so they are counted before any row is
+    built, whatever ``max_face``.  Every kept prefix completes to at least
+    one die, so a step that keeps more than ``MAX_DICE`` prefixes proves the
+    space too large, and it is refused."""
     if sides < 1 or max_face < 1:
         raise ValueError("sides and max_face must be positive")
-    out: List[Die] = []
-
-    def rec(prefix: List[int], lo: int, remaining: int, slots: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        for v in range(lo, max_face + 1):
-            rest = remaining - v
-            # The remaining slots must be fillable with values in [v, max_face].
-            if rest < v * (slots - 1) or rest > max_face * (slots - 1):
-                continue
-            prefix.append(v)
-            rec(prefix, v, rest, slots - 1)
-            prefix.pop()
-
-    rec([], 1, face_sum, sides)
-    return tuple(out)
+    dice = np.zeros((1, 0), dtype=np.int64)
+    for slots in range(sides - 1, -1, -1):
+        rest = face_sum - dice.sum(axis=1)
+        low = np.maximum(dice[:, -1] if dice.shape[1] else 1, rest - max_face * slots)
+        count = np.maximum(np.minimum(max_face, rest // (slots + 1)) - low + 1, 0)
+        if count.sum() > MAX_DICE:
+            raise ValueError(
+                f"more than {MAX_DICE} dice with {sides} faces in 1..{max_face} summing "
+                f"to {face_sum}: too many for the beating graph"
+            )
+        rows = np.repeat(np.arange(len(dice)), count)
+        step = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        dice = np.column_stack((dice[rows], low[rows] + step))
+    return tuple(map(tuple, dice.tolist()))
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value

@@ -108,7 +108,8 @@ class Barcode:
     row order.  ``bars`` and ``zero_length`` are read-only
     views of the two parts as :class:`Bar` records, derived on first access;
     the pipeline never builds them.  ``span_end`` is the last threshold
-    actually processed, in the same scale as the bars.
+    actually processed, in the same scale as the bars, and always a float:
+    a barcode file may give it as a JSON integer.
     """
 
     dim: np.ndarray
@@ -123,6 +124,7 @@ class Barcode:
     n_bars: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "span_end", float(self.span_end))
         zero = ~self.open & (self.birth == self.death)
         order = np.lexsort((self.open, self.death, self.birth, self.dim, zero))
         for name in ("dim", "birth", "death", "open"):
@@ -249,6 +251,16 @@ def barcode(f: Filtration, normalize: bool = True, metric: str = "") -> Barcode:
 
 BARCODE_HEADER = "dim,birth,death,open"
 
+#: JSON type of each ``barcode-meta`` field: its name, and the Python types
+#: ``json.loads`` returns for it.
+_META_TYPES = {
+    "metric": ("string", (str,)),
+    "max_dim": ("integer", (int,)),
+    "n_points": ("integer", (int,)),
+    "normalized": ("boolean", (bool,)),
+    "span_end": ("number", (int, float)),
+}
+
 
 def write_barcode_csv(
     path: str, bc: Barcode, config: Optional[Dict] = None
@@ -260,13 +272,7 @@ def write_barcode_csv(
     -0.0 keeps its sign), and each run of equal bars, which a sorted barcode
     of few distinct values is made of, becomes one line repeated."""
     lines = fileio.metadata_lines(config)
-    meta = {
-        "metric": bc.metric,
-        "max_dim": bc.max_dim,
-        "n_points": bc.n_points,
-        "normalized": bc.normalized,
-        "span_end": bc.span_end,
-    }
+    meta = {key: getattr(bc, key) for key in _META_TYPES}
     lines.append(f"# {BARCODE_META_KEY} " + json.dumps(meta, sort_keys=True))
     lines.append(BARCODE_HEADER)
     n = len(bc.dim)
@@ -285,17 +291,6 @@ def write_barcode_csv(
     fileio.write_text(path, lines)
 
 
-#: JSON type of each ``barcode-meta`` field: its name, and the Python types
-#: ``json.loads`` returns for it.
-_META_TYPES = {
-    "metric": ("string", (str,)),
-    "max_dim": ("integer", (int,)),
-    "n_points": ("integer", (int,)),
-    "normalized": ("boolean", (bool,)),
-    "span_end": ("number", (int, float)),
-}
-
-
 def read_barcode_csv(path: str) -> Barcode:
     """Parse a barcode CSV, refusing what no pipeline run writes: a missing
     ``barcode-meta`` line, a missing or mistyped field in it, a ``max_dim``
@@ -303,7 +298,8 @@ def read_barcode_csv(path: str) -> Barcode:
     above the meta ``max_dim`` or not below its ``n_points`` (a k-simplex
     has k + 1 vertices), ``birth < 0``, ``death < birth``, in a normalized
     barcode ``death > 1``, or an open bar that does not die at the right
-    edge (1 when normalized, else the meta ``span_end``)."""
+    edge (1 when normalized, else the meta ``span_end``).  Meta keys outside
+    ``_META_TYPES`` are ignored."""
     lines = fileio.read_lines(path)
     header = fileio.parse_metadata(path, lines)
     if BARCODE_META_KEY not in header:
@@ -357,9 +353,5 @@ def read_barcode_csv(path: str) -> Barcode:
         birth=table["birth"],
         death=table["death"],
         open=table["open"],
-        metric=meta["metric"],
-        max_dim=meta["max_dim"],
-        n_points=meta["n_points"],
-        normalized=normalized,
-        span_end=float(meta["span_end"]),
+        **{key: meta[key] for key in _META_TYPES},
     )

@@ -454,6 +454,13 @@ class WinCount(collections.namedtuple("WinCount", ["wins", "ties", "losses"])):
         return self.wins + self.ties + self.losses
 
 
+def dice_brute(sides: int, max_face: int, face_sum: int) -> Tuple[Die, ...]:
+    """Every non-decreasing ``sides``-tuple over 1..``max_face`` summing to
+    ``face_sum``, in lexicographic order, by filtering all of them."""
+    faces = itertools.combinations_with_replacement(range(1, max_face + 1), sides)
+    return tuple(d for d in faces if sum(d) == face_sum)
+
+
 def beating_probability(x: Die, y: Die) -> WinCount:
     """Count all n² ordered face pairs of ``x`` rolled against ``y``."""
     if len(x) != len(y):

@@ -16,7 +16,7 @@ from ripsbars.metrics import (
     read_distance_csv,
     write_distance_csv,
 )
-from ripsbars.persistence import read_barcode_csv
+from ripsbars.persistence import read_barcode_csv, write_barcode_csv
 
 SQUARE = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -599,6 +599,29 @@ def test_malformed_file_names_its_line(tmp_path, capsys, command, text, line, me
     assert not out.exists()
 
 
+def test_barcode_meta_extra_key_is_ignored(tmp_path, capsys):
+    path = tmp_path / "extra.csv"
+    path.write_text(barcode_file("0,0,1,1", BARCODE_META.replace("}", ', "note": "x"}')))
+    bc = read_barcode_csv(str(path))
+    assert (bc.metric, bc.n_points, bc.span_end) == ("euclidean", 4, 1.0)
+    assert main(["stats", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "euclidean" in capsys.readouterr().out
+
+
+def test_barcode_meta_integer_span_end_reads_as_float(tmp_path):
+    """``"span_end": 1`` reads as the float 1.0 and writes back as ``1.0``."""
+    as_int = tmp_path / "int.csv"
+    as_int.write_text(barcode_file("0,0,1,1", BARCODE_META.replace("1.0}", "1}")))
+    bc = read_barcode_csv(str(as_int))
+    assert type(bc.span_end) is float and bc.span_end == 1.0
+    paths = [tmp_path / "from_int.csv", tmp_path / "from_float.csv"]
+    as_float = tmp_path / "float.csv"
+    as_float.write_text(barcode_file("0,0,1,1"))
+    for path, source in zip(paths, (as_int, as_float)):
+        write_barcode_csv(str(path), read_barcode_csv(str(source)))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 # --------------------------------------------------------------------- dice
 
 def test_dice_standard_space_strict(tmp_path, capsys):
@@ -714,6 +737,15 @@ def test_dice_outside_symmetry_domain_writes_nothing(tmp_path, capsys):
 def test_dice_rejects_bad_shape(tmp_path, capsys):
     assert main(["dice", "--out", str(tmp_path), "--sides", "0"]) == 1
     assert "--sides" in capsys.readouterr().err
+
+
+def test_dice_refuses_a_space_too_large_for_its_graph(tmp_path, capsys):
+    """32,540 dice: the win counts alone would need 7.9 GiB."""
+    out = tmp_path / "d"
+    argv = ["dice", "--out", str(out), "--sides", "12", "--max-face", "12", "--face-sum", "78"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: more than 1024 dice")
+    assert not out.exists()
 
 
 # -------------------------------------------------------------------- stats

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from oracles import (
     beating_probability,
     beats_loop,
     cycle_nodes_brute,
+    dice_brute,
     euclidean_dice,
     foliation_symmetry_distance,
     foliation_symmetry_matrix_loop,
@@ -24,6 +26,7 @@ from oracles import (
     validate_pseudometric,
 )
 from ripsbars.dice import (
+    MAX_DICE,
     BeatingGraph,
     UnreachableNodeError,
     build_beating_graph,
@@ -105,6 +108,39 @@ def test_enumerate_infeasible_sum_is_empty():
 def test_enumerate_rejects_bad_params():
     with pytest.raises(ValueError):
         enumerate_dice(0, 6, 5)
+
+
+def test_enumerate_matches_brute_force():
+    """Every space with sides and max_face in 1..8, infeasible sums included."""
+    for sides, max_face in itertools.product(range(1, 9), range(1, 9)):
+        for face_sum in range(sides * max_face + 2):
+            want = dice_brute(sides, max_face, face_sum)
+            assert enumerate_dice(sides, max_face, face_sum) == want
+
+
+def test_enumerate_many_sides():
+    # One loop step per side: the side count is no recursion depth.
+    assert enumerate_dice(1200, 1, 1200) == ((1,) * 1200,)
+
+
+def test_enumerate_counts_faces_without_listing_them():
+    # No face above 16 fits six faces summing to 21; none is looked at.
+    assert enumerate_dice(6, 10**12, 21) == enumerate_dice(6, 16, 21)
+
+
+@pytest.mark.parametrize("space", [(12, 12, 78), (10, 10, 55), (30, 30, 465)])
+def test_enumerate_refuses_spaces_above_max_dice(space):
+    with pytest.raises(ValueError, match=f"more than {MAX_DICE} dice"):
+        enumerate_dice(*space)
+
+
+def test_max_dice_bound_is_exact():
+    """A space of 974 dice is enumerated and one of 1,040 refused: the count
+    of kept prefixes never exceeds the count of dice."""
+    assert len(dice_brute(10, 9, 39)) == 974 and len(dice_brute(9, 10, 38)) == 1040
+    assert enumerate_dice(10, 9, 39) == dice_brute(10, 9, 39)
+    with pytest.raises(ValueError, match=f"more than {MAX_DICE} dice"):
+        enumerate_dice(9, 10, 38)
 
 
 def test_die_label_round_trip():
