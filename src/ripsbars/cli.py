@@ -63,6 +63,14 @@ def _max_dim(text: str) -> int:
     return cap
 
 
+def _face_sum(text: str) -> int:
+    """A ``--face-sum`` value: an integer below 2**63, so the dice fit int64."""
+    total = int(text)
+    if total >= 2**63:
+        raise argparse.ArgumentTypeError(f"must be below 2**63, got {text!r}")
+    return total
+
+
 def _metric(name: str) -> str:
     """A planar metric name: ``--metric``, and each name in ``--metrics``."""
     name = name.strip()
@@ -107,7 +115,7 @@ def _build_parser() -> _Parser:
     p_dice = add_command("dice", "dice space, beating graph, distances")
     p_dice.add_argument("--sides", type=int, default=6)
     p_dice.add_argument("--max-face", type=int, default=6)
-    p_dice.add_argument("--face-sum", type=int, default=21)
+    p_dice.add_argument("--face-sum", type=_face_sum, default=21)
     p_dice.add_argument(
         "--tie-convention", choices=dice_mod.TIE_CONVENTIONS, default="majority"
     )

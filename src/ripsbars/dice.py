@@ -58,13 +58,23 @@ def enumerate_dice(sides: int, max_face: int, face_sum: int) -> Tuple[Die, ...]:
     Those faces form an interval, so they are counted before any row is
     built, whatever ``max_face``.  Every kept prefix completes to at least
     one die, so a step that keeps more than ``MAX_DICE`` prefixes proves the
-    space too large, and it is refused."""
+    space too large, and it is refused.
+
+    Before any int64 arithmetic, ``max_face`` is clamped in Python ints to
+    ``face_sum - sides + 1``, the largest face left beside ``sides - 1``
+    ones, and ``max_face * slots`` to ``face_sum``, past which the lower
+    bound is below every face anyway; so any ``max_face`` works with a
+    ``face_sum`` below 2**63."""
     if sides < 1 or max_face < 1:
         raise ValueError("sides and max_face must be positive")
+    if face_sum < sides:
+        return ()
+    max_face = min(max_face, face_sum - sides + 1)
     dice = np.zeros((1, 0), dtype=np.int64)
     for slots in range(sides - 1, -1, -1):
         rest = face_sum - dice.sum(axis=1)
-        low = np.maximum(dice[:, -1] if dice.shape[1] else 1, rest - max_face * slots)
+        low = np.maximum(dice[:, -1] if dice.shape[1] else 1,
+                         rest - min(max_face * slots, face_sum))
         count = np.maximum(np.minimum(max_face, rest // (slots + 1)) - low + 1, 0)
         if count.sum() > MAX_DICE:
             raise ValueError(
@@ -100,9 +110,9 @@ class BeatingGraph:
 def build_beating_graph(dice: Iterable[Die], convention: str) -> BeatingGraph:
     """Win counts of every ordered pair of dice, and the edges they imply.
 
-    With ``hist[i, a]`` the faces of die ``i`` equal to ``values[a]`` and
-    ``below[j, a]`` the faces of die ``j`` below it, the win counts are the
-    integer product ``hist @ below.T``.
+    With ``values`` the distinct faces, ``hist[i, a]`` the faces of die
+    ``i`` equal to ``values[a]`` and ``below[j, a]`` the faces of die ``j``
+    below it, the win counts are the integer product ``hist @ below.T``.
     """
     if convention not in TIE_CONVENTIONS:
         raise ValueError(
@@ -113,7 +123,9 @@ def build_beating_graph(dice: Iterable[Die], convention: str) -> BeatingGraph:
     if any(len(d) != k for d in nodes):
         raise ValueError(f"side counts differ: {sorted({len(d) for d in nodes})}")
     faces = np.array(nodes, dtype=np.int64).reshape(len(nodes), k)
-    values = np.arange(faces.min(initial=0), faces.max(initial=0) + 1)
+    # Not np.unique: without return_inverse, numpy 2 imports numpy.ma for it.
+    values = np.sort(faces, axis=None)
+    values = values[np.diff(values, prepend=0) > 0]  # faces are >= 1
     hist = (faces[:, :, None] == values).sum(axis=1, dtype=np.int64)
     below = (faces[:, :, None] < values).sum(axis=1, dtype=np.int64)
     wins = hist @ below.T

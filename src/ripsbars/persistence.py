@@ -10,8 +10,12 @@ clearing: a simplex that killed a class in dimension k − 1 would reduce
 to zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson
 2011; Bauer 2021, *Ripser*).  The coboundary columns are the transpose of
 ``Filtration.facets[k + 1]``, the facet rows the clique expansion
-recorded, so no facet is searched for here.  Working mod 2 drops
-orientation signs (and any torsion).
+recorded, so no facet is searched for here; below 2**16 simplices the
+transpose sorts a ``uint16`` copy of the rows, which numpy radix-sorts.
+Most columns are apparent: the simplex is the latest facet of its
+earliest coface, and the two are a pair (Bauer 2021).  Array operations
+pair all of those at once, and only the other columns enter the
+reduction loop.  Working mod 2 drops orientation signs (and any torsion).
 
 The total boundary matrix over ``Filtration.simplices`` and its
 left-to-right reduction stay as the reference the tests compare these pairs
@@ -159,10 +163,12 @@ def coboundaries(facets: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Coboundary columns of the ``m`` simplices one dimension below
     ``facets`` (a ``Filtration.facets`` array) as CSR arrays: column j is
     ``cofaces[ptr[j]:ptr[j + 1]]``, the rows of ``facets`` that hold j,
-    ascending.  It is the transpose of ``facets``."""
+    ascending.  It is the transpose of ``facets``.  Below 2**16 simplices
+    the stable sort runs on a ``uint16`` copy, which numpy radix-sorts to
+    the same permutation."""
     flat = facets.ravel()
     ptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
-    cofaces = np.argsort(flat, kind="stable")
+    cofaces = np.argsort(flat.astype(np.uint16) if m <= 2**16 else flat, kind="stable")
     cofaces //= facets.shape[1]
     return ptr, cofaces
 
@@ -178,7 +184,11 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     with its smallest vertex.  A k-simplex's coboundary column
     lists its (k+1)-cofaces in filtration order; its pivot is the earliest
     one, which kills the class the column was born with and clears that
-    coface's own column in dimension k + 1.  Columns are reduced latest
+    coface's own column in dimension k + 1.  A column whose simplex is the
+    latest facet of its pivot is apparent, and owns that pivot unreduced:
+    the column of a later simplex sums only columns of simplices later
+    still, and none of those is a facet of the pivot.  The apparent
+    columns are paired first, in one step; the others are reduced latest
     first, and one becomes a list only when its pivot is already owned.
     The top stored dimension has no cofaces: it is the cap, or it is empty.
     """
@@ -188,10 +198,13 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
         todo = ptr[1:] > ptr[:-1]
         todo[pairs[-1][1]] = False
         todo = np.flatnonzero(todo)[::-1]
-        owner: Dict[int, int] = {}
+        first = cofaces[ptr[todo]]
+        apparent = f.facets[k + 1][first].max(axis=1) == todo
+        owner = dict(zip(first[apparent].tolist(), todo[apparent].tolist()))
         lists: Dict[int, Optional[List[int]]] = {}  # reduced columns; None: as built
         column = lambda j: lists.get(j) or cofaces[ptr[j]:ptr[j + 1]].tolist()
-        for j, pivot in zip(todo.tolist(), cofaces[ptr[todo]].tolist()):
+        rest = ~apparent
+        for j, pivot in zip(todo[rest].tolist(), first[rest].tolist()):
             col = None
             while pivot in owner:
                 col = _xor_sorted(col or column(j), column(owner[pivot]))

@@ -7,7 +7,9 @@ and longest cycles by exhaustive DFS, simplex births by max pairwise
 distance, Betti numbers by dense elimination over Z/2, bottleneck distances
 by matching, pseudometric axioms and live bars checked entry by entry.
 ``boundary_pairs`` reads the pairs off the library's boundary reduction,
-which the tests keep as the reference for its coboundary reduction.
+which the tests keep as the reference for its coboundary reduction, and
+``apparent_pairs_brute`` finds each simplex's earliest coface and latest
+facet from vertex tuples and births.
 ``facets_by_lookup`` finds each facet's row through a dict of vertex
 tuples, and ``coboundaries_by_search`` builds coboundaries by searching
 each row less one vertex among the rows below.  The reference loops at
@@ -127,6 +129,30 @@ def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
         if col:
             pairs[f.simplices[col[-1]].dim].append((rank[col[-1]], rank[j]))
     return [np.array(p, dtype=np.intp).reshape(-1, 2).T for p in pairs]
+
+
+def apparent_pairs_brute(f: Filtration) -> List[Set[Tuple[int, int]]]:
+    """Per stored dimension k below the top one, the apparent pairs (σ, τ)
+    as (row in ``f.vertices[k]``, row in ``f.vertices[k + 1]``): τ is σ's
+    earliest coface and σ is τ's latest facet, both in (birth, vertices)
+    order (Bauer 2021, *Ripser*).  Each (k + 1)-simplex's facets are its
+    vertex tuples less one vertex, looked up in a dict of births, with no
+    use of ``f.facets``."""
+    result: List[Set[Tuple[int, int]]] = []
+    for k in range(len(f.vertices) - 1):
+        lower = list(map(tuple, f.vertices[k].tolist()))
+        upper = list(map(tuple, f.vertices[k + 1].tolist()))
+        key = dict(zip(lower, zip(f.births[k].tolist(), lower)))
+        earliest: Dict[Tuple[int, ...], Tuple[float, Tuple[int, ...]]] = {}
+        latest: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        for t, b in zip(upper, f.births[k + 1].tolist()):
+            facets = [t[:i] + t[i + 1:] for i in range(len(t))]
+            latest[t] = max(facets, key=key.__getitem__)
+            for s in facets:
+                earliest[s] = min(earliest.get(s, (b, t)), (b, t))
+        row, above = ({v: r for r, v in enumerate(x)} for x in (lower, upper))
+        result.append({(row[s], above[t]) for s, (_, t) in earliest.items() if latest[t] == s})
+    return result
 
 
 def facets_by_lookup(f: Filtration) -> List[np.ndarray]:

@@ -739,6 +739,39 @@ def test_dice_rejects_bad_shape(tmp_path, capsys):
     assert "--sides" in capsys.readouterr().err
 
 
+def test_dice_max_face_past_int64_is_the_largest_face_that_fits(tmp_path, capsys):
+    """No face exceeds ``face_sum - sides + 1``, so ``--max-face 10**19``
+    runs as that bound does: the same usage error as ``--max-face 16`` at
+    6/21, and the same dice as ``--max-face 3`` at 2/4."""
+    def run(sides, max_face, face_sum):
+        out = tmp_path / f"{sides}-{max_face}"
+        argv = ["dice", "--out", str(out), "--sides", str(sides),
+                "--max-face", str(max_face), "--face-sum", str(face_sum)]
+        code = main(argv)
+        dice_txt = out / "dice.txt"
+        text = dice_txt.read_text() if dice_txt.exists() else None
+        lines = None if text is None else [l for l in text.splitlines() if not l.startswith("#")]
+        return code, capsys.readouterr().err, lines
+
+    assert run(6, 10**19, 21) == run(6, 16, 21)
+    assert run(6, 16, 21)[0] == 1
+    assert run(2, 10**19, 4) == run(2, 3, 4)
+    assert run(2, 3, 4)[0] == 0
+
+
+def test_face_sum_at_2_63_is_usage_error(tmp_path, capsys):
+    """Dice are int64 rows, so ``--face-sum`` 2**63 is refused before
+    anything is written, and 2**63 - 1 runs."""
+    out = tmp_path / "d"
+    argv = ["dice", "--out", str(out), "--sides", "1", "--max-face", str(10**19), "--face-sum"]
+    assert main(argv + [str(2**63)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--face-sum" in err
+    assert not out.exists()
+    assert main(argv + [str(2**63 - 1)]) == 0
+    assert capsys.readouterr().out.startswith("space: 1 dice")
+
+
 def test_dice_refuses_a_space_too_large_for_its_graph(tmp_path, capsys):
     """32,540 dice: the win counts alone would need 7.9 GiB."""
     out = tmp_path / "d"

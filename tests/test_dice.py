@@ -128,6 +128,18 @@ def test_enumerate_counts_faces_without_listing_them():
     assert enumerate_dice(6, 10**12, 21) == enumerate_dice(6, 16, 21)
 
 
+def test_enumerate_takes_faces_and_sums_up_to_int64():
+    """``max_face`` is clamped in Python ints to ``face_sum - sides + 1``,
+    so a ``max_face`` past int64 gives the clamped space, and faces and sums
+    up to 2**63 - 1 raise no ``OverflowError``."""
+    assert enumerate_dice(6, 10**19, 21) == enumerate_dice(6, 16, 21)
+    assert enumerate_dice(1, 10**19, 2**63 - 1) == ((2**63 - 1,),)
+    assert enumerate_dice(3, 2**61 + 1, 3 * 2**61 + 2) == ((2**61, 2**61 + 1, 2**61 + 1),)
+    assert enumerate_dice(6, 6, -(10**30)) == enumerate_dice(10**19, 6, 21) == ()
+    with pytest.raises(ValueError, match=f"more than {MAX_DICE} dice"):
+        enumerate_dice(6, 2**62, 2**62)
+
+
 @pytest.mark.parametrize("space", [(12, 12, 78), (10, 10, 55), (30, 30, 465)])
 def test_enumerate_refuses_spaces_above_max_dice(space):
     with pytest.raises(ValueError, match=f"more than {MAX_DICE} dice"):
@@ -160,6 +172,13 @@ def test_grime_pair_exact():
     assert _counts(g, x, y) == beating_probability(x, y) == WinCount(24, 0, 12)
     assert beating_probability(x, y).total == 36
     assert Fraction(int(g.wins[0, 1]), 36) == Fraction(2, 3)
+
+
+def test_win_counts_of_faces_far_apart():
+    """The histograms run over the faces the dice have, not over every
+    integer up to the largest, so faces near 2**63 cost no more."""
+    x, y = (1, 2**63 - 1), (2, 2**62)
+    assert _counts(_graph([x, y]), x, y) == beating_probability(x, y) == WinCount(2, 0, 2)
 
 
 def test_self_play_is_symmetric():

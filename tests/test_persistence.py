@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_points
 from oracles import (
+    apparent_pairs_brute,
     barcode_csv_lines_loop,
     barcode_of,
     bars_alive,
@@ -22,7 +23,7 @@ from oracles import (
     simplex_birth_brute,
 )
 from ripsbars import cli, dice, persistence
-from ripsbars.cloud import write_points_csv
+from ripsbars.cloud import four_hole_disk, sample_region, write_points_csv
 from ripsbars.fileio import ParseError
 from ripsbars.filtration import build_filtration
 from ripsbars.metrics import PLANAR_METRICS, DistanceMatrix, build_distance_matrix
@@ -32,6 +33,7 @@ from ripsbars.persistence import (
     SparseBinaryMatrix,
     barcode,
     extract_pairs,
+    persistence_pairs,
     read_barcode_csv,
     reduce_matrix,
     total_boundary_matrix,
@@ -349,6 +351,73 @@ def test_deep_simplices_on_many_points_equal_boundary_reduction():
     assert [len(f.vertices[k]) for k in (9, 10)] == [math.comb(12, 10), math.comb(12, 11)]
     assert_facets_equal_lookup(f)
     assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+def pair_sets(pairs):
+    """Per dimension, the pairs as a set of (class row, killer row)."""
+    return [set(zip(*p.tolist())) for p in pairs]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from(sorted(PLANAR_METRICS)),
+    st.integers(min_value=1, max_value=3),
+    st.booleans(),
+    st.booleans(),
+)
+def test_apparent_pairs_are_persistence_pairs(seed, n, metric, max_dim, stop, grid):
+    """Every apparent pair the brute-force oracle finds is a pair of the
+    boundary reduction.  Points snapped to a 4 × 4 grid repeat and tie
+    their distances, so births tie and the vertices break them."""
+    pts = random_points(np.random.default_rng(seed), n)
+    if grid:
+        pts = np.floor(pts * 4)
+    f = build_filtration(build_distance_matrix(pts, metric), max_dim=max_dim,
+                         stop_when_connected=stop)
+    R, _ = reduce_matrix(total_boundary_matrix(f))
+    for apparent, pairs in zip(apparent_pairs_brute(f), pair_sets(boundary_pairs(R, f))):
+        assert apparent <= pairs
+
+
+def count_reduced_columns(f, pairs):
+    """The k-simplices, k from 1 below the top, that the coboundary
+    reduction has to reduce: those with a coface that neither killed a class
+    in dimension k − 1 (cleared) nor lie in an apparent pair.  ``pairs``
+    are the boundary reduction's."""
+    apparent = apparent_pairs_brute(f)
+    count = 0
+    for k in range(1, len(f.vertices) - 1):
+        row = {v: r for r, v in enumerate(map(tuple, f.vertices[k].tolist()))}
+        with_coface = {row[t[:i] + t[i + 1:]]
+                       for t in map(tuple, f.vertices[k + 1].tolist()) for i in range(k + 2)}
+        cleared = set(pairs[k - 1][1].tolist())
+        count += len(with_coface - cleared - {s for s, _ in apparent[k]})
+    return count
+
+
+def _benchmark_filtration(source):
+    """The 31 majority dice under foliation-symmetry as the deep dice
+    benchmark runs them (cap 4, stopped), or the seed-7 40-point cloud
+    under one planar metric as the full-cloud benchmark does (cap 2)."""
+    if source == "dice":
+        m = _dice_matrices("majority")[2]
+        return build_filtration(m, max_dim=4, stop_when_connected=True)
+    m = build_distance_matrix(sample_region(four_hole_disk(), 40, seed=7), source)
+    return build_filtration(m, max_dim=2)
+
+
+@pytest.mark.parametrize("source", ["dice", *sorted(PLANAR_METRICS)])
+def test_columns_that_are_not_apparent_are_reduced(source):
+    """Some uncleared columns of the benchmark complexes are not apparent
+    (71 on the dice, 8 to 11 on the cloud), so the pairs match the boundary
+    reduction only if those columns are reduced."""
+    f = _benchmark_filtration(source)
+    R, _ = reduce_matrix(total_boundary_matrix(f))
+    pairs = boundary_pairs(R, f)
+    assert count_reduced_columns(f, pairs) > 0
+    assert pair_sets(persistence_pairs(f)) == pair_sets(pairs)
 
 
 #: name → (distance matrix, cap)
