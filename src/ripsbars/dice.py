@@ -1,8 +1,9 @@
 """Non-transitive dice: enumeration, beating graphs, and graph distances.
 
 A die is a canonical (non-decreasing) tuple of integer faces.  All arithmetic
-in this module is exact — win counts are int64 arrays, the constants are
-Fractions — and is converted to floats only at distance-matrix assembly.
+in this module is exact — win counts, hop counts and four times the
+foliation-symmetry values are int64 arrays — and is converted to floats only
+at distance-matrix assembly.
 
 Two tie conventions for "Y beats X" are supported, because win counts can
 include ties:
@@ -16,7 +17,6 @@ The default space DT(6) is all 6-sided dice with faces in 1..6 summing to 21.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -26,7 +26,14 @@ from .metrics import DistanceMatrix, pairwise
 Die = Tuple[int, ...]
 
 TIE_CONVENTIONS = ("strict", "majority")
-SYMMETRY_PAIRINGS = ("literal", "opposite")
+#: The face columns each symmetry pairing adds up.  ``literal`` pairs face i
+#: with face n−i — (d₁,d₅), (d₂,d₄), (d₃,d₃) — as the defining formula reads;
+#: ``opposite`` pairs face i with face n+1−i — (d₁,d₆), (d₂,d₅), (d₃,d₄) — the
+#: physically opposite faces.
+SYMMETRY_PAIRINGS = {
+    "literal": ((0, 4), (1, 3), (2, 2)),
+    "opposite": ((0, 5), (1, 4), (2, 3)),
+}
 #: Largest dice space enumerated.  The beating graph holds n² win counts and
 #: the non-transitive search takes boolean matrix products, O(n³) each:
 #: 974 dice take about 1.4 s there on a 2-vCPU x86-64 VM.  The paper's space
@@ -149,7 +156,7 @@ def _hops(g: BeatingGraph) -> np.ndarray:
 
     Breadth-first from every node at once, one boolean product per step.
     """
-    hops = np.where(np.eye(g.n, dtype=bool), 0.0, -1.0)
+    hops = np.eye(g.n, dtype=np.int64) - 1
     frontier = hops == 0
     step = 0
     while frontier.any():
@@ -174,7 +181,7 @@ def shortest_path_matrix(g: BeatingGraph) -> np.ndarray:
 
     Symmetrizing by the round trip makes this a metric on any strongly
     connected graph; a missing path in either direction is an error, not a
-    sentinel value.  Counts are exact in the float64 array that holds them.
+    sentinel value.  The counts are an int64 array.
     """
     hops = _hops(g)
     i, j = np.triu_indices(g.n, k=1)
@@ -196,53 +203,18 @@ def similarity_matrix(D: np.ndarray) -> np.ndarray:
     removed from each column, so the profiles live in R^(n-2) and describe
     how the two nodes relate to the rest of the graph only.  Nodes with
     identical in/out neighborhoods come out at distance exactly 0.
+
+    The squared distance is |c_i − c_j|² = G_ii + G_jj − 2 G_ij over the Gram
+    matrix G = DᵀD, less the two removed terms (D_ii − D_ij)² and
+    (D_ji − D_jj)².  On integer hop counts every term is an integer, exact in
+    int64 (and in float64 below 2**53), so the one rounding is the square
+    root.
     """
-    cols = np.asarray(D, dtype=float).T  # integer-valued: every sum is exact
-
-    def dist(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        diff = cols[i] - cols[j]
-        rows = np.arange(len(i))
-        diff[rows, i] = diff[rows, j] = 0
-        return np.sqrt((diff * diff).sum(axis=1))
-
-    return pairwise(len(cols), dist)
-
-
-def foliation(x: Die) -> int:
-    """x₁ − 1 + 6 − x₆ for a 6-sided die with faces in 1..6.
-
-    The constants 1 and 6 are part of the definition; other spaces are
-    rejected rather than silently generalized.
-    """
-    if len(x) != 6 or x[0] < 1 or x[-1] > 6:
-        raise ValueError(
-            f"foliation is defined on 6-sided dice with faces in [1, 6], got {x}"
-        )
-    return x[0] - 1 + 6 - x[-1]
-
-
-def symmetry(x: Die, pairing: str = "literal") -> Fraction:
-    """Σ ((dᵢ + d_pair)/2 − 7/2)² over three face pairs, exact.
-
-    ``literal`` pairs face i with face n−i — (d₁,d₅), (d₂,d₄), (d₃,d₃) —
-    as the defining formula reads; ``opposite`` pairs face i with face
-    n+1−i — (d₁,d₆), (d₂,d₅), (d₃,d₄) — the physically opposite faces.
-    """
-    if len(x) != 6:
-        raise ValueError(f"symmetry is defined on 6-sided dice, got {len(x)} sides")
-    if pairing == "literal":
-        pairs = ((x[0], x[4]), (x[1], x[3]), (x[2], x[2]))
-    elif pairing == "opposite":
-        pairs = ((x[0], x[5]), (x[1], x[4]), (x[2], x[3]))
-    else:
-        raise ValueError(
-            f"unknown symmetry pairing {pairing!r}; choose from {SYMMETRY_PAIRINGS}"
-        )
-    total = Fraction(0)
-    for a, b in pairs:
-        term = Fraction(a + b, 2) - Fraction(7, 2)
-        total += term * term
-    return total
+    D = np.asarray(D)
+    gram, diag = D.T @ D, D.diagonal()
+    norms = gram.diagonal()
+    removed = (diag[:, None] - D) ** 2 + (D.T - diag) ** 2
+    return np.sqrt(norms[:, None] + norms - 2 * gram - removed)
 
 
 def _labels(nodes: Sequence[Die]) -> Tuple[str, ...]:
@@ -265,13 +237,28 @@ def foliation_symmetry_distance_matrix(
     nodes: Sequence[Die], pairing: str = "literal"
 ) -> DistanceMatrix:
     """|(s(x) + f(x)) − (s(y) + f(y))| on every pair — a pullback of |·|, so a
-    pseudometric that may vanish on distinct dice.  s + f is a small multiple
-    of 1/4, so the float differences are exact."""
-    values = np.array([float(symmetry(x, pairing) + foliation(x)) for x in nodes])
-    d = pairwise(len(values), lambda i, j: np.abs(values[i] - values[j]))
-    return DistanceMatrix(
-        entries=d, labels=_labels(nodes), metric="foliation-symmetry"
-    )
+    pseudometric that may vanish on distinct dice.
+
+    Foliation f(x) = x₁ − 1 + 6 − x₆ and symmetry s(x) = Σ ((a + b)/2 − 7/2)²,
+    with (a, b) the pairing's three face pairs, are defined on 6-sided dice
+    with faces in 1..6; other dice are refused rather than silently
+    generalized.  q = Σ (a + b − 7)² + 4 (x₁ + 5 − x₆) is 4 (s + f), an
+    exact integer, so each distance |q_x − q_y| / 4 is an exact quarter.
+    """
+    if pairing not in SYMMETRY_PAIRINGS:
+        raise ValueError(
+            f"unknown symmetry pairing {pairing!r}; choose from {tuple(SYMMETRY_PAIRINGS)}"
+        )
+    bad = [x for x in nodes if len(x) != 6 or min(x) < 1 or max(x) > 6]
+    if bad:
+        raise ValueError(
+            f"foliation-symmetry is defined on 6-sided dice with faces in [1, 6], got {bad[0]}"
+        )
+    faces = np.array(nodes, dtype=np.int64).reshape(len(nodes), 6)
+    a, b = np.transpose(SYMMETRY_PAIRINGS[pairing])
+    q = ((faces[:, a] + faces[:, b] - 7) ** 2).sum(axis=1) + 4 * (faces[:, 0] + 5 - faces[:, 5])
+    d = np.abs(q[:, None] - q) / 4
+    return DistanceMatrix(entries=d, labels=_labels(nodes), metric="foliation-symmetry")
 
 
 def to_dot(g: BeatingGraph) -> str:

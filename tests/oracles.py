@@ -15,8 +15,9 @@ tuples, and ``coboundaries_by_search`` builds coboundaries by searching
 each row less one vertex among the rows below.  The reference loops at
 the end evaluate one point, pair, candidate or bar record at a time, the
 way the library did before it switched to array expressions; the array
-code must match them bit for bit.  ``barcode_of`` builds a barcode from
-bar records.
+code must match them bit for bit.  ``foliation`` and ``symmetry`` evaluate
+the dice descriptors die by die from their defining formulas, in exact
+fractions.  ``barcode_of`` builds a barcode from bar records.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Dict, List, Sequence, Set, Tuple
 import numpy as np
 
 from ripsbars.cloud import Region
-from ripsbars.dice import BeatingGraph, Die, foliation, symmetry
+from ripsbars.dice import BeatingGraph, Die
 from ripsbars.filtration import Filtration
 from ripsbars.metrics import TRIANGLE_TOL, DistanceMatrix
 from ripsbars.fileio import fmt
@@ -545,6 +546,43 @@ def euclidean_dice(x: Die, y: Die) -> float:
     if len(x) != len(y):
         raise ValueError(f"side counts differ: {len(x)} vs {len(y)}")
     return math.sqrt(sum((a - b) ** 2 for a, b in zip(x, y)))
+
+
+def foliation(x: Die) -> int:
+    """x₁ − 1 + 6 − x₆ for a 6-sided die with faces in 1..6.
+
+    The constants 1 and 6 are part of the definition; other spaces are
+    rejected rather than silently generalized.
+    """
+    if len(x) != 6 or x[0] < 1 or x[-1] > 6:
+        raise ValueError(
+            f"foliation is defined on 6-sided dice with faces in [1, 6], got {x}"
+        )
+    return x[0] - 1 + 6 - x[-1]
+
+
+def symmetry(x: Die, pairing: str = "literal") -> Fraction:
+    """Σ ((dᵢ + d_pair)/2 − 7/2)² over three face pairs, exact.
+
+    ``literal`` pairs face i with face n−i — (d₁,d₅), (d₂,d₄), (d₃,d₃) —
+    as the defining formula reads; ``opposite`` pairs face i with face
+    n+1−i — (d₁,d₆), (d₂,d₅), (d₃,d₄) — the physically opposite faces.
+    """
+    if len(x) != 6:
+        raise ValueError(f"symmetry is defined on 6-sided dice, got {len(x)} sides")
+    if pairing == "literal":
+        pairs = ((x[0], x[4]), (x[1], x[3]), (x[2], x[2]))
+    elif pairing == "opposite":
+        pairs = ((x[0], x[5]), (x[1], x[4]), (x[2], x[3]))
+    else:
+        raise ValueError(
+            f"unknown symmetry pairing {pairing!r}; choose from ('literal', 'opposite')"
+        )
+    total = Fraction(0)
+    for a, b in pairs:
+        term = Fraction(a + b, 2) - Fraction(7, 2)
+        total += term * term
+    return total
 
 
 def foliation_symmetry_distance(x: Die, y: Die, pairing: str = "literal") -> Fraction:

@@ -15,6 +15,7 @@ from oracles import (
     cycle_nodes_brute,
     dice_brute,
     euclidean_dice,
+    foliation,
     foliation_symmetry_distance,
     foliation_symmetry_matrix_loop,
     longest_cycle,
@@ -23,6 +24,7 @@ from oracles import (
     shortest_path_matrix_loop,
     similarity_matrix_loop,
     successors,
+    symmetry,
     validate_pseudometric,
 )
 from ripsbars.dice import (
@@ -33,14 +35,12 @@ from ripsbars.dice import (
     die_label,
     enumerate_dice,
     euclidean_dice_distance_matrix,
-    foliation,
     foliation_symmetry_distance_matrix,
     induced_subgraph,
     non_transitive_subset,
     shortest_path_matrix,
     similarity_distance_matrix,
     similarity_matrix,
-    symmetry,
     to_dot,
 )
 from ripsbars.metrics import DistanceMatrix
@@ -506,10 +506,9 @@ def test_foliation_values():
 
 
 def test_foliation_rejects_other_spaces():
-    with pytest.raises(ValueError):
-        foliation((1, 2, 3, 4, 5))
-    with pytest.raises(ValueError):
-        foliation((1, 2, 3, 4, 5, 7))
+    for die in ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 7), (0, 2, 3, 4, 5, 6)):
+        with pytest.raises(ValueError, match=r"6-sided dice with faces in \[1, 6\]"):
+            foliation_symmetry_distance_matrix([(1, 2, 3, 4, 5, 6), die])
 
 
 def test_symmetry_opposite_standard_die():
@@ -527,7 +526,7 @@ def test_symmetry_opposite_all_sevens():
 
 def test_symmetry_unknown_pairing():
     with pytest.raises(ValueError, match="pairing"):
-        symmetry((1, 2, 3, 4, 5, 6), "diagonal")
+        foliation_symmetry_distance_matrix([(1, 2, 3, 4, 5, 6)], "diagonal")
 
 
 def test_symmetry_is_exact_rational():
@@ -597,6 +596,35 @@ def test_dice_matrices_match_per_pair_loops(convention):
             foliation_symmetry_distance_matrix(sub.nodes, pairing).entries,
             foliation_symmetry_matrix_loop(sub.nodes, pairing),
         )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(1, 6), min_size=6, max_size=6).map(lambda f: tuple(sorted(f))),
+        min_size=1,
+        max_size=30,
+    ),
+    st.sampled_from(["literal", "opposite"]),
+)
+def test_foliation_symmetry_matches_fraction_loop(dice, pairing):
+    """The integer closed form equals the per-pair Fraction reference on any
+    canonical 6-sided dice with faces in 1..6, whatever their sum, repeats
+    included."""
+    np.testing.assert_array_equal(
+        foliation_symmetry_distance_matrix(dice, pairing).entries,
+        foliation_symmetry_matrix_loop(dice, pairing),
+        strict=True,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(0, 2**32 - 1), st.sampled_from([np.int64, np.float64]))
+def test_similarity_matches_per_pair_loop(n, seed, dtype):
+    """The Gram-matrix identity equals the per-pair loop on random integer
+    matrices, neither symmetric nor zero on the diagonal, as int64 and float64."""
+    D = np.random.default_rng(seed).integers(0, 2 * n, size=(n, n), endpoint=True).astype(dtype)
+    np.testing.assert_array_equal(similarity_matrix(D), similarity_matrix_loop(D), strict=True)
 
 
 def test_shortest_path_matrix_names_unreachable_pair():
