@@ -1,21 +1,25 @@
-"""Vietoris–Rips filtrations over the sorted pairwise distances.
+"""Vietoris–Rips filtrations over the pairwise distances.
 
 The complex at threshold ε is the flag complex of the graph whose edges are
 point pairs at distance ≤ ε (closed condition, so births coincide with
 matrix entries), truncated at ``max_dim``.  :func:`build_filtration` works in
-three steps.  One union-find over the sorted edges (:func:`joins`) finds the
-edges that merge components, which are the H0 pairs, and where the
-neighborhood graph becomes connected, so a stopped filtration knows its last
-threshold before any clique is built.  The edges up to that cut are
-dimension 1, and each dimension k + 1 grows from dimension k with numpy
-(Zomorodian 2010): a k-simplex is extended by every larger vertex adjacent
-to all of its vertices, so each simplex is created once, born at the largest
-of its parent's birth and the new vertex's distances, and growth stops at
-the first empty dimension.  The rows are grown in lexicographic order and
-each new row records its facets' rows: the one that drops the new vertex
-is its parent, and the one that drops vertex v is found by one integer
-search, as the parent's facet v extended by the new vertex.  One stable
-sort by birth per dimension then puts the rows in (birth, vertices) order.
+three steps.  First it finds the cut: for a stopped filtration, the first
+threshold at which the neighborhood graph is connected, the longest edge
+of a minimum spanning tree (:func:`connectivity_cut`, Prim's scan on the
+dense matrix); otherwise ∞.  The pairs at distance ≤ the cut are the kept
+edges, dimension 1, and only they are sorted: one stable sort by distance
+gives their (d, i, j) order, in which one union-find (:func:`joins`) finds
+the edges that merge components, the H0 pairs.  Each dimension k + 1 then
+grows from dimension k with numpy (Zomorodian 2010): a k-simplex is
+extended by every larger vertex adjacent to all of its vertices, so each
+simplex is created once, born at the largest of its parent's birth and the
+new vertex's distances, and growth stops at the first empty dimension.  The
+rows are grown in lexicographic order and each new row records its facets'
+rows: the one that drops the new vertex is its parent, and the one that
+drops vertex v is found by one integer search, as the parent's facet v
+extended by the new vertex.  One stable sort by birth per dimension (for
+the edges, the sort already made) then puts the rows in (birth, vertices)
+order.
 """
 
 from __future__ import annotations
@@ -100,17 +104,29 @@ class Filtration:
         return tuple(map(ThresholdSpan, [0.0] + self.thresholds, ends[:-1], ends[1:]))
 
 
-def sorted_edges(m: DistanceMatrix) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All pairs i < j in ascending (d, i, j) order, as arrays ``(i, j, d,
-    starts)``; ``starts`` indexes the first edge of each distinct distance."""
-    i, j = np.triu_indices(m.n, k=1)
-    d = m.entries[i, j]
-    # Stable, so equal distances keep the (i, j) order of triu_indices.
-    order = np.argsort(d, kind="stable")
-    i, j, d = i[order], j[order], d[order]
-    new = np.ones(len(d), dtype=bool)
-    new[1:] = d[1:] != d[:-1]
-    return i, j, d, np.flatnonzero(new)
+def connectivity_cut(entries: np.ndarray) -> float:
+    """The longest edge of a minimum spanning tree of the complete graph on
+    the symmetric matrix ``entries``: the first threshold at which the
+    neighborhood graph is connected (∞ for one point).
+
+    Prim's scan on the dense matrix, one numpy step per vertex, with no
+    copy of it: ``best`` holds each vertex's distance to the tree, ∞ once
+    the vertex has joined.  It reads whole rows, so it relies on the
+    symmetry that a :class:`DistanceMatrix` promises.  Every minimum
+    spanning tree has the same longest edge, so ties cannot move the cut.
+    """
+    n = len(entries)
+    best = np.full(n, np.inf)
+    joined = np.zeros(n, dtype=bool)
+    v = 0
+    lengths = []
+    for _ in range(n - 1):
+        joined[v] = True
+        np.minimum(best, entries[v], out=best)
+        best[joined] = np.inf
+        v = int(best.argmin())
+        lengths.append(best[v])
+    return float(max(lengths, default=np.inf))
 
 
 def joins(n: int, edges: Iterable[Tuple[int, int]]) -> Dict[int, int]:
@@ -144,22 +160,18 @@ def build_filtration(
     """The flag complex of ``m`` up to dimension ``max_dim``, in filtration order.
 
     With ``stop_when_connected`` the filtration ends after the first
-    threshold at which the neighborhood graph is connected (that threshold
-    is processed completely); connectivity follows the graph even when
-    ``max_dim`` is 0 and no edge simplex is kept.
+    threshold at which the neighborhood graph is connected, the longest
+    minimum-spanning-tree edge (that threshold is processed completely);
+    connectivity follows the graph even when ``max_dim`` is 0 and no edge
+    simplex is kept.  Stopped or not, one path builds it: only the pairs
+    at distance ≤ the cut (∞ without a stop) are read, sorted and
+    expanded.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
     n = m.n
-    i, j, d, starts = sorted_edges(m)
-    merged = joins(n, zip(i, j))
-    end = len(d)
-    if stop_when_connected and merged:
-        end = int(np.searchsorted(d, d[max(merged.values())], side="right"))
-    merges = np.array([list(merged), list(merged.values())], dtype=np.intp)
-
-    adjacent = np.zeros((n, n), dtype=bool)  # adjacent[u, w]: edge u < w is kept
-    adjacent[i[:end], j[:end]] = True
+    cut = connectivity_cut(m.entries) if stop_when_connected else np.inf
+    adjacent = np.triu(m.entries <= cut, k=1)  # adjacent[u, w]: edge u < w is kept
     # Dimensions 1 and up are grown with their rows in lexicographic
     # order, the ascending order of ``keys``: the rank of the row's
     # parent (the row less its last vertex) times n plus that vertex.
@@ -169,6 +181,12 @@ def build_filtration(
     vertices = [np.arange(n)[:, None], np.column_stack((u, w))]
     births = [np.zeros(n), m.entries[u, w]]
     facets = [np.empty((n, 0), dtype=np.intp), np.column_stack((w, u))]
+    # Stable, so equal births keep the (u, w) order: the edges in (d, u, w)
+    # order, which is also their final order in dimension 1.
+    by_birth = np.argsort(births[1], kind="stable")
+    d = births[1][by_birth]
+    merged = joins(n, zip(u[by_birth].tolist(), w[by_birth].tolist()))
+    merges = np.array([list(merged), list(merged.values())], dtype=np.intp)
     while len(vertices) <= max_dim and len(vertices[-1]):
         p, w = np.nonzero(np.logical_and.reduce(adjacent[vertices[-1]], axis=1))
         rows = np.column_stack((np.take(vertices[-1], p, axis=0), w))
@@ -186,7 +204,7 @@ def build_filtration(
         keys = p * n + w
     lex = np.arange(n)  # the row of each rank in the dimension below
     for k in range(1, len(vertices)):
-        order = np.argsort(births[k], kind="stable")
+        order = by_birth if k == 1 else np.argsort(births[k], kind="stable")
         for x in (vertices[k], births[k], facets[k]):
             x[:] = np.take(x, order, axis=0)  # in place: no unsorted copy stays
         facets[k][:] = lex[facets[k]]
@@ -199,7 +217,7 @@ def build_filtration(
         vertices=tuple(vertices[: max_dim + 1]),
         births=tuple(births[: max_dim + 1]),
         facets=tuple(facets[: max_dim + 1]),
-        thresholds=d[starts[starts < end]].tolist(),
-        stopped_early=end < len(d),
+        thresholds=d[np.diff(d, prepend=-np.inf) > 0].tolist(),
+        stopped_early=len(d) < n * (n - 1) // 2,
         merges=merges if max_dim else merges[:, :0],
     )

@@ -2,9 +2,9 @@
 
 The pipeline pairs simplices without the boundary matrix, on the
 filtration's per-dimension arrays.  H0 comes from the filtration itself:
-``Filtration.merges``, found by the union-find that also decides where a
-stopped filtration ends, pairs each edge that joins two components with
-the younger one.  Each higher dimension k below the top stored one
+``Filtration.merges``, found by a union-find over the kept edges in
+filtration order, pairs each edge that joins two components with the
+younger one.  Each higher dimension k below the top stored one
 reduces the coboundary columns of its k-simplices, latest first, with
 clearing: a simplex that killed a class in dimension k − 1 would reduce
 to zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson

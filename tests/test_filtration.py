@@ -3,12 +3,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
 from oracles import edge_order_loop, flag_complex_brute, mst_edge_lengths, simplex_birth_brute
-from ripsbars.filtration import build_filtration, joins, sorted_edges
+from ripsbars.filtration import build_filtration, joins
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
 from ripsbars.persistence import persistence_pairs, total_boundary_matrix
 
@@ -53,15 +53,16 @@ clouds = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(clouds, st.sampled_from(["euclidean", "taxicab", "supremum"]))
 def test_sorted_edges_match_tuple_sort(pts, metric):
+    """Dimension 1 holds every pair i < j in (d, i, j) order, and the
+    thresholds are its distinct distances."""
     m = build_distance_matrix(pts, metric)
-    i, j, d, starts = sorted_edges(m)
+    f = build_filtration(m, max_dim=1)
     ref = edge_order_loop(m)
-    assert np.array_equal(d, [t[0] for t in ref])
-    assert np.array_equal(i, [t[1] for t in ref])
-    assert np.array_equal(j, [t[2] for t in ref])
-    distinct = sorted({t[0] for t in ref})
-    assert np.array_equal(d[starts], distinct)
-    assert thresholds(m) == distinct
+    assert f.vertices[1].shape == (len(ref), 2)
+    assert np.array_equal(f.births[1], [t[0] for t in ref])
+    assert np.array_equal(f.vertices[1][:, 0], [t[1] for t in ref])
+    assert np.array_equal(f.vertices[1][:, 1], [t[2] for t in ref])
+    assert f.thresholds == sorted({t[0] for t in ref})
 
 
 def test_critical_thresholds_single_point():
@@ -246,6 +247,52 @@ def test_stop_path_matches_minimum_spanning_tree(pts, metric, max_dim):
     assert stopped.thresholds == [t for t in full.thresholds if t <= stopped.span_end]
     assert stopped.spans == full.spans[:len(stopped.spans)]
     assert stopped.stopped_early == (stopped.span_end < m.max_distance())
+
+
+def symmetric(n, upper):
+    """The (n, n) matrix with zero diagonal and ``upper`` above it, row by row."""
+    entries = np.zeros((n, n))
+    entries[np.triu_indices(n, k=1)] = upper
+    return entries + entries.T
+
+
+# Integer dice-like matrices (many ties, zero distances, no triangle
+# inequality) and clouds whose points all coincide.
+dice_like = st.integers(1, 7).flatmap(lambda n: st.lists(
+    st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
+).map(lambda upper: symmetric(n, upper)))
+coincident = st.tuples(st.integers(1, 7), coords, coords, st.sampled_from(
+    ["euclidean", "taxicab", "supremum"],
+)).map(lambda t: build_distance_matrix(np.tile(t[1:3], (t[0], 1)), t[3]).entries)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(dice_like, coincident), st.integers(0, 3))
+@example(np.zeros((1, 1)), 2)
+@example(np.array([[0.0, 2.0], [2.0, 0.0]]), 1)
+@example(np.zeros((2, 2)), 0)
+def test_stopped_build_is_the_full_build_cut_at_the_longest_mst_edge(entries, max_dim):
+    """Array by array, the stopped filtration is the full one restricted to
+    the simplices born by the longest minimum-spanning-tree edge."""
+    m = DistanceMatrix(entries=entries)
+    stopped = build_filtration(m, max_dim=max_dim, stop_when_connected=True)
+    full = build_filtration(m, max_dim=max_dim)
+    cut = max(mst_edge_lengths(m), default=math.inf)
+    k = len(stopped.vertices)
+    assert len(full.vertices) >= k
+    for arrays, reference in [
+        (stopped.vertices, full.vertices), (stopped.births, full.births),
+        (stopped.facets, full.facets),
+    ]:
+        for a, b, born in zip(arrays, reference, full.births):
+            np.testing.assert_array_equal(a, b[born <= cut], strict=True)
+    # The stopped build ends at the cap or at its first empty dimension,
+    # and the full one has nothing born by the cut above it.
+    assert k == max_dim + 1 or not len(stopped.vertices[-1])
+    assert all(not (born <= cut).any() for born in full.births[k:])
+    np.testing.assert_array_equal(stopped.merges, full.merges, strict=True)
+    assert stopped.thresholds == [t for t in full.thresholds if t <= cut]
+    assert stopped.stopped_early == any(t > cut for t in full.thresholds)
 
 
 @settings(max_examples=60, deadline=None)
