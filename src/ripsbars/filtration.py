@@ -7,26 +7,24 @@ three steps.  First it finds the cut: for a stopped filtration, the first
 threshold at which the neighborhood graph is connected, the longest edge
 of a minimum spanning tree (:func:`connectivity_cut`, Prim's scan on the
 dense matrix); otherwise ∞.  The pairs at distance ≤ the cut are the kept
-edges, dimension 1, and only they are sorted: one stable sort by distance
-gives their (d, i, j) order, in which one union-find (:func:`joins`) finds
-the edges that merge components, the H0 pairs.  Each dimension k + 1 then
-grows from dimension k with numpy (Zomorodian 2010): a k-simplex is
+edges, dimension 1, and only they are read and expanded.  Each dimension
+k + 1 grows from dimension k with numpy (Zomorodian 2010): a k-simplex is
 extended by every larger vertex adjacent to all of its vertices, so each
 simplex is created once, born at the largest of its parent's birth and the
 new vertex's distances, and growth stops at the first empty dimension.  The
 rows are grown in lexicographic order and each new row records its facets'
 rows: the one that drops the new vertex is its parent, and the one that
 drops vertex v is found by one integer search, as the parent's facet v
-extended by the new vertex.  One stable sort by birth per dimension (for
-the edges, the sort already made) then puts the rows in (birth, vertices)
-order.
+extended by the new vertex.  One stable sort by birth per dimension then
+puts the rows in (birth, vertices) order.  The complex is all it holds: its
+pairs, H0 included, come from :mod:`ripsbars.persistence`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -66,10 +64,7 @@ class Filtration:
     its cofaces; they are read-only views derived on first access, and the
     pipeline never builds them.
     ``max_distance`` is the maximum pairwise distance of the source matrix
-    (before any stop), the normalization divisor for barcodes.  ``merges``
-    is the H0 pairing, a (2, p_0) int array: the vertex whose component an
-    edge merged into an older one, over that edge's row in ``vertices[1]``
-    (empty when ``max_dim`` is 0, as no edge is kept).
+    (before any stop), the normalization divisor for barcodes.
     """
 
     n_points: int
@@ -80,7 +75,6 @@ class Filtration:
     facets: Tuple[np.ndarray, ...]
     thresholds: List[float]
     stopped_early: bool
-    merges: np.ndarray
 
     @property
     def span_end(self) -> float:
@@ -111,9 +105,10 @@ def connectivity_cut(entries: np.ndarray) -> float:
 
     Prim's scan on the dense matrix, one numpy step per vertex, with no
     copy of it: ``best`` holds each vertex's distance to the tree, ∞ once
-    the vertex has joined.  It reads whole rows, so it relies on the
-    symmetry that a :class:`DistanceMatrix` promises.  Every minimum
-    spanning tree has the same longest edge, so ties cannot move the cut.
+    the vertex has joined.  It reads whole rows, which is sound because a
+    :class:`DistanceMatrix` refuses entries that differ from their
+    transpose.  Every minimum spanning tree has the same longest edge, so
+    ties cannot move the cut.
     """
     n = len(entries)
     best = np.full(n, np.inf)
@@ -127,31 +122,6 @@ def connectivity_cut(entries: np.ndarray) -> float:
         v = int(best.argmin())
         lengths.append(best[v])
     return float(max(lengths, default=np.inf))
-
-
-def joins(n: int, edges: Iterable[Tuple[int, int]]) -> Dict[int, int]:
-    """Vertex → index in ``edges`` of the edge that merged its component into
-    an older one.
-
-    Components are named by their smallest vertex; an edge joining two of
-    them ends the one with the larger name.  The scan stops as soon as the
-    ``n`` points are connected, so no edge past that one is read.
-    """
-    parent = list(range(n))
-    merged: Dict[int, int] = {}
-    for k, ends in enumerate(edges):
-        roots = []
-        for v in ends:
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            roots.append(v)
-        old, young = sorted(roots)
-        if old != young:
-            parent[young] = old
-            merged[young] = k
-            if len(merged) == n - 1:
-                break
-    return merged
 
 
 def build_filtration(
@@ -181,12 +151,6 @@ def build_filtration(
     vertices = [np.arange(n)[:, None], np.column_stack((u, w))]
     births = [np.zeros(n), m.entries[u, w]]
     facets = [np.empty((n, 0), dtype=np.intp), np.column_stack((w, u))]
-    # Stable, so equal births keep the (u, w) order: the edges in (d, u, w)
-    # order, which is also their final order in dimension 1.
-    by_birth = np.argsort(births[1], kind="stable")
-    d = births[1][by_birth]
-    merged = joins(n, zip(u[by_birth].tolist(), w[by_birth].tolist()))
-    merges = np.array([list(merged), list(merged.values())], dtype=np.intp)
     while len(vertices) <= max_dim and len(vertices[-1]):
         p, w = np.nonzero(np.logical_and.reduce(adjacent[vertices[-1]], axis=1))
         rows = np.column_stack((np.take(vertices[-1], p, axis=0), w))
@@ -204,7 +168,8 @@ def build_filtration(
         keys = p * n + w
     lex = np.arange(n)  # the row of each rank in the dimension below
     for k in range(1, len(vertices)):
-        order = by_birth if k == 1 else np.argsort(births[k], kind="stable")
+        # Stable, so equal births keep the lexicographic order.
+        order = np.argsort(births[k], kind="stable")
         for x in (vertices[k], births[k], facets[k]):
             x[:] = np.take(x, order, axis=0)  # in place: no unsorted copy stays
         facets[k][:] = lex[facets[k]]
@@ -217,7 +182,6 @@ def build_filtration(
         vertices=tuple(vertices[: max_dim + 1]),
         births=tuple(births[: max_dim + 1]),
         facets=tuple(facets[: max_dim + 1]),
-        thresholds=d[np.diff(d, prepend=-np.inf) > 0].tolist(),
-        stopped_early=len(d) < n * (n - 1) // 2,
-        merges=merges if max_dim else merges[:, :0],
+        thresholds=births[1][np.diff(births[1], prepend=-np.inf) > 0].tolist(),
+        stopped_early=len(births[1]) < n * (n - 1) // 2,
     )

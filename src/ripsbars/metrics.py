@@ -1,9 +1,10 @@
 """Planar metrics and distance matrices.
 
 Distances are stored as float64.  A matrix may be a pseudometric: distance 0
-between distinct points is legal everywhere downstream, only negativity and
-asymmetry are hard errors.  Symmetry is checked with a small tolerance to
-absorb floating-point rounding.
+between distinct points is legal everywhere downstream.  A
+:class:`DistanceMatrix` must equal its transpose exactly; a file's matrix may
+miss that by a small tolerance for rounding, and is symmetrized on reading,
+but a negative entry there is a hard error.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ def pairwise(n: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.n
 class DistanceMatrix:
     """Symmetric nonnegative matrix of pairwise distances.
 
-    ``entries`` is an (n, n) float64 array.  ``labels``, when present, names
-    each point (used by the dice domain, where points are dice).
+    ``entries`` is an (n, n) float64 array, refused unless it is finite and
+    exactly equal to its transpose: the filtration reads whole rows of it
+    as well as its upper triangle.  ``labels``, when present, names each
+    point (used by the dice domain, where points are dice).
     """
 
     entries: np.ndarray
@@ -73,6 +76,8 @@ class DistanceMatrix:
             raise ValueError("distance matrix must have at least one point")
         if not np.isfinite(arr).all():
             raise ValueError("distance matrix contains non-finite entries")
+        if not np.array_equal(arr, arr.T):
+            raise ValueError("distance matrix is not symmetric")
         object.__setattr__(self, "entries", arr)
         if self.labels is not None and len(self.labels) != arr.shape[0]:
             raise ValueError(

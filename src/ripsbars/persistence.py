@@ -1,9 +1,9 @@
 """Persistence pairs over Z/2 and barcode extraction.
 
 The pipeline pairs simplices without the boundary matrix, on the
-filtration's per-dimension arrays.  H0 comes from the filtration itself:
-``Filtration.merges``, found by a union-find over the kept edges in
-filtration order, pairs each edge that joins two components with the
+filtration's per-dimension arrays.  H0 comes from a union-find
+(:func:`joins`) over the rows of ``Filtration.vertices[1]``, the edges in
+filtration order, which pairs each edge that joins two components with the
 younger one.  Each higher dimension k below the top stored one
 reduces the coboundary columns of its k-simplices, latest first, with
 clearing: a simplex that killed a class in dimension k − 1 would reduce
@@ -173,15 +173,41 @@ def coboundaries(facets: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     return ptr, cofaces
 
 
+def joins(n: int, edges: np.ndarray) -> np.ndarray:
+    """The H0 pairs of ``n`` vertices and the (m, 2) ``edges`` in filtration
+    order, a (2, p_0) int array: each vertex whose component an edge merged
+    into an older one, over that edge's row in ``edges``.
+
+    Components are named by their smallest vertex; an edge joining two of
+    them ends the one with the larger name.  The scan stops as soon as the
+    ``n`` points are connected, so no edge past that one is read.
+    """
+    parent = list(range(n))
+    merged: Dict[int, int] = {}
+    for k, ends in enumerate(zip(*edges.T.tolist())):
+        roots = []
+        for v in ends:
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            roots.append(v)
+        old, young = sorted(roots)
+        if old != young:
+            parent[young] = old
+            merged[young] = k
+            if len(merged) == n - 1:
+                break
+    return np.array([list(merged), list(merged.values())], dtype=np.intp)
+
+
 def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     """Every finite pair of ``f``: per stored dimension k below the top one,
     a (2, p_k) int array of the rows in ``f.vertices[k]`` of the classes that
     die over the rows in ``f.vertices[k + 1]`` of the simplices that kill
     them.
 
-    H0 is ``f.merges``, computed once when the filtration was built: the
-    edge that merges a component into an older one kills the class born
-    with its smallest vertex.  A k-simplex's coboundary column
+    H0 is :func:`joins` over the rows of ``f.vertices[1]``, in filtration
+    order: the edge that merges a component into an older one kills the
+    class born with its smallest vertex.  A k-simplex's coboundary column
     lists its (k+1)-cofaces in filtration order; its pivot is the earliest
     one, which kills the class the column was born with and clears that
     coface's own column in dimension k + 1.  A column whose simplex is the
@@ -192,7 +218,7 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     first, and one becomes a list only when its pivot is already owned.
     The top stored dimension has no cofaces: it is the cap, or it is empty.
     """
-    pairs = [f.merges] if len(f.vertices) > 1 else []
+    pairs = [joins(f.n_points, f.vertices[1])] if len(f.vertices) > 1 else []
     for k in range(1, len(f.vertices) - 1):
         ptr, cofaces = coboundaries(f.facets[k + 1], len(f.vertices[k]))
         todo = ptr[1:] > ptr[:-1]

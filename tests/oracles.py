@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -130,6 +130,11 @@ def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
         if col:
             pairs[f.simplices[col[-1]].dim].append((rank[col[-1]], rank[j]))
     return [np.array(p, dtype=np.intp).reshape(-1, 2).T for p in pairs]
+
+
+def pair_sets(pairs: List[np.ndarray]) -> List[Set[Tuple[int, int]]]:
+    """Per dimension, the pairs as a set of (class row, killer row)."""
+    return [set(zip(*p.tolist())) for p in pairs]
 
 
 def apparent_pairs_brute(f: Filtration) -> List[Set[Tuple[int, int]]]:
@@ -248,14 +253,18 @@ class ValidationReport:
         return "; ".join(parts)
 
 
-def validate_pseudometric(m: DistanceMatrix, tol: float = TRIANGLE_TOL) -> ValidationReport:
-    """Check nonnegativity, symmetry, zero diagonal, and triangle inequality.
+def validate_pseudometric(
+    m: Union[DistanceMatrix, np.ndarray], tol: float = TRIANGLE_TOL
+) -> ValidationReport:
+    """Check nonnegativity, symmetry, zero diagonal, and triangle inequality
+    of a distance matrix or of a bare square array (which, unlike a
+    :class:`DistanceMatrix`, may be asymmetric).
 
     Violations are reported with witnesses rather than raised; distance 0
     between distinct points is not a violation (pseudometrics are allowed).
     """
-    d = m.entries
-    n = m.n
+    d = m.entries if isinstance(m, DistanceMatrix) else np.asarray(m, dtype=float)
+    n = len(d)
     report = ValidationReport()
     for i in range(n):
         if d[i, i] != 0.0:

@@ -7,10 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_points
-from oracles import edge_order_loop, flag_complex_brute, mst_edge_lengths, simplex_birth_brute
-from ripsbars.filtration import build_filtration, joins
+from oracles import (
+    boundary_pairs,
+    edge_order_loop,
+    flag_complex_brute,
+    mst_edge_lengths,
+    pair_sets,
+    simplex_birth_brute,
+)
+from ripsbars.filtration import build_filtration
 from ripsbars.metrics import DistanceMatrix, build_distance_matrix
-from ripsbars.persistence import persistence_pairs, total_boundary_matrix
+from ripsbars.persistence import persistence_pairs, reduce_matrix, total_boundary_matrix
 
 
 def matrix_from(entries):
@@ -290,7 +297,10 @@ def test_stopped_build_is_the_full_build_cut_at_the_longest_mst_edge(entries, ma
     # and the full one has nothing born by the cut above it.
     assert k == max_dim + 1 or not len(stopped.vertices[-1])
     assert all(not (born <= cut).any() for born in full.births[k:])
-    np.testing.assert_array_equal(stopped.merges, full.merges, strict=True)
+    h0 = [persistence_pairs(g)[:1] for g in (stopped, full)]
+    assert len(h0[0]) == len(h0[1]) == min(max_dim, 1)
+    for a, b in zip(*h0):
+        np.testing.assert_array_equal(a, b, strict=True)
     assert stopped.thresholds == [t for t in full.thresholds if t <= cut]
     assert stopped.stopped_early == any(t > cut for t in full.thresholds)
 
@@ -299,18 +309,35 @@ def test_stopped_build_is_the_full_build_cut_at_the_longest_mst_edge(entries, ma
 @given(clouds, st.sampled_from(["euclidean", "taxicab", "supremum"]),
        st.sampled_from([0, 1, 2, 3]), st.booleans())
 def test_merges_are_the_union_find_over_the_kept_edges(pts, metric, max_dim, stop):
-    """``f.merges`` is ``joins`` over ``f.vertices[1]``, whether or not the
-    filtration stopped, and its edges are a minimum spanning tree's; with no
-    edge kept there are no merges and no pairs."""
+    """The H0 pairs of ``persistence_pairs`` end every vertex but 0 once,
+    and their edges are a minimum spanning tree's, whether or not the
+    filtration stopped; with no edge kept there are no pairs."""
     m = build_distance_matrix(pts, metric)
     f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
-    assert f.merges.shape == (2, min(max_dim, 1) * (m.n - 1))
+    pairs = persistence_pairs(f)
     if max_dim == 0:
-        assert persistence_pairs(f) == []
+        assert pairs == []
         return
-    merged = joins(f.n_points, f.vertices[1].tolist())
-    assert f.merges.tolist() == [list(merged), list(merged.values())]
-    assert sorted(f.births[1][f.merges[1]]) == sorted(mst_edge_lengths(m))
+    assert pairs[0].shape == (2, m.n - 1)
+    assert sorted(pairs[0][0].tolist()) == list(range(1, m.n))
+    assert sorted(f.births[1][pairs[0][1]]) == sorted(mst_edge_lengths(m))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(dice_like, coincident, st.tuples(clouds, st.sampled_from(
+    ["euclidean", "taxicab", "supremum"],
+)).map(lambda t: build_distance_matrix(*t).entries)), st.integers(0, 3), st.booleans())
+@example(np.zeros((1, 1)), 1, False)
+@example(np.array([[0.0, 2.0], [2.0, 0.0]]), 1, True)
+@example(np.zeros((2, 2)), 3, False)
+def test_h0_pairs_equal_boundary_reduction(entries, max_dim, stop):
+    """Row by row, the H0 pairs are those of the boundary reduction, which
+    pairs each vertex with the edge that kills it in filtration order; tied
+    distances and coincident points make many edges tie for that role."""
+    f = build_filtration(DistanceMatrix(entries=entries), max_dim=max_dim,
+                         stop_when_connected=stop)
+    R, _ = reduce_matrix(total_boundary_matrix(f))
+    assert pair_sets(persistence_pairs(f))[:1] == pair_sets(boundary_pairs(R, f))[:1]
 
 
 def test_incremental_matches_rebuild_from_scratch():

@@ -152,8 +152,8 @@ def test_validate_reports_triangle_violation():
 
 
 def test_validate_reports_asymmetry():
-    m = DistanceMatrix(entries=np.array([[0.0, 1.0], [2.0, 0.0]]))
-    report = validate_pseudometric(m)
+    """The oracle takes the bare array, which no ``DistanceMatrix`` holds."""
+    report = validate_pseudometric(np.array([[0.0, 1.0], [2.0, 0.0]]))
     assert any(v.axiom == "symmetry" for v in report.violations)
 
 
@@ -161,6 +161,15 @@ def test_validate_accepts_pseudometric_zero():
     """Distance 0 between distinct points is allowed, not a violation."""
     m = DistanceMatrix(entries=np.array([[0, 0, 1], [0, 0, 1], [1, 1, 0]], dtype=float))
     assert validate_pseudometric(m).ok
+
+
+def test_distance_matrix_refuses_asymmetry():
+    """Upper entries (0, 1) = 5, (0, 2) = 1, (1, 2) = 9 with a lower entry
+    [2, 1] = 1: a stop cut read from whole rows would be 1, not 5, and leave
+    the points unconnected, so no such matrix is accepted."""
+    entries = np.array([[0, 5, 1], [5, 0, 9], [1, 1, 0]], dtype=float)
+    with pytest.raises(ValueError, match="not symmetric"):
+        DistanceMatrix(entries=entries)
 
 
 def test_distance_matrix_shape_checks():

@@ -20,6 +20,7 @@ from oracles import (
     flag_complex_brute,
     in_dim,
     mst_edge_lengths,
+    pair_sets,
     simplex_birth_brute,
 )
 from ripsbars import cli, dice, persistence
@@ -351,11 +352,6 @@ def test_deep_simplices_on_many_points_equal_boundary_reduction():
     assert [len(f.vertices[k]) for k in (9, 10)] == [math.comb(12, 10), math.comb(12, 11)]
     assert_facets_equal_lookup(f)
     assert barcode(f, normalize=False) == boundary_barcode(f)
-
-
-def pair_sets(pairs):
-    """Per dimension, the pairs as a set of (class row, killer row)."""
-    return [set(zip(*p.tolist())) for p in pairs]
 
 
 @settings(max_examples=60, deadline=None)
