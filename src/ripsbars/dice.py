@@ -267,11 +267,11 @@ def to_dot(g: BeatingGraph) -> str:
     Edges carry their exhaustive win counts as labels (``wins/sides²``).
     """
     total = len(g.nodes[0]) ** 2 if g.nodes else 0
+    labels = [die_label(v) for v in g.nodes]
+    wins = g.wins.tolist()
     lines = ["digraph beating {", f"  // tie convention: {g.convention}"]
-    for v in g.nodes:
-        lines.append(f'  "{die_label(v)}";')
-    for i, j in np.argwhere(g.beats):
-        x, y = die_label(g.nodes[i]), die_label(g.nodes[j])
-        lines.append(f'  "{x}" -> "{y}" [label="{g.wins[i, j]}/{total}"];')
+    lines += [f'  "{x}";' for x in labels]
+    for i, j in np.argwhere(g.beats).tolist():
+        lines.append(f'  "{labels[i]}" -> "{labels[j]}" [label="{wins[i][j]}/{total}"];')
     lines.append("}")
     return "\n".join(lines)

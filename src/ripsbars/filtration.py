@@ -11,12 +11,16 @@ edges, dimension 1, and only they are read and expanded.  Each dimension
 k + 1 grows from dimension k with numpy (Zomorodian 2010): a k-simplex is
 extended by every larger vertex adjacent to all of its vertices, so each
 simplex is created once, born at the largest of its parent's birth and the
-new vertex's distances, and growth stops at the first empty dimension.  The
-rows are grown in lexicographic order and each new row records its facets'
-rows: the one that drops the new vertex is its parent, and the one that
-drops vertex v is found by one integer search, as the parent's facet v
-extended by the new vertex.  One stable sort by birth per dimension then
-puts the rows in (birth, vertices) order.  The complex is all it holds: its
+new vertex's distances, and growth stops at the first empty dimension.
+Each k-simplex carries those candidates as a boolean row over the points,
+its parent's row ANDed with the upper neighbours of its last vertex, so no
+step rereads all k + 1 vertices.  The rows are grown in lexicographic
+order, the row-major order of the candidate rows, and each new row records
+its facets' rows: the one that drops the new vertex is its parent, and the
+one that drops vertex v is the parent's facet v extended by the new
+vertex, read from a running count of the candidate rows one dimension
+down.  One stable sort by birth per dimension then puts the rows in
+(birth, vertices) order.  The complex is all it holds: its
 pairs, H0 included, come from :mod:`ripsbars.persistence`.
 """
 
@@ -135,7 +139,11 @@ def build_filtration(
     connectivity follows the graph even when ``max_dim`` is 0 and no edge
     simplex is kept.  Stopped or not, one path builds it: only the pairs
     at distance ≤ the cut (∞ without a stop) are read, sorted and
-    expanded.
+    expanded.  Beside the arrays it returns, the expansion holds an
+    (m_k, n) boolean candidate row per top simplex and, while it reads the
+    next dimension's facets, an int32 running count of the candidate rows
+    one dimension down (intp from 2**31 rows); neither is held during the
+    sort.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -143,29 +151,44 @@ def build_filtration(
     cut = connectivity_cut(m.entries) if stop_when_connected else np.inf
     adjacent = np.triu(m.entries <= cut, k=1)  # adjacent[u, w]: edge u < w is kept
     # Dimensions 1 and up are grown with their rows in lexicographic
-    # order, the ascending order of ``keys``: the rank of the row's
-    # parent (the row less its last vertex) times n plus that vertex.
-    # Their facets are ranks until each is sorted by birth below.
-    keys = np.flatnonzero(adjacent)  # u * n + w for each kept edge u < w
-    u, w = np.divmod(keys, n)
-    vertices = [np.arange(n)[:, None], np.column_stack((u, w))]
-    births = [np.zeros(n), m.entries[u, w]]
-    facets = [np.empty((n, 0), dtype=np.intp), np.column_stack((w, u))]
+    # order.  At the top of each step, ``mask`` has a row per row of the
+    # dimension below the top one, marking the vertices larger than, and
+    # adjacent to, all of that row's vertices; its nonzeros (p, w) in
+    # row-major order are the top dimension's rows, row p plus vertex w.
+    # For dimension 1 it is ``adjacent``, a row per vertex.  Facets are
+    # rows in that order until each dimension is sorted by birth below.
+    p, w = np.divmod(np.flatnonzero(adjacent), n)  # the edges p < w
+    vertices = [np.arange(n)[:, None], np.column_stack((p, w))]
+    births = [np.zeros(n), m.entries[p, w]]
+    facets = [np.empty((n, 0), dtype=np.intp), np.column_stack((w, p))]
+    mask = adjacent
     while len(vertices) <= max_dim and len(vertices[-1]):
-        p, w = np.nonzero(np.logical_and.reduce(adjacent[vertices[-1]], axis=1))
-        rows = np.column_stack((np.take(vertices[-1], p, axis=0), w))
-        born = births[-1][p]
-        faces = np.empty_like(rows)
+        # index[q, x]: the top dimension's row that is row q plus vertex
+        # x, the running count of the mask's nonzeros less one; exact in
+        # int32 while that dimension has fewer than 2**31 rows.
+        dtype = np.int32 if len(vertices[-1]) < 2**31 else np.intp
+        index = mask.cumsum(dtype=dtype).reshape(mask.shape)
+        index -= 1
+        # A top row's candidates are its parent's less those not adjacent
+        # to its last vertex w; ``adjacent`` keeps only vertices above w.
+        mask = mask[p]
+        mask &= adjacent[w]
+        p, w = np.nonzero(mask)
+        faces = np.empty((len(p), len(vertices) + 1), dtype=np.intp)
         faces[:, -1] = p  # the facet that drops w is row p itself
-        for v in range(rows.shape[1] - 1):
-            born = np.maximum(born, m.entries[rows[:, v], w])
+        for v in range(len(vertices)):
             # Row p less its vertex v, extended by w, is its facet v
             # extended by w.
-            faces[:, v] = np.searchsorted(keys, facets[-1][p, v] * n + w)
+            faces[:, v] = index[facets[-1][p, v], w]
+        index = None  # freed before the rows are built
+        rows = np.column_stack((np.take(vertices[-1], p, axis=0), w))
+        born = births[-1][p]
+        for v in range(len(vertices)):
+            born = np.maximum(born, m.entries[rows[:, v], w])
         vertices.append(rows)
         births.append(born)
         facets.append(faces)
-        keys = p * n + w
+    mask = None  # freed before the sort
     lex = np.arange(n)  # the row of each rank in the dimension below
     for k in range(1, len(vertices)):
         # Stable, so equal births keep the lexicographic order.

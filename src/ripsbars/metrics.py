@@ -2,9 +2,10 @@
 
 Distances are stored as float64.  A matrix may be a pseudometric: distance 0
 between distinct points is legal everywhere downstream.  A
-:class:`DistanceMatrix` must equal its transpose exactly; a file's matrix may
-miss that by a small tolerance for rounding, and is symmetrized on reading,
-but a negative entry there is a hard error.
+:class:`DistanceMatrix` must equal its transpose exactly, with a zero
+diagonal and no negative entry; a file's matrix may miss symmetry by a small
+tolerance for rounding, and is symmetrized on reading, but a nonzero diagonal
+or a negative entry there is a hard error that names the file and line.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ def pairwise(n: int, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> np.n
 class DistanceMatrix:
     """Symmetric nonnegative matrix of pairwise distances.
 
-    ``entries`` is an (n, n) float64 array, refused unless it is finite and
-    exactly equal to its transpose: the filtration reads whole rows of it
-    as well as its upper triangle.  ``labels``, when present, names each
+    ``entries`` is an (n, n) float64 array, refused unless it is finite,
+    exactly equal to its transpose (the filtration reads whole rows of it
+    as well as its upper triangle), zero on the diagonal and nowhere
+    negative (``-0.0`` counts as zero).  ``labels``, when present, names each
     point (used by the dice domain, where points are dice).
     """
 
@@ -78,6 +80,8 @@ class DistanceMatrix:
             raise ValueError("distance matrix contains non-finite entries")
         if not np.array_equal(arr, arr.T):
             raise ValueError("distance matrix is not symmetric")
+        if arr.min() < 0.0 or np.diagonal(arr).any():
+            raise ValueError("distance matrix has a negative entry or a nonzero diagonal")
         object.__setattr__(self, "entries", arr)
         if self.labels is not None and len(self.labels) != arr.shape[0]:
             raise ValueError(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points
+from conftest import coords, coincident, dice_like, random_points
 from oracles import (
     boundary_pairs,
     edge_order_loop,
@@ -49,7 +49,6 @@ def test_critical_thresholds_zero_first_for_duplicate_points():
     assert thresholds(m) == [0.0, 1.0]
 
 
-coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 clouds = st.one_of(
     st.lists(st.tuples(coords, coords), min_size=1, max_size=12),
     # integer grid points: many tied distances and coincident points
@@ -254,23 +253,6 @@ def test_stop_path_matches_minimum_spanning_tree(pts, metric, max_dim):
     assert stopped.thresholds == [t for t in full.thresholds if t <= stopped.span_end]
     assert stopped.spans == full.spans[:len(stopped.spans)]
     assert stopped.stopped_early == (stopped.span_end < m.max_distance())
-
-
-def symmetric(n, upper):
-    """The (n, n) matrix with zero diagonal and ``upper`` above it, row by row."""
-    entries = np.zeros((n, n))
-    entries[np.triu_indices(n, k=1)] = upper
-    return entries + entries.T
-
-
-# Integer dice-like matrices (many ties, zero distances, no triangle
-# inequality) and clouds whose points all coincide.
-dice_like = st.integers(1, 7).flatmap(lambda n: st.lists(
-    st.integers(0, 3), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
-).map(lambda upper: symmetric(n, upper)))
-coincident = st.tuples(st.integers(1, 7), coords, coords, st.sampled_from(
-    ["euclidean", "taxicab", "supremum"],
-)).map(lambda t: build_distance_matrix(np.tile(t[1:3], (t[0], 1)), t[3]).entries)
 
 
 @settings(max_examples=120, deadline=None)

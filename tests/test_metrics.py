@@ -138,8 +138,8 @@ def test_validate_clean_matrix():
 
 
 def test_validate_reports_negativity():
-    m = DistanceMatrix(entries=np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    report = validate_pseudometric(m)
+    """The oracle takes the bare array, which no ``DistanceMatrix`` holds."""
+    report = validate_pseudometric(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert any(v.axiom == "nonnegativity" and v.witness == (0, 1) for v in report.violations)
 
 
@@ -170,6 +170,17 @@ def test_distance_matrix_refuses_asymmetry():
     entries = np.array([[0, 5, 1], [5, 0, 9], [1, 1, 0]], dtype=float)
     with pytest.raises(ValueError, match="not symmetric"):
         DistanceMatrix(entries=entries)
+
+
+def test_distance_matrix_refuses_negative_entries_and_nonzero_diagonal():
+    """A negative distance gave the normalized bar (0, 0, -0.5), which the
+    barcode reader then refused; ``-0.0`` is zero and stays legal."""
+    with pytest.raises(ValueError, match="negative"):
+        DistanceMatrix(entries=np.array([[0, -1, 2], [-1, 0, 2], [2, 2, 0]], dtype=float))
+    with pytest.raises(ValueError, match="diagonal"):
+        DistanceMatrix(entries=np.array([[0, 1], [1, 2]], dtype=float))
+    m = DistanceMatrix(entries=np.array([[-0.0, 1.0], [1.0, -0.0]]))
+    assert m.max_distance() == 1.0
 
 
 def test_distance_matrix_shape_checks():
@@ -231,4 +242,12 @@ def test_distance_csv_rejects_negative(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,-1\n-1,0\n")
     with pytest.raises(ParseError, match="negative"):
+        read_distance_csv(str(path), read_lines(str(path)))
+
+
+def test_distance_csv_rejects_nonzero_diagonal(tmp_path):
+    """The reader checks before the matrix does, so it names the line."""
+    path = tmp_path / "bad.csv"
+    path.write_text("1,1\n1,0\n")
+    with pytest.raises(ParseError, match="bad.csv:1: matrix diagonal must be zero"):
         read_distance_csv(str(path), read_lines(str(path)))

@@ -3,10 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_points
+from conftest import coincident, dice_like, random_points
 from oracles import (
     apparent_pairs_brute,
     barcode_csv_lines_loop,
@@ -262,6 +262,34 @@ def test_facets_equal_lookup(seed, n, metric, max_dim, stop, grid):
     f = build_filtration(build_distance_matrix(pts, metric), max_dim=max_dim,
                          stop_when_connected=stop)
     assert_facets_equal_lookup(f)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(dice_like, coincident), st.integers(0, 5), st.booleans())
+@example(np.zeros((7, 7)), 5, False)
+@example(np.zeros((7, 7)), 5, True)
+def test_facets_and_cliques_on_tied_and_repeated_points(entries, max_dim, stop):
+    """Tied integer distances and coincident points: the facet rows equal
+    the dict lookup, and the simplices born by each threshold kept are the
+    brute-force cliques at it."""
+    m = DistanceMatrix(entries=entries)
+    f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
+    assert_facets_equal_lookup(f)
+    for eps in f.thresholds or [0.0]:
+        have = {s.vertices for s in f.simplices if s.birth <= eps}
+        assert have == flag_complex_brute(m, eps, max_dim)
+
+
+def test_majority_dice_rows_and_facets_at_the_deep_cap():
+    """The 31 majority dice under foliation-symmetry, stopped at cap 4, as
+    the deep dice benchmark builds them: rows per dimension, and facet rows
+    equal to the dict lookup."""
+    m = _dice_matrices("majority")[2]
+    assert m.metric == "foliation-symmetry"
+    f = build_filtration(m, max_dim=4, stop_when_connected=True)
+    assert [len(rows) for rows in f.vertices] == [31, 345, 2315, 10715, 36916]
+    for got, expected in zip(f.facets, facets_by_lookup(f)):
+        np.testing.assert_array_equal(got, expected, strict=True)
 
 
 @settings(max_examples=80, deadline=None)
