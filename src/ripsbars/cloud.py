@@ -80,10 +80,6 @@ def four_hole_disk() -> Region:
     )
 
 
-def _center_distance(c: Circle, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    return euclidean(xs - c.center[0], ys - c.center[1])
-
-
 def sample_region(region: Region, n: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Draw ``n`` independent uniform points from the region, as an (n, 2) array.
 
@@ -98,6 +94,8 @@ def sample_region(region: Region, n: int, seed: int = DEFAULT_SEED) -> np.ndarra
     validate_region(region)
     rng = np.random.default_rng(seed)
     (cx, cy), r = region.outer.center, region.outer.radius
+    centers = np.array([c.center for c in (region.outer,) + region.holes])
+    hole_radii = np.array([h.radius for h in region.holes])[:, None]
     chunks: List[np.ndarray] = []
     have = 0
     max_draws = max(100_000, 1_000 * n)
@@ -112,9 +110,9 @@ def sample_region(region: Region, n: int, seed: int = DEFAULT_SEED) -> np.ndarra
         xs = rng.uniform(cx - r, cx + r, size=batch)
         ys = rng.uniform(cy - r, cy + r, size=batch)
         drawn += batch
-        keep = _center_distance(region.outer, xs, ys) < r
-        for h in region.holes:
-            keep &= _center_distance(h, xs, ys) > h.radius
+        # One row of candidate distances per circle, outer circle first.
+        dist = euclidean(xs - centers[:, :1], ys - centers[:, 1:])
+        keep = (dist[0] < r) & (dist[1:] > hole_radii).all(axis=0)
         chunks.append(np.column_stack((xs[keep], ys[keep]))[: n - have])
         have += len(chunks[-1])
     return np.concatenate(chunks)

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .metrics import DistanceMatrix, pairwise
+from .metrics import DistanceMatrix
 
 Die = Tuple[int, ...]
 
@@ -196,6 +196,16 @@ def shortest_path_matrix(g: BeatingGraph) -> np.ndarray:
     return hops + hops.T
 
 
+def _squared_distances(rows: np.ndarray) -> np.ndarray:
+    """|r_i − r_j|² between the integer rows r of ``rows``, as
+    G_ii + G_jj − 2 G_ij over the Gram matrix G = r rᵀ.  Every term is an
+    integer in int64, where a product that wraps cancels again, so each entry
+    is exact whenever the squared distance itself fits."""
+    gram = rows @ rows.T
+    norms = gram.diagonal()
+    return norms[:, None] + norms - 2 * gram
+
+
 def similarity_matrix(D: np.ndarray) -> np.ndarray:
     """Euclidean distances between shortest-path profile columns.
 
@@ -204,17 +214,15 @@ def similarity_matrix(D: np.ndarray) -> np.ndarray:
     how the two nodes relate to the rest of the graph only.  Nodes with
     identical in/out neighborhoods come out at distance exactly 0.
 
-    The squared distance is |c_i − c_j|² = G_ii + G_jj − 2 G_ij over the Gram
-    matrix G = DᵀD, less the two removed terms (D_ii − D_ij)² and
-    (D_ji − D_jj)².  On integer hop counts every term is an integer, exact in
-    int64 (and in float64 below 2**53), so the one rounding is the square
-    root.
+    The squared distance is |c_i − c_j|² over the full columns, less the two
+    removed terms (D_ii − D_ij)² and (D_ji − D_jj)².  On integer hop counts
+    every term is an integer, exact in int64 (and in float64 below 2**53), so
+    the one rounding is the square root.
     """
     D = np.asarray(D)
-    gram, diag = D.T @ D, D.diagonal()
-    norms = gram.diagonal()
+    diag = D.diagonal()
     removed = (diag[:, None] - D) ** 2 + (D.T - diag) ** 2
-    return np.sqrt(norms[:, None] + norms - 2 * gram - removed)
+    return np.sqrt(_squared_distances(D.T) - removed)
 
 
 def _labels(nodes: Sequence[Die]) -> Tuple[str, ...]:
@@ -228,8 +236,10 @@ def similarity_distance_matrix(g: BeatingGraph) -> DistanceMatrix:
 
 
 def euclidean_dice_distance_matrix(nodes: Sequence[Die]) -> DistanceMatrix:
-    faces = np.array(nodes, dtype=float)  # small integers: exact sums
-    d = pairwise(len(faces), lambda i, j: np.sqrt(((faces[i] - faces[j]) ** 2).sum(axis=1)))
+    """Euclidean distances between the face vectors, exact up to the square
+    root, like :func:`similarity_matrix`."""
+    faces = np.array(nodes, dtype=np.int64).reshape(len(nodes), -1)
+    d = np.sqrt(_squared_distances(faces))
     return DistanceMatrix(entries=d, labels=_labels(nodes), metric="euclidean")
 
 

@@ -230,6 +230,22 @@ def test_persist_malformed_input(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["persist", "compare"])
+def test_points_whose_differences_overflow_are_refused(tmp_path, capsys, command):
+    """1e308 and -1e308 are finite but their difference is not: the span is
+    refused before any subtraction, with no overflow warning (which this
+    suite turns into an error) and no output."""
+    pts = tmp_path / "points.csv"
+    pts.write_text("x,y\n1e308,0\n-1e308,0\n0,0\n")
+    out = tmp_path / "out"
+    assert main([command, "--input", str(pts), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "input error: coordinate span x -1e+308..1e+308, y 0..0 is too wide: "
+        "the distances would overflow float64\n"
+    )
+    assert not out.exists()
+
+
 def test_persist_svg_written_and_stable(tmp_path):
     pts = write_square(tmp_path)
     out = tmp_path / "out"

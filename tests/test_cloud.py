@@ -117,6 +117,15 @@ def test_sampler_matches_per_candidate_loop(seed, n):
     assert np.array_equal(sample_region(region, n, seed), sample_region_loop(region, n, seed))
 
 
+@pytest.mark.parametrize("n", [1, 40, 300])
+@pytest.mark.parametrize("seed", range(5))
+def test_sampler_draws_match_per_candidate_loop(n, seed):
+    """The sizes the workloads draw, on fixed seeds: the one distance call
+    over every circle keeps exactly the candidates the loop keeps."""
+    region = four_hole_disk()
+    assert np.array_equal(sample_region(region, n, seed), sample_region_loop(region, n, seed))
+
+
 def test_sampler_keeps_boundary_convention():
     """Strict inside the outer circle, outside the closed holes: an annulus
     whose inner hole is large rejects most candidates, and every kept point

@@ -36,6 +36,57 @@ def test_euclidean_values():
     assert between(euclidean, (0, 0), (1, 1)) == pytest.approx(math.sqrt(2))
 
 
+def hypot_bits(dx, dy) -> np.ndarray:
+    """``math.hypot`` per pair, as the int64 bit patterns of the results."""
+    return np.array([math.hypot(a, b) for a, b in zip(dx, dy)]).view(np.int64)
+
+
+#: Floats where hypot's rounding is delicate: signed zeros, small integers
+#: (many equal distances and ties), magnitudes 1e±300, subnormals, and every
+#: other float, infinities and NaN included.
+hypot_floats = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.integers(-8, 8).map(float),
+    st.floats(min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-2.0**-1022, max_value=2.0**-1022),
+    st.floats(),
+)
+#: Pairs whose smaller coordinate is 1 to 1e-20 times the larger.
+ratio_pairs = st.tuples(
+    st.floats(min_value=0.5, max_value=2.0), st.floats(min_value=-20.0, max_value=0.0)
+).map(lambda t: (t[0], t[0] * 10.0 ** t[1]))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.tuples(hypot_floats, hypot_floats), ratio_pairs), min_size=1))
+def test_euclidean_is_math_hypot_bit_for_bit(pairs):
+    dx, dy = (np.array(c, dtype=float) for c in zip(*pairs))
+    assert np.array_equal(euclidean(dx, dy).view(np.int64), hypot_bits(dx, dy))
+
+
+@pytest.mark.parametrize(
+    "dx, dy",
+    [
+        (0.0, 5e-324),
+        (5e-324, 5e-324),
+        (2.0**-1022, 2.0**-1023),
+        (3e-320, 4e-320),
+        (2.0**-1024, 0.0),  # the smallest entry the numpy sequence takes
+        (1e300, 1e300),
+        (-3.0, 4.0),
+        (-0.0, 0.0),
+        (1e308, 1e308),  # overflows to inf, as math.hypot does
+        (math.inf, math.nan),
+        (math.nan, 1.0),
+    ],
+)
+def test_euclidean_is_math_hypot_at_the_edges(dx, dy):
+    """Zeros, subnormals and the tiny range below 2**-1024 (handed to
+    math.hypot), huge and non-finite values; a warning would fail the test."""
+    got = euclidean(np.array([dx, dy]), np.array([dy, dx]))
+    assert np.array_equal(got.view(np.int64), hypot_bits([dx, dy], [dy, dx]))
+
+
 def test_euclidean_is_math_hypot_per_pair():
     """Pair (7, 10) of the seed-7 50-point cloud, where np.hypot is one ulp
     lower; the pinned barcodes depend on math.hypot's rounding."""
@@ -69,6 +120,16 @@ def test_point_rejects_non_finite(tmp_path):
             build_distance_matrix([(0.5, 0.5), (0.0, float(bad))], "taxicab")
 
 
+@pytest.mark.parametrize("name", sorted(PLANAR_METRICS))
+def test_build_distance_matrix_refuses_overflowing_span(name):
+    """Each span is finite but their sum, the taxicab diameter of the
+    bounding box, is not; every metric refuses alike, with no warning."""
+    with pytest.raises(
+        ValueError, match=r"^coordinate span x 0\.\.1e\+308, y -1e\+308\.\.0 is too wide"
+    ):
+        build_distance_matrix([(0.0, 0.0), (1e308, -1e308)], name)
+
+
 @given(points, points)
 def test_norm_equivalence(a, b):
     """sup ≤ euclidean ≤ taxicab ≤ 2·sup for every pair of plane points."""
@@ -93,14 +154,16 @@ def test_array_metrics_match_per_pair_loop(pts, name):
 
 
 def test_array_metrics_match_per_pair_loop_on_paper_cloud():
-    """The seed-7 50-point cloud has pairs where np.hypot would round
-    differently, so this pins the euclidean rounding on real inputs."""
-    pts = sample_region(four_hole_disk(), 50, seed=7)
-    assert np.array_equal(pts, sample_region_loop(four_hole_disk(), 50, 7))
-    for name in PLANAR_METRICS:
-        assert np.array_equal(
-            build_distance_matrix(pts, name).entries, distance_matrix_loop(pts, name)
-        )
+    """The seed-7 clouds have pairs where np.hypot would round differently,
+    so this pins the euclidean rounding on real inputs; 300 points take
+    several blocks of rows."""
+    for n in (50, 300):
+        pts = sample_region(four_hole_disk(), n, seed=7)
+        assert np.array_equal(pts, sample_region_loop(four_hole_disk(), n, 7))
+        for name in PLANAR_METRICS:
+            assert np.array_equal(
+                build_distance_matrix(pts, name).entries, distance_matrix_loop(pts, name)
+            )
 
 
 def test_build_distance_matrix_examples():
