@@ -242,28 +242,27 @@ def _cmd_dice(args: argparse.Namespace) -> int:
         raise UsageError("--sides and --max-face must be >= 1")
     space = dice_mod.enumerate_dice(args.sides, args.max_face, args.face_sum)
     graph = dice_mod.build_beating_graph(space, args.tie_convention)
-    ntd = dice_mod.non_transitive_subset(graph)
+    sub = dice_mod.induced_subgraph(graph, dice_mod.non_transitive_subset(graph))
     # Foliation and symmetry are defined on 6-sided dice with faces in 1..6.
-    if any(len(d) != 6 or d[-1] > 6 for d in ntd):
+    if sub.n and (sub.faces.shape[1] != 6 or sub.faces.max() > 6):
         raise UsageError(
-            f"this space has {len(ntd)} non-transitive dice, but the foliation-symmetry "
+            f"this space has {sub.n} non-transitive dice, but the foliation-symmetry "
             "distance needs 6-sided dice with faces <= 6 (--sides 6, --max-face <= 6)"
         )
-    sub = dice_mod.induced_subgraph(graph, ntd)
     meta = fileio.metadata_lines(vars(args))
     texts = {
-        "dice.txt": meta + [dice_mod.die_label(d) for d in ntd],
+        "dice.txt": meta + [dice_mod.die_label(d) for d in sub.faces.tolist()],
         "beating_graph.dot": fileio.metadata_lines(vars(args), comment="//")
         + [dice_mod.to_dot(sub)],
     }
     names = ("similarity", "euclidean", "foliation_symmetry")
     matrices: List[DistanceMatrix] = []
-    if ntd:
+    if sub.n:
         matrices = [
             dice_mod.similarity_distance_matrix(sub),
-            dice_mod.euclidean_dice_distance_matrix(sub.nodes),
+            dice_mod.euclidean_dice_distance_matrix(sub.faces),
             dice_mod.foliation_symmetry_distance_matrix(
-                sub.nodes, pairing=args.symmetry_pairing
+                sub.faces, pairing=args.symmetry_pairing
             ),
         ]
     else:
@@ -285,7 +284,7 @@ def _cmd_dice(args: argparse.Namespace) -> int:
 
     print(
         f"space: {len(space)} dice (sides={args.sides}, max_face={args.max_face}, "
-        f"face_sum={args.face_sum}); non-transitive subset: {len(ntd)} "
+        f"face_sum={args.face_sum}); non-transitive subset: {sub.n} "
         f"under {args.tie_convention!r}"
     )
     for path in written:

@@ -1,9 +1,10 @@
 """Non-transitive dice: enumeration, beating graphs, and graph distances.
 
-A die is a canonical (non-decreasing) tuple of integer faces.  All arithmetic
-in this module is exact — win counts, hop counts and four times the
-foliation-symmetry values are int64 arrays — and is converted to floats only
-at distance-matrix assembly.
+A die is one non-decreasing row of an (n, sides) int64 face array, and a set
+of dice is row indices into it; tuples of faces appear only in printed labels.
+All arithmetic in this module is exact — win counts, hop counts and four
+times the foliation-symmetry values are int64 arrays — and is converted to
+floats only at distance-matrix assembly.
 
 Two tie conventions for "Y beats X" are supported, because win counts can
 include ties:
@@ -17,13 +18,11 @@ The default space DT(6) is all 6-sided dice with faces in 1..6 summing to 21.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from .metrics import DistanceMatrix
-
-Die = Tuple[int, ...]
 
 TIE_CONVENTIONS = ("strict", "majority")
 #: The face columns each symmetry pairing adds up.  ``literal`` pairs face i
@@ -39,23 +38,27 @@ SYMMETRY_PAIRINGS = {
 #: 974 dice take about 1.4 s there on a 2-vCPU x86-64 VM.  The paper's space
 #: DT(6) has 32.
 MAX_DICE = 1024
+#: Largest number of faces (dice times sides) enumerated, so MAX_DICE binds
+#: up to 32 sides: each enumeration step copies every kept prefix, and the
+#: beating graph's histograms grow with the sides as with the dice.
+MAX_FACES = 32 * MAX_DICE
 
 
 class UnreachableNodeError(ValueError):
     """No directed path exists between two nodes of the beating graph."""
 
 
-def die_label(d: Die) -> str:
+def die_label(d: List[int]) -> str:
     """Render a die as concatenated digits (comma-joined when faces > 9)."""
     if all(f <= 9 for f in d):
         return "".join(str(f) for f in d)
     return ",".join(str(f) for f in d)
 
 
-def enumerate_dice(sides: int, max_face: int, face_sum: int) -> Tuple[Die, ...]:
+def enumerate_dice(sides: int, max_face: int, face_sum: int) -> np.ndarray:
     """Every canonical die with ``sides`` faces in 1..``max_face`` summing to
-    ``face_sum``: each non-decreasing tuple once, in lexicographic order.  An
-    infeasible sum yields no dice.
+    ``face_sum``: an (n, sides) int64 array holding each non-decreasing row
+    once, in lexicographic order.  An infeasible sum yields zero rows.
 
     The space grows one face at a time, as one int64 row per feasible prefix
     in lexicographic order.  A prefix with ``rest`` of the sum left and
@@ -64,8 +67,9 @@ def enumerate_dice(sides: int, max_face: int, face_sum: int) -> Tuple[Die, ...]:
     remaining slots can still reach the sum with faces in [v, max_face].
     Those faces form an interval, so they are counted before any row is
     built, whatever ``max_face``.  Every kept prefix completes to at least
-    one die, so a step that keeps more than ``MAX_DICE`` prefixes proves the
-    space too large, and it is refused.
+    one die, so a step that keeps more than ``MAX_DICE`` prefixes, or more
+    than ``MAX_FACES // sides``, proves the space too large, and it is
+    refused before that step copies any row.
 
     Before any int64 arithmetic, ``max_face`` is clamped in Python ints to
     ``face_sum - sides + 1``, the largest face left beside ``sides - 1``
@@ -75,61 +79,65 @@ def enumerate_dice(sides: int, max_face: int, face_sum: int) -> Tuple[Die, ...]:
     if sides < 1 or max_face < 1:
         raise ValueError("sides and max_face must be positive")
     if face_sum < sides:
-        return ()
+        return np.zeros((0, 0), dtype=np.int64)
     max_face = min(max_face, face_sum - sides + 1)
+    limit = min(MAX_DICE, MAX_FACES // sides)
     dice = np.zeros((1, 0), dtype=np.int64)
     for slots in range(sides - 1, -1, -1):
         rest = face_sum - dice.sum(axis=1)
         low = np.maximum(dice[:, -1] if dice.shape[1] else 1,
                          rest - min(max_face * slots, face_sum))
         count = np.maximum(np.minimum(max_face, rest // (slots + 1)) - low + 1, 0)
-        if count.sum() > MAX_DICE:
+        if count.sum() > limit:
             raise ValueError(
-                f"more than {MAX_DICE} dice with {sides} faces in 1..{max_face} summing "
-                f"to {face_sum}: too many for the beating graph"
+                f"more than {limit} dice with {sides} faces in 1..{max_face} summing to "
+                f"{face_sum}: too many for the beating graph, which takes at most "
+                f"{MAX_DICE} dice and {MAX_FACES} faces in all"
             )
         rows = np.repeat(np.arange(len(dice)), count)
         step = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
         dice = np.column_stack((dice[rows], low[rows] + step))
-    return tuple(map(tuple, dice.tolist()))
+    return dice
 
 
 @dataclass(frozen=True, eq=False)  # arrays have no single truth value
 class BeatingGraph:
     """Directed graph with an edge X → Y whenever X beats Y.
 
-    Nodes are kept in lexicographic order.  ``wins[i, j]`` counts the face
-    pairs where die ``i`` rolls higher than die ``j``; losses are ``wins.T``
-    and ties ``sides² − wins − wins.T``.  ``beats[i, j]`` is the edge
-    ``nodes[i]`` → ``nodes[j]``.
+    Node ``i`` is die ``faces[i]``.  ``wins[i, j]`` counts the face pairs
+    where die ``i`` rolls higher than die ``j``; losses are ``wins.T`` and
+    ties ``sides² − wins − wins.T``.  ``beats[i, j]`` is the edge i → j.
     """
 
-    nodes: Tuple[Die, ...]
+    faces: np.ndarray  # (n, sides) int64
     wins: np.ndarray  # (n, n) int64
     beats: np.ndarray  # (n, n) bool
     convention: str
 
     @property
     def n(self) -> int:
-        return len(self.nodes)
+        return len(self.faces)
 
 
-def build_beating_graph(dice: Iterable[Die], convention: str) -> BeatingGraph:
+def build_beating_graph(faces: np.ndarray, convention: str) -> BeatingGraph:
     """Win counts of every ordered pair of dice, and the edges they imply.
 
-    With ``values`` the distinct faces, ``hist[i, a]`` the faces of die
-    ``i`` equal to ``values[a]`` and ``below[j, a]`` the faces of die ``j``
-    below it, the win counts are the integer product ``hist @ below.T``.
+    The dice are the rows of ``faces``, put in lexicographic order.  With
+    ``values`` the distinct faces, ``hist[i, a]`` the faces of die ``i``
+    equal to ``values[a]`` and ``below[j, a]`` the faces of die ``j`` below
+    it, the win counts are the integer product ``hist @ below.T``.
     """
     if convention not in TIE_CONVENTIONS:
         raise ValueError(
             f"unknown tie convention {convention!r}; choose from {TIE_CONVENTIONS}"
         )
-    nodes = tuple(sorted(dice))
-    k = len(nodes[0]) if nodes else 0
-    if any(len(d) != k for d in nodes):
-        raise ValueError(f"side counts differ: {sorted({len(d) for d in nodes})}")
-    faces = np.array(nodes, dtype=np.int64).reshape(len(nodes), k)
+    try:
+        faces = np.asarray(faces, dtype=np.int64)
+    except ValueError as exc:  # rows of different lengths
+        raise ValueError(f"side counts differ: {exc}") from None
+    if faces.size:  # lexsort needs a key column
+        faces = faces[np.lexsort(faces.T[::-1])]
+    k = faces.shape[1]
     # Not np.unique: without return_inverse, numpy 2 imports numpy.ma for it.
     values = np.sort(faces, axis=None)
     values = values[np.diff(values, prepend=0) > 0]  # faces are >= 1
@@ -137,18 +145,13 @@ def build_beating_graph(dice: Iterable[Die], convention: str) -> BeatingGraph:
     below = (faces[:, :, None] < values).sum(axis=1, dtype=np.int64)
     wins = hist @ below.T
     beats = 2 * wins > k * k if convention == "strict" else wins > wins.T
-    return BeatingGraph(nodes=nodes, wins=wins, beats=beats, convention=convention)
+    return BeatingGraph(faces=faces, wins=wins, beats=beats, convention=convention)
 
 
-def induced_subgraph(g: BeatingGraph, keep: Iterable[Die]) -> BeatingGraph:
-    pos = {v: k for k, v in enumerate(g.nodes)}
-    keep_set = frozenset(keep)
-    missing = keep_set - pos.keys()
-    if missing:
-        raise ValueError(f"nodes not in graph: {sorted(missing)}")
-    idx = sorted(pos[v] for v in keep_set)
-    ix = np.ix_(idx, idx)
-    return BeatingGraph(tuple(g.nodes[k] for k in idx), g.wins[ix], g.beats[ix], g.convention)
+def induced_subgraph(g: BeatingGraph, rows: np.ndarray) -> BeatingGraph:
+    """The graph on the dice at ``rows`` of ``g.faces``, in that order."""
+    ix = np.ix_(rows, rows)
+    return BeatingGraph(g.faces[rows], g.wins[ix], g.beats[ix], g.convention)
 
 
 def _hops(g: BeatingGraph) -> np.ndarray:
@@ -166,18 +169,18 @@ def _hops(g: BeatingGraph) -> np.ndarray:
     return hops
 
 
-def non_transitive_subset(g: BeatingGraph) -> Tuple[Die, ...]:
-    """Nodes lying on at least one directed cycle of length >= 2.
+def non_transitive_subset(g: BeatingGraph) -> np.ndarray:
+    """Ascending rows of the dice on at least one directed cycle of length >= 2.
 
     Node i is on a cycle exactly when some other node j is reachable from i
     and i from j.
     """
     reach = _hops(g) > 0
-    return tuple(g.nodes[i] for i in np.flatnonzero((reach & reach.T).any(axis=1)))
+    return np.flatnonzero((reach & reach.T).any(axis=1))
 
 
 def shortest_path_matrix(g: BeatingGraph) -> np.ndarray:
-    """All-pairs round-trip hop counts, ordered like ``g.nodes``.
+    """All-pairs round-trip hop counts, ordered like ``g.faces``.
 
     Symmetrizing by the round trip makes this a metric on any strongly
     connected graph; a missing path in either direction is an error, not a
@@ -190,9 +193,7 @@ def shortest_path_matrix(g: BeatingGraph) -> np.ndarray:
         a, b = i[missing[0]], j[missing[0]]
         if hops[a, b] >= 0:
             a, b = b, a
-        raise UnreachableNodeError(
-            f"no directed path {die_label(g.nodes[a])} -> {die_label(g.nodes[b])}"
-        )
+        raise UnreachableNodeError("no directed path {} -> {}".format(*_labels(g.faces[[a, b]])))
     return hops + hops.T
 
 
@@ -225,29 +226,28 @@ def similarity_matrix(D: np.ndarray) -> np.ndarray:
     return np.sqrt(_squared_distances(D.T) - removed)
 
 
-def _labels(nodes: Sequence[Die]) -> Tuple[str, ...]:
-    return tuple(die_label(d) for d in nodes)
+def _labels(faces: np.ndarray) -> Tuple[str, ...]:
+    return tuple(map(die_label, faces.tolist()))
 
 
 def similarity_distance_matrix(g: BeatingGraph) -> DistanceMatrix:
     """Similarity distances over the graph's nodes (floats only here)."""
     sim = similarity_matrix(shortest_path_matrix(g))
-    return DistanceMatrix(entries=sim, labels=_labels(g.nodes), metric="similarity")
+    return DistanceMatrix(entries=sim, labels=_labels(g.faces), metric="similarity")
 
 
-def euclidean_dice_distance_matrix(nodes: Sequence[Die]) -> DistanceMatrix:
-    """Euclidean distances between the face vectors, exact up to the square
-    root, like :func:`similarity_matrix`."""
-    faces = np.array(nodes, dtype=np.int64).reshape(len(nodes), -1)
+def euclidean_dice_distance_matrix(faces: np.ndarray) -> DistanceMatrix:
+    """Euclidean distances between the rows of the int64 ``faces``, exact up
+    to the square root, like :func:`similarity_matrix`."""
     d = np.sqrt(_squared_distances(faces))
-    return DistanceMatrix(entries=d, labels=_labels(nodes), metric="euclidean")
+    return DistanceMatrix(entries=d, labels=_labels(faces), metric="euclidean")
 
 
 def foliation_symmetry_distance_matrix(
-    nodes: Sequence[Die], pairing: str = "literal"
+    faces: np.ndarray, pairing: str = "literal"
 ) -> DistanceMatrix:
-    """|(s(x) + f(x)) − (s(y) + f(y))| on every pair — a pullback of |·|, so a
-    pseudometric that may vanish on distinct dice.
+    """|(s(x) + f(x)) − (s(y) + f(y))| on every pair of rows of ``faces`` — a
+    pullback of |·|, so a pseudometric that may vanish on distinct dice.
 
     Foliation f(x) = x₁ − 1 + 6 − x₆ and symmetry s(x) = Σ ((a + b)/2 − 7/2)²,
     with (a, b) the pairing's three face pairs, are defined on 6-sided dice
@@ -259,16 +259,16 @@ def foliation_symmetry_distance_matrix(
         raise ValueError(
             f"unknown symmetry pairing {pairing!r}; choose from {tuple(SYMMETRY_PAIRINGS)}"
         )
-    bad = [x for x in nodes if len(x) != 6 or min(x) < 1 or max(x) > 6]
-    if bad:
+    bad = ((faces < 1) | (faces > 6)).any(axis=1) | (faces.shape[1] != 6)
+    if bad.any():
         raise ValueError(
-            f"foliation-symmetry is defined on 6-sided dice with faces in [1, 6], got {bad[0]}"
+            "foliation-symmetry is defined on 6-sided dice with faces in [1, 6], "
+            f"got {tuple(faces[bad.argmax()].tolist())}"
         )
-    faces = np.array(nodes, dtype=np.int64).reshape(len(nodes), 6)
     a, b = np.transpose(SYMMETRY_PAIRINGS[pairing])
     q = ((faces[:, a] + faces[:, b] - 7) ** 2).sum(axis=1) + 4 * (faces[:, 0] + 5 - faces[:, 5])
     d = np.abs(q[:, None] - q) / 4
-    return DistanceMatrix(entries=d, labels=_labels(nodes), metric="foliation-symmetry")
+    return DistanceMatrix(entries=d, labels=_labels(faces), metric="foliation-symmetry")
 
 
 def to_dot(g: BeatingGraph) -> str:
@@ -276,8 +276,8 @@ def to_dot(g: BeatingGraph) -> str:
 
     Edges carry their exhaustive win counts as labels (``wins/sides²``).
     """
-    total = len(g.nodes[0]) ** 2 if g.nodes else 0
-    labels = [die_label(v) for v in g.nodes]
+    total = g.faces.shape[1] ** 2
+    labels = _labels(g.faces)
     wins = g.wins.tolist()
     lines = ["digraph beating {", f"  // tie convention: {g.convention}"]
     lines += [f'  "{x}";' for x in labels]

@@ -82,19 +82,6 @@ def check_runs(names: Sequence[str], point_counts: Sequence[int] = ()) -> None:
         raise ValueError(f"runs describe different point counts: {sizes}")
 
 
-def _build_report(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
-    names = [name for name, _ in runs]
-    for name, bc in runs:
-        if not bc.normalized:
-            raise ValueError(f"run {name!r}: bar statistics require a normalized barcode")
-    top = max((bc.top_dim() for _, bc in runs), default=-1)
-    dims = tuple(range(max(top, 0) + 1))
-    cells = {
-        (name, s.dim): s for name, bc in runs for s in _stats_by_dim(bc, dims)
-    }
-    return ComparisonReport(metrics=tuple(names), dims=dims, cells=cells)
-
-
 def compare(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
     """Merge several runs over the same point set into one report.
 
@@ -104,15 +91,24 @@ def compare(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
     if len(runs) < 2:
         raise ValueError(f"compare needs at least 2 runs, got {len(runs)}")
     check_runs([name for name, _ in runs], [bc.n_points for _, bc in runs])
-    return _build_report(runs)
+    return stats_report(runs)
 
 
 def stats_report(runs: Sequence[Tuple[str, Barcode]]) -> ComparisonReport:
-    """Like :func:`compare` but for reporting on any number of runs ≥ 1."""
+    """The report on any number of runs ≥ 1, with distinct names."""
     if not runs:
         raise ValueError("need at least one barcode")
-    check_runs([name for name, _ in runs])
-    return _build_report(runs)
+    names = [name for name, _ in runs]
+    check_runs(names)
+    for name, bc in runs:
+        if not bc.normalized:
+            raise ValueError(f"run {name!r}: bar statistics require a normalized barcode")
+    top = max((bc.top_dim() for _, bc in runs), default=-1)
+    dims = tuple(range(max(top, 0) + 1))
+    cells = {
+        (name, s.dim): s for name, bc in runs for s in _stats_by_dim(bc, dims)
+    }
+    return ComparisonReport(metrics=tuple(names), dims=dims, cells=cells)
 
 
 STATS_HEADER = "metric,dim,count,avg,min,max"

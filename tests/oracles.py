@@ -17,7 +17,9 @@ the end evaluate one point, pair, candidate or bar record at a time, the
 way the library did before it switched to array expressions; the array
 code must match them bit for bit.  ``foliation`` and ``symmetry`` evaluate
 the dice descriptors die by die from their defining formulas, in exact
-fractions.  ``barcode_of`` builds a barcode from bar records.
+fractions.  ``barcode_of`` builds a barcode from bar records.  The dice
+oracles take each die as a tuple of faces; ``dice_tuples`` reads them off
+the rows of a face array.
 """
 
 from __future__ import annotations
@@ -32,12 +34,19 @@ from typing import Dict, List, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ripsbars.cloud import Region
-from ripsbars.dice import BeatingGraph, Die
+from ripsbars.dice import BeatingGraph
 from ripsbars.filtration import Filtration
 from ripsbars.metrics import TRIANGLE_TOL, DistanceMatrix
 from ripsbars.fileio import fmt
 from ripsbars.persistence import Bar, Barcode, SparseBinaryMatrix
 from ripsbars.stats import BarStats
+
+Die = Tuple[int, ...]
+
+
+def dice_tuples(faces: np.ndarray) -> Tuple[Die, ...]:
+    """The rows of a face array as tuples of Python ints, one per die."""
+    return tuple(tuple(row) for row in faces.tolist())
 
 
 def flag_complex_brute(m: DistanceMatrix, eps: float, max_dim: int) -> Set[Tuple[int, ...]]:
@@ -293,9 +302,10 @@ def validate_pseudometric(
 
 def successors(g: BeatingGraph) -> Dict[Die, Tuple[Die, ...]]:
     """Each node's successor tuple, in node order, read off ``g.beats``."""
+    nodes = dice_tuples(g.faces)
     return {
-        x: tuple(y for y, edge in zip(g.nodes, row) if edge)
-        for x, row in zip(g.nodes, g.beats)
+        x: tuple(y for y, edge in zip(nodes, row) if edge)
+        for x, row in zip(nodes, g.beats)
     }
 
 
@@ -354,7 +364,7 @@ def simple_cycles_brute(nodes: Sequence, succ: Dict) -> List[List]:
 def longest_cycle(g: BeatingGraph) -> List[Die]:
     """The first longest simple cycle in :func:`simple_cycles_brute` order;
     [] when acyclic.  Exponential; meant for graphs of ≤ 16 nodes."""
-    return max(simple_cycles_brute(g.nodes, successors(g)), key=len, default=[])
+    return max(simple_cycles_brute(dice_tuples(g.faces), successors(g)), key=len, default=[])
 
 
 def parse_die(text: str) -> Die:
@@ -534,8 +544,9 @@ def shortest_path_matrix_loop(g: BeatingGraph) -> np.ndarray:
                     queue.append(w)
         return dist
 
-    table = {v: hops(v) for v in g.nodes}
-    return pairwise_loop(g.nodes, lambda x, y: table[x][y] + table[y][x])
+    nodes = dice_tuples(g.faces)
+    table = {v: hops(v) for v in nodes}
+    return pairwise_loop(nodes, lambda x, y: table[x][y] + table[y][x])
 
 
 def similarity_matrix_loop(D) -> np.ndarray:

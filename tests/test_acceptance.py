@@ -18,6 +18,7 @@ from oracles import (
     bars_alive,
     barcode_of,
     betti_numbers,
+    dice_tuples,
     flag_complex_brute,
     in_dim,
     longest_cycle,
@@ -151,7 +152,7 @@ def test_c05_seven_cycle_and_longest_cycle(capsys):
         space = dt6()
         cycle = [parse_die(s) for s in SEVEN_CYCLE_LABELS]
         g_major = build_beating_graph(space, "majority")
-        pos = {d: k for k, d in enumerate(g_major.nodes)}
+        pos = {d: k for k, d in enumerate(dice_tuples(g_major.faces))}
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             assert g_major.beats[pos[a], pos[b]]
         g_strict = build_beating_graph(space, "strict")
@@ -174,10 +175,11 @@ def test_c06_similar_dice_trio_degeneracy(capsys):
         g = build_beating_graph(dt6(), "strict")
         sub = induced_subgraph(g, non_transitive_subset(g))
         trio = [parse_die(s) for s in ("112566", "122556", "222555")]
+        nodes = dice_tuples(sub.faces)
         for d in trio:
-            assert d in sub.nodes
+            assert d in nodes
         dmat = similarity_distance_matrix(sub)
-        idx = {d: i for i, d in enumerate(sub.nodes)}
+        idx = {d: i for i, d in enumerate(nodes)}
         for a, b in itertools.combinations(trio, 2):
             assert dmat.entries[idx[a], idx[b]] == 0.0
             rest = [k for k in range(sub.n) if k not in (idx[a], idx[b])]
@@ -192,8 +194,9 @@ def test_c07_convention_reproducing_the_published_ten(capsys):
     pinned here as a regression."""
     space = dt6()
     published = tuple(sorted(parse_die(s) for s in TEN_LABELS))
-    strict_ntd = non_transitive_subset(build_beating_graph(space, "strict"))
-    majority_ntd = non_transitive_subset(build_beating_graph(space, "majority"))
+    g_strict, g_major = (build_beating_graph(space, c) for c in ("strict", "majority"))
+    strict_ntd = dice_tuples(g_strict.faces[non_transitive_subset(g_strict)])
+    majority_ntd = dice_tuples(g_major.faces[non_transitive_subset(g_major)])
     with gate(capsys, "C7", "strict convention reproduces the published ten"):
         assert strict_ntd == published
         assert majority_ntd != published

@@ -797,6 +797,19 @@ def test_dice_refuses_a_space_too_large_for_its_graph(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dice_refuses_a_space_of_too_many_faces(tmp_path, capsys):
+    """792 dice of 5,000 sides pass the dice bound but not the face budget,
+    and are refused while enumerating, before any graph or file."""
+    out = tmp_path / "d"
+    argv = ["dice", "--out", str(out), "--sides", "5000", "--max-face", "23",
+            "--face-sum", "5021"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: more than 6 dice with 5000 faces")
+    assert "at most 1024 dice and 32768 faces in all" in err
+    assert not out.exists()
+
+
 # -------------------------------------------------------------------- stats
 
 def test_stats_from_barcode_files(tmp_path, capsys):

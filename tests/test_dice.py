@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
     beats_loop,
     cycle_nodes_brute,
     dice_brute,
+    dice_tuples,
     euclidean_dice,
     foliation,
     foliation_symmetry_distance,
@@ -29,6 +31,7 @@ from oracles import (
 )
 from ripsbars.dice import (
     MAX_DICE,
+    MAX_FACES,
     BeatingGraph,
     UnreachableNodeError,
     build_beating_graph,
@@ -45,9 +48,10 @@ from ripsbars.dice import (
 )
 from ripsbars.metrics import DistanceMatrix
 
-DT6 = enumerate_dice(6, 6, 21)
+DT6_FACES = enumerate_dice(6, 6, 21)
+DT6 = dice_tuples(DT6_FACES)
 CONVENTIONS = ("strict", "majority")
-DT6_GRAPHS = {c: build_beating_graph(DT6, c) for c in CONVENTIONS}
+DT6_GRAPHS = {c: build_beating_graph(DT6_FACES, c) for c in CONVENTIONS}
 
 #: The ten dice of the published non-transitive subset of DT(6).
 TEN = tuple(
@@ -71,38 +75,61 @@ def _graph(dice, convention="strict"):
     return build_beating_graph(dice, convention)
 
 
+def _rows(dice):
+    """Ascending rows of these DT(6) dice."""
+    return sorted(DT6.index(d) for d in dice)
+
+
+def _ntd(g):
+    """The non-transitive dice of ``g``, as tuples."""
+    return dice_tuples(g.faces[non_transitive_subset(g)])
+
+
 def _counts(g, x, y):
     """Wins, ties and losses of ``x`` against ``y``, read off ``g.wins``."""
-    i, j = g.nodes.index(x), g.nodes.index(y)
+    nodes = dice_tuples(g.faces)
+    i, j = nodes.index(x), nodes.index(y)
     wins, losses = int(g.wins[i, j]), int(g.wins[j, i])
     return WinCount(wins, len(x) ** 2 - wins - losses, losses)
 
 
 def _edge(g, x, y):
-    return bool(g.beats[g.nodes.index(x), g.nodes.index(y)])
+    nodes = dice_tuples(g.faces)
+    return bool(g.beats[nodes.index(x), nodes.index(y)])
+
+
+def _assert_same_graph(a, b):
+    """Equal faces, win counts, edges (values, dtypes and shapes) and convention."""
+    for field in ("faces", "wins", "beats"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), strict=True)
+    assert a.convention == b.convention
 
 
 # ---------------------------------------------------------------- enumeration
 
 def test_enumerate_single_side():
-    assert enumerate_dice(1, 6, 4) == ((4,),)
+    assert dice_tuples(enumerate_dice(1, 6, 4)) == ((4,),)
 
 
 def test_enumerate_two_sides():
-    assert enumerate_dice(2, 6, 7) == ((1, 6), (2, 5), (3, 4))
+    assert dice_tuples(enumerate_dice(2, 6, 7)) == ((1, 6), (2, 5), (3, 4))
 
 
 def test_dt6_count_pinned():
     # Frozen regression value: brute-force enumeration of all non-decreasing
     # 6-tuples over 1..6 with face sum 21.
     assert len(DT6) == 32
+    assert DT6_FACES.dtype == np.int64 and DT6_FACES.shape == (32, 6)
     assert all(sum(d) == 21 for d in DT6)
     assert all(d == tuple(sorted(d)) for d in DT6)
     assert DT6 == tuple(sorted(set(DT6)))  # unique, lexicographic
 
 
 def test_enumerate_infeasible_sum_is_empty():
-    assert enumerate_dice(2, 6, 13) == ()
+    """An infeasible space is an int64 array of zero rows."""
+    for space in (enumerate_dice(2, 6, 13), enumerate_dice(10**19, 6, 21)):
+        assert dice_tuples(space) == ()
+        assert space.dtype == np.int64 and space.shape[0] == 0
 
 
 def test_enumerate_rejects_bad_params():
@@ -115,27 +142,30 @@ def test_enumerate_matches_brute_force():
     for sides, max_face in itertools.product(range(1, 9), range(1, 9)):
         for face_sum in range(sides * max_face + 2):
             want = dice_brute(sides, max_face, face_sum)
-            assert enumerate_dice(sides, max_face, face_sum) == want
+            assert dice_tuples(enumerate_dice(sides, max_face, face_sum)) == want
 
 
 def test_enumerate_many_sides():
     # One loop step per side: the side count is no recursion depth.
-    assert enumerate_dice(1200, 1, 1200) == ((1,) * 1200,)
+    assert dice_tuples(enumerate_dice(1200, 1, 1200)) == ((1,) * 1200,)
 
 
 def test_enumerate_counts_faces_without_listing_them():
     # No face above 16 fits six faces summing to 21; none is looked at.
-    assert enumerate_dice(6, 10**12, 21) == enumerate_dice(6, 16, 21)
+    assert dice_tuples(enumerate_dice(6, 10**12, 21)) == dice_tuples(enumerate_dice(6, 16, 21))
 
 
 def test_enumerate_takes_faces_and_sums_up_to_int64():
     """``max_face`` is clamped in Python ints to ``face_sum - sides + 1``,
     so a ``max_face`` past int64 gives the clamped space, and faces and sums
     up to 2**63 - 1 raise no ``OverflowError``."""
-    assert enumerate_dice(6, 10**19, 21) == enumerate_dice(6, 16, 21)
-    assert enumerate_dice(1, 10**19, 2**63 - 1) == ((2**63 - 1,),)
-    assert enumerate_dice(3, 2**61 + 1, 3 * 2**61 + 2) == ((2**61, 2**61 + 1, 2**61 + 1),)
-    assert enumerate_dice(6, 6, -(10**30)) == enumerate_dice(10**19, 6, 21) == ()
+    def space(*args):
+        return dice_tuples(enumerate_dice(*args))
+
+    assert space(6, 10**19, 21) == space(6, 16, 21)
+    assert space(1, 10**19, 2**63 - 1) == ((2**63 - 1,),)
+    assert space(3, 2**61 + 1, 3 * 2**61 + 2) == ((2**61, 2**61 + 1, 2**61 + 1),)
+    assert space(6, 6, -(10**30)) == space(10**19, 6, 21) == ()
     with pytest.raises(ValueError, match=f"more than {MAX_DICE} dice"):
         enumerate_dice(6, 2**62, 2**62)
 
@@ -150,9 +180,24 @@ def test_max_dice_bound_is_exact():
     """A space of 974 dice is enumerated and one of 1,040 refused: the count
     of kept prefixes never exceeds the count of dice."""
     assert len(dice_brute(10, 9, 39)) == 974 and len(dice_brute(9, 10, 38)) == 1040
-    assert enumerate_dice(10, 9, 39) == dice_brute(10, 9, 39)
+    assert dice_tuples(enumerate_dice(10, 9, 39)) == dice_brute(10, 9, 39)
     with pytest.raises(ValueError, match=f"more than {MAX_DICE} dice"):
         enumerate_dice(9, 10, 38)
+
+
+def test_enumerate_refuses_more_faces_than_max_faces():
+    """The budget counts dice times sides: 4,096 sides take 8 dice, not 11
+    (the spaces of 8 sides with the same faces above 1 have as many), and
+    792 dice of 5,000 sides are refused while the prefixes are still few,
+    naming both bounds."""
+    assert len(dice_brute(8, 4, 15)) == 8 and len(dice_brute(8, 5, 15)) == 11
+    assert MAX_FACES // 4096 == 8
+    assert enumerate_dice(4096, 4, 4103).shape == (8, 4096)
+    budget = f"at most {MAX_DICE} dice and {MAX_FACES} faces in all"
+    with pytest.raises(ValueError, match=f"more than 8 dice with 4096 faces.*{budget}"):
+        enumerate_dice(4096, 5, 4103)
+    with pytest.raises(ValueError, match=f"more than 6 dice with 5000 faces.*{budget}"):
+        enumerate_dice(5000, 23, 5021)
 
 
 def test_die_label_round_trip():
@@ -253,12 +298,19 @@ def test_tiny_space_has_no_edges():
 
 def test_graph_stores_exact_win_counts():
     for convention, g in DT6_GRAPHS.items():
-        assert g.nodes == DT6
+        assert dice_tuples(g.faces) == DT6
         assert g.wins.dtype == np.int64 and g.beats.dtype == bool
-        for i, x in enumerate(g.nodes):
-            for j, y in enumerate(g.nodes):
+        for i, x in enumerate(DT6):
+            for j, y in enumerate(DT6):
                 assert g.wins[i, j] == beating_probability(x, y).wins
                 assert g.beats[i, j] == beats_loop(x, y, convention)
+
+
+def test_graph_puts_rows_in_lexicographic_order():
+    """Rows come back sorted as tuples sort, whatever order they came in."""
+    shuffled = DT6_FACES[np.random.default_rng(3).permutation(len(DT6))]
+    for convention, g in DT6_GRAPHS.items():
+        _assert_same_graph(build_beating_graph(shuffled, convention), g)
 
 
 def test_singleton_space_no_edges():
@@ -283,12 +335,12 @@ def test_three_cycle_example_edge():
 @st.composite
 def small_spaces(draw):
     """A space of 1-6 sides, faces up to 1-8, a feasible sum, and at most 8
-    of its dice (the cycle oracle is exponential)."""
+    of its rows (the cycle oracle is exponential)."""
     sides = draw(st.integers(1, 6))
     max_face = draw(st.integers(1, 8))
     space = enumerate_dice(sides, max_face, draw(st.integers(sides, sides * max_face)))
-    dice = draw(st.lists(st.sampled_from(space), min_size=1, max_size=8, unique=True))
-    return space, dice
+    rows = draw(st.lists(st.integers(0, len(space) - 1), min_size=1, max_size=8, unique=True))
+    return space, rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -296,14 +348,15 @@ def small_spaces(draw):
 def test_graph_matrices_match_per_pair_loops(space_and_dice, convention):
     """wins, beats, the non-transitive subset and the round-trip hop counts
     equal the per-pair loops and the exhaustive cycle search."""
-    space, dice = space_and_dice
+    space, rows = space_and_dice
     full = build_beating_graph(space, convention)
-    g = induced_subgraph(full, dice)
-    for i, x in enumerate(g.nodes):
-        for j, y in enumerate(g.nodes):
+    g = induced_subgraph(full, rows)
+    nodes = dice_tuples(g.faces)
+    for i, x in enumerate(nodes):
+        for j, y in enumerate(nodes):
             assert g.wins[i, j] == beating_probability(x, y).wins
             assert g.beats[i, j] == beats_loop(x, y, convention)
-    assert set(non_transitive_subset(g)) == cycle_nodes_brute(g.nodes, successors(g))
+    assert set(_ntd(g)) == cycle_nodes_brute(nodes, successors(g))
     # The whole space's non-transitive dice, as the pipeline takes them.
     sub = induced_subgraph(full, non_transitive_subset(full))
     try:
@@ -320,50 +373,66 @@ def _manual_graph(nodes, edges):
     beats = np.zeros((len(nodes), len(nodes)), dtype=bool)
     for x, y in edges:
         beats[nodes.index(x), nodes.index(y)] = True
-    return BeatingGraph(tuple(nodes), beats.astype(np.int64), beats, "majority")
+    return BeatingGraph(np.array(nodes, dtype=np.int64), beats.astype(np.int64), beats, "majority")
 
 
 def test_ntd_acyclic_graph_empty():
     a, b, c = (1,), (2,), (3,)
     g = _manual_graph((a, b, c), [(a, b), (b, c), (a, c)])
-    assert non_transitive_subset(g) == ()
+    assert _ntd(g) == ()
 
 
 def test_ntd_three_cycle():
     a, b, c = (1,), (2,), (3,)
     g = _manual_graph((a, b, c), [(a, b), (b, c), (c, a)])
-    assert non_transitive_subset(g) == (a, b, c)
+    assert _ntd(g) == (a, b, c)
 
 
 def test_ntd_strict_is_the_published_ten():
-    g = build_beating_graph(DT6, "strict")
-    assert non_transitive_subset(g) == tuple(sorted(TEN))
+    g = build_beating_graph(DT6_FACES, "strict")
+    assert _ntd(g) == tuple(sorted(TEN))
+    assert non_transitive_subset(g).tolist() == _rows(TEN)  # ascending rows
 
 
 def test_ntd_majority_pinned():
     # Frozen regression: under majority every DT(6) die except the standard
     # die lies on a cycle.
-    g = build_beating_graph(DT6, "majority")
-    ntd = non_transitive_subset(g)
+    g = build_beating_graph(DT6_FACES, "majority")
+    ntd = _ntd(g)
     assert len(ntd) == 31
     assert set(DT6) - set(ntd) == {(1, 2, 3, 4, 5, 6)}
+    standard = DT6.index((1, 2, 3, 4, 5, 6))
+    assert non_transitive_subset(g).tolist() == [i for i in range(32) if i != standard]
 
 
 def test_ntd_matches_brute_force_cycle_search():
     rng = random.Random(99)
     for convention in ("strict", "majority"):
-        full = build_beating_graph(DT6, convention)
+        full = build_beating_graph(DT6_FACES, convention)
         for _ in range(12):
-            subset = rng.sample(DT6, rng.randint(2, 8))
-            g = induced_subgraph(full, subset)
-            expected = cycle_nodes_brute(g.nodes, successors(g))
-            assert set(non_transitive_subset(g)) == expected
+            rows = rng.sample(range(len(DT6)), rng.randint(2, 8))
+            g = induced_subgraph(full, rows)
+            expected = cycle_nodes_brute(dice_tuples(g.faces), successors(g))
+            assert set(_ntd(g)) == expected
 
 
-def test_induced_subgraph_rejects_foreign_nodes():
-    g = build_beating_graph(DT6, "strict")
-    with pytest.raises(ValueError):
-        induced_subgraph(g, [(9, 9, 9, 9, 9, 9)])
+@pytest.mark.parametrize("convention", CONVENTIONS)
+def test_induced_subgraph_of_dt6_rows_is_their_graph(convention):
+    """All of DT(6), its non-transitive rows and no rows at all: slicing
+    the graph by rows equals building the graph of those rows."""
+    g = DT6_GRAPHS[convention]
+    for rows in (np.arange(len(DT6)), non_transitive_subset(g), np.arange(0)):
+        _assert_same_graph(induced_subgraph(g, rows), build_beating_graph(g.faces[rows], convention))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(0, 31), unique=True).map(sorted),
+    st.sampled_from(CONVENTIONS),
+)
+def test_induced_subgraph_of_any_rows_is_their_graph(rows, convention):
+    g = DT6_GRAPHS[convention]
+    _assert_same_graph(induced_subgraph(g, rows), build_beating_graph(g.faces[rows], convention))
 
 
 # -------------------------------------------------------------- longest cycle
@@ -384,7 +453,7 @@ def test_longest_cycle_on_published_ten_strict():
     """The induced strict-convention subgraph on the ten published dice has
     a maximum simple cycle of length 7; exhaustive search returns the
     first one in node order."""
-    g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
+    g = induced_subgraph(DT6_GRAPHS["strict"], _rows(TEN))
     cycle = longest_cycle(g)
     assert len(cycle) == 7
     assert cycle == [
@@ -399,14 +468,14 @@ def test_longest_cycle_on_published_ten_strict():
 def test_longest_cycle_on_published_ten_majority():
     # Frozen regression: majority adds edges, and the same ten nodes then
     # carry a Hamiltonian (length-10) cycle.
-    g = induced_subgraph(build_beating_graph(DT6, "majority"), TEN)
+    g = induced_subgraph(DT6_GRAPHS["majority"], _rows(TEN))
     assert len(longest_cycle(g)) == 10
 
 
 # -------------------------------------------------------------- shortest path
 
 def test_shortest_path_self_zero():
-    g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
+    g = induced_subgraph(DT6_GRAPHS["strict"], _rows(TEN))
     assert not shortest_path_matrix(g).diagonal().any()
 
 
@@ -425,9 +494,9 @@ def test_shortest_path_unreachable():
 
 def test_shortest_path_matrix_strict_ten_pinned():
     """Frozen all-pairs round-trip hop counts on the strict graph."""
-    g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
+    g = induced_subgraph(DT6_GRAPHS["strict"], _rows(TEN))
     D = shortest_path_matrix(g)
-    labels = [die_label(d) for d in g.nodes]
+    labels = [die_label(d) for d in dice_tuples(g.faces)]
     assert labels == sorted(labels)
     idx = {lab: i for i, lab in enumerate(labels)}
     assert D[idx["112566"]][idx["114555"]] == 5
@@ -443,7 +512,7 @@ def test_shortest_path_matrix_strict_ten_pinned():
 def test_shortest_path_metric_axioms_exact():
     """On a strongly connected graph the round-trip distance is a metric;
     integer arithmetic means the axioms hold with zero tolerance."""
-    g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
+    g = induced_subgraph(DT6_GRAPHS["strict"], _rows(TEN))
     m = DistanceMatrix(entries=np.array(shortest_path_matrix(g), dtype=float))
     assert validate_pseudometric(m, tol=0.0).ok
 
@@ -472,7 +541,7 @@ def test_similarity_identical_neighborhood_pair():
 def test_similar_trio_distance_zero():
     """112566, 122556 and 222555 relate identically to the other dice, so
     their similarity distances vanish exactly."""
-    g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
+    g = induced_subgraph(DT6_GRAPHS["strict"], _rows(TEN))
     m = similarity_distance_matrix(g)
     idx = {lab: i for i, lab in enumerate(m.labels)}
     trio = ["112566", "122556", "222555"]
@@ -480,7 +549,7 @@ def test_similar_trio_distance_zero():
         for b in trio:
             assert m.entries[idx[a], idx[b]] == 0.0
     # and their in/out neighborhoods coincide once the trio is masked out
-    pos = [g.nodes.index(parse_die(s)) for s in trio]
+    pos = [dice_tuples(g.faces).index(parse_die(s)) for s in trio]
     rest = [k for k in range(g.n) if k not in pos]
     for a in pos:
         for b in pos:
@@ -489,7 +558,7 @@ def test_similar_trio_distance_zero():
 
 
 def test_similarity_pinned_values():
-    g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
+    g = induced_subgraph(DT6_GRAPHS["strict"], _rows(TEN))
     m = similarity_distance_matrix(g)
     idx = {lab: i for i, lab in enumerate(m.labels)}
     assert m.entries[idx["112566"], idx["114555"]] == 7.0
@@ -506,9 +575,15 @@ def test_foliation_values():
 
 
 def test_foliation_rejects_other_spaces():
-    for die in ((1, 2, 3, 4, 5), (1, 2, 3, 4, 5, 7), (0, 2, 3, 4, 5, 6)):
-        with pytest.raises(ValueError, match=r"6-sided dice with faces in \[1, 6\]"):
-            foliation_symmetry_distance_matrix([(1, 2, 3, 4, 5, 6), die])
+    """The first die outside the domain is named; 5-sided dice all are."""
+    for faces, named in (
+        ([(1, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 7)], (1, 2, 3, 4, 5, 7)),
+        ([(1, 2, 3, 4, 5, 6), (0, 2, 3, 4, 5, 6)], (0, 2, 3, 4, 5, 6)),
+        ([(1, 2, 3, 4, 5), (1, 2, 3, 4, 6)], (1, 2, 3, 4, 5)),
+    ):
+        want = r"6-sided dice with faces in \[1, 6\], got " + re.escape(str(named))
+        with pytest.raises(ValueError, match=want):
+            foliation_symmetry_distance_matrix(np.array(faces, dtype=np.int64))
 
 
 def test_symmetry_opposite_standard_die():
@@ -526,7 +601,7 @@ def test_symmetry_opposite_all_sevens():
 
 def test_symmetry_unknown_pairing():
     with pytest.raises(ValueError, match="pairing"):
-        foliation_symmetry_distance_matrix([(1, 2, 3, 4, 5, 6)], "diagonal")
+        foliation_symmetry_distance_matrix(np.array([(1, 2, 3, 4, 5, 6)]), "diagonal")
 
 
 def test_symmetry_is_exact_rational():
@@ -563,14 +638,14 @@ def test_euclidean_dice_values():
 # -------------------------------------------------------- distance matrices
 
 def test_dice_distance_matrices_are_valid():
-    g = induced_subgraph(build_beating_graph(DT6, "strict"), TEN)
+    g = induced_subgraph(DT6_GRAPHS["strict"], _rows(TEN))
     for m in (
         similarity_distance_matrix(g),
-        euclidean_dice_distance_matrix(g.nodes),
-        foliation_symmetry_distance_matrix(g.nodes, "literal"),
-        foliation_symmetry_distance_matrix(g.nodes, "opposite"),
+        euclidean_dice_distance_matrix(g.faces),
+        foliation_symmetry_distance_matrix(g.faces, "literal"),
+        foliation_symmetry_distance_matrix(g.faces, "opposite"),
     ):
-        assert m.labels == tuple(die_label(d) for d in g.nodes)
+        assert m.labels == tuple(die_label(d) for d in dice_tuples(g.faces))
         assert validate_pseudometric(m, tol=1e-9).ok
 
 
@@ -578,9 +653,10 @@ def test_dice_distance_matrices_are_valid():
 def test_dice_matrices_match_per_pair_loops(convention):
     """The array builders equal the per-pair loops bit for bit on the strict
     (10 dice) and majority (31 dice) non-transitive subsets of DT(6)."""
-    g = build_beating_graph(DT6, convention)
+    g = build_beating_graph(DT6_FACES, convention)
     sub = induced_subgraph(g, non_transitive_subset(g))
     assert sub.n == {"strict": 10, "majority": 31}[convention]
+    nodes = dice_tuples(sub.faces)
     D = shortest_path_matrix(sub)
     assert np.array_equal(D, shortest_path_matrix_loop(sub))
     assert np.array_equal(similarity_matrix(D), similarity_matrix_loop(D))
@@ -588,13 +664,13 @@ def test_dice_matrices_match_per_pair_loops(convention):
         similarity_distance_matrix(sub).entries, similarity_matrix_loop(D)
     )
     assert np.array_equal(
-        euclidean_dice_distance_matrix(sub.nodes).entries,
-        pairwise_loop(sub.nodes, euclidean_dice),
+        euclidean_dice_distance_matrix(sub.faces).entries,
+        pairwise_loop(nodes, euclidean_dice),
     )
     for pairing in ("literal", "opposite"):
         assert np.array_equal(
-            foliation_symmetry_distance_matrix(sub.nodes, pairing).entries,
-            foliation_symmetry_matrix_loop(sub.nodes, pairing),
+            foliation_symmetry_distance_matrix(sub.faces, pairing).entries,
+            foliation_symmetry_matrix_loop(nodes, pairing),
         )
 
 
@@ -612,7 +688,7 @@ def test_foliation_symmetry_matches_fraction_loop(dice, pairing):
     canonical 6-sided dice with faces in 1..6, whatever their sum, repeats
     included."""
     np.testing.assert_array_equal(
-        foliation_symmetry_distance_matrix(dice, pairing).entries,
+        foliation_symmetry_distance_matrix(np.array(dice, dtype=np.int64), pairing).entries,
         foliation_symmetry_matrix_loop(dice, pairing),
         strict=True,
     )

@@ -345,8 +345,8 @@ def _dice_matrices(convention):
     sub = dice.induced_subgraph(g, dice.non_transitive_subset(g))
     return [
         dice.similarity_distance_matrix(sub),
-        dice.euclidean_dice_distance_matrix(sub.nodes),
-        dice.foliation_symmetry_distance_matrix(sub.nodes, "literal"),
+        dice.euclidean_dice_distance_matrix(sub.faces),
+        dice.foliation_symmetry_distance_matrix(sub.faces, "literal"),
     ]
 
 
