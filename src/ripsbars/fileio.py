@@ -9,7 +9,10 @@ produced it.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 VERSION = "0.1.0"
 
@@ -33,6 +36,16 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_array(values: np.ndarray, spec: str = ".17g") -> np.ndarray:
+    """``format(x, spec)`` of every entry of the float64 array ``values``, as
+    an object array of the same shape.  Each distinct value is formatted once,
+    told apart by bit pattern, so -0.0 keeps its sign."""
+    values = np.asarray(values, dtype=np.float64)
+    bits, index = np.unique(values.ravel().view(np.int64), return_inverse=True)
+    text = np.array([format(x, spec) for x in bits.view(np.float64).tolist()], dtype=object)
+    return text[index].reshape(values.shape)
+
+
 def metadata_lines(config: Optional[Dict[str, Any]], comment: str = "#") -> List[str]:
     """Build the metadata comment block placed at the top of output files."""
     lines = [f"{comment} {VERSION_KEY} {VERSION}"]
@@ -48,13 +61,17 @@ def parse_metadata(path: str, lines: List[str]) -> Dict[str, Any]:
     Returns the keys present among ``version`` (str), ``config`` (the run
     configuration object), ``metric`` (str), ``labels`` (tuple of str) and
     ``barcode-meta`` (object), plus ``lines``: the line number of each of
-    them, for error messages.  Malformed JSON raises :class:`ParseError` at
-    its own line; unknown comment lines are ignored.
+    them, for error messages.  The block ends at the first line that is
+    neither blank nor a comment; blank lines inside it are skipped, as
+    :func:`data_lines` skips them.  Malformed JSON raises :class:`ParseError`
+    at its own line; unknown comment lines are ignored.
     """
     meta: Dict[str, Any] = {}
     at: Dict[str, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()
+        if not text:
+            continue
         if not text.startswith("#"):
             break
         key, _, value = text.lstrip("#").strip().partition(" ")
@@ -97,7 +114,7 @@ def parse_float(path: str, line: int, token: str) -> float:
         value = float(token)
     except ValueError:
         raise ParseError(path, line, f"not a number: {token!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ParseError(path, line, f"non-finite value: {token!r}")
     return value
 

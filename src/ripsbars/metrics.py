@@ -199,8 +199,7 @@ def write_distance_csv(
         lines.append(f"# metric {m.metric}")
     if m.labels is not None:
         lines.append("# labels " + ",".join(m.labels))
-    for row in m.entries:
-        lines.append(",".join(fmt(v) for v in row))
+    lines.extend(map(",".join, fileio.fmt_array(m.entries).tolist()))
     fileio.write_text(path, lines)
 
 
@@ -209,10 +208,15 @@ def read_distance_csv(path: str, lines: List[str]) -> Tuple[DistanceMatrix, Dict
     labels errors), validating shape and symmetry within ``TRIANGLE_TOL``.  Returns
     the matrix and its header, as :func:`fileio.parse_metadata` gives it."""
     meta = fileio.parse_metadata(path, lines)
+    values: Dict[str, float] = {}  # each distinct token that parsed, so each parses once
     rows: List[List[float]] = []
     row_lines: List[int] = []
     for lineno, text in fileio.data_lines(lines):
-        rows.append([fileio.parse_float(path, lineno, tok) for tok in text.split(",")])
+        tokens = text.split(",")
+        for tok in tokens:
+            if tok not in values:
+                values[tok] = fileio.parse_float(path, lineno, tok)
+        rows.append(list(map(values.__getitem__, tokens)))
         row_lines.append(lineno)
     if not rows:
         raise ParseError(path, len(lines) or 1, "no matrix rows found")

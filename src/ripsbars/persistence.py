@@ -307,26 +307,26 @@ def write_barcode_csv(
     """CSV with one bar per line; zero-length pairs included and marked by
     birth = death, so the reader can reconstruct the full object.
 
-    Each distinct value is formatted once (told apart by bit pattern, so
-    -0.0 keeps its sign), and each run of equal bars, which a sorted barcode
-    of few distinct values is made of, becomes one line repeated."""
+    A sorted barcode of few distinct values is made of runs of equal bars,
+    told apart by bit pattern (so -0.0 keeps its sign): each run's values are
+    formatted once, and its line is written once, repeated by its length."""
     lines = fileio.metadata_lines(config)
     meta = {key: getattr(bc, key) for key in _META_TYPES}
     lines.append(f"# {BARCODE_META_KEY} " + json.dumps(meta, sort_keys=True))
-    lines.append(BARCODE_HEADER)
     n = len(bc.dim)
-    values = np.concatenate((bc.birth, bc.death), dtype=np.float64)
-    bits, index = np.unique(values.view(np.int64), return_inverse=True)
-    text = [fmt(x) for x in bits.view(np.float64).tolist()]
-    row = (bc.dim, index[:n], index[n:], bc.open)
+    bits = [np.asarray(x, dtype=np.float64).view(np.int64) for x in (bc.birth, bc.death)]
     starts = np.ones(n, dtype=bool)
-    starts[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in row])
+    starts[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in (bc.dim, *bits, bc.open)])
     starts = np.flatnonzero(starts)
-    runs = [
-        f"{dim},{text[birth]},{text[death]},{int(is_open)}"
-        for dim, birth, death, is_open in zip(*(x[starts].tolist() for x in row))
-    ]
-    lines.extend(np.repeat(np.array(runs, dtype=object), np.diff(starts, append=n)).tolist())
+    births, deaths = fileio.fmt_array(np.stack((bc.birth[starts], bc.death[starts]))).tolist()
+    runs = zip(
+        bc.dim[starts].tolist(), births, deaths, bc.open[starts].astype(np.int8).tolist(),
+        np.diff(starts, append=n).tolist(),
+    )
+    lines.append(BARCODE_HEADER + "".join(
+        [f"\n{dim},{birth},{death},{is_open}" * count
+         for dim, birth, death, is_open, count in runs]
+    ))
     fileio.write_text(path, lines)
 
 
@@ -355,13 +355,26 @@ def read_barcode_csv(path: str) -> Barcode:
             raise ParseError(path, at, f"{BARCODE_META_KEY} {key!r} out of range: {meta[key]}")
     normalized = meta["normalized"]
     open_end = 1.0 if normalized else meta["span_end"]
+    for start, text in fileio.data_lines(lines):
+        if text != BARCODE_HEADER:
+            raise ParseError(path, start, f"expected header {BARCODE_HEADER!r}")
+        break
+    else:
+        raise ParseError(path, len(lines) or 1, "no barcode header found")
+    # A row's verdict depends only on its line and the meta, so each distinct
+    # line is checked once.  dict.fromkeys keeps them in order of first
+    # occurrence, so each one's first line is found by searching on from the
+    # last, and the first bad line of the file is refused at its own number.
+    body = lines[start:]
+    row_of: Dict[str, int] = {}  # each distinct line: its row in ``rows``, -1 if blank or comment
     rows: List[Tuple[int, float, float, bool]] = []
-    saw_header = False
-    for lineno, text in fileio.data_lines(lines):
-        if not saw_header:
-            if text != BARCODE_HEADER:
-                raise ParseError(path, lineno, f"expected header {BARCODE_HEADER!r}")
-            saw_header = True
+    pos = 0
+    for raw in dict.fromkeys(body):
+        pos = body.index(raw, pos)
+        lineno = start + 1 + pos
+        text = raw.strip()
+        if not text or text.startswith("#"):
+            row_of[raw] = -1
             continue
         parts = text.split(",")
         if len(parts) != 4:
@@ -383,10 +396,11 @@ def read_barcode_csv(path: str) -> Barcode:
             raise ParseError(path, lineno, message)
         if is_open and death != open_end:
             raise ParseError(path, lineno, f"open bar must die at {fmt(open_end)}: {text!r}")
+        row_of[raw] = len(rows)
         rows.append((dim, birth, death, is_open))
-    if not saw_header:
-        raise ParseError(path, len(lines) or 1, "no barcode header found")
+    order = np.fromiter(map(row_of.__getitem__, body), dtype=np.intp, count=len(body))
     table = np.array(rows, dtype=[("dim", int), ("birth", float), ("death", float), ("open", bool)])
+    table = table[order[order >= 0]]
     return Barcode(
         dim=table["dim"],
         birth=table["birth"],

@@ -55,14 +55,11 @@ def barcode_svg(bc: Barcode, config: Optional[Dict[str, Any]] = None) -> str:
         )
         rows = np.flatnonzero(bc.dim[: bc.n_bars] == dim)
         slot = BAND_HEIGHT / (len(rows) + 1)
-        x1, x2, ys = (
-            [format(v, ".6g") for v in coords.tolist()]
-            for coords in (
-                MARGIN_X + span * np.minimum(bc.birth[rows], domain) / domain,
-                MARGIN_X + span * np.minimum(bc.death[rows], domain) / domain,
-                top + slot * np.arange(1, len(rows) + 1),
-            )
-        )
+        x1, x2, ys = fileio.fmt_array(np.stack((
+            MARGIN_X + span * np.minimum(bc.birth[rows], domain) / domain,
+            MARGIN_X + span * np.minimum(bc.death[rows], domain) / domain,
+            top + slot * np.arange(1, len(rows) + 1),
+        )), ".6g").tolist()
         for a, b, y, is_open in zip(x1, x2, ys, bc.open[rows].tolist()):
             dash = ' stroke-dasharray="6,3"' if is_open else ""
             lines.append(

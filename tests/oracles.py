@@ -13,9 +13,9 @@ facet from vertex tuples and births.
 ``facets_by_lookup`` finds each facet's row through a dict of vertex
 tuples, and ``coboundaries_by_search`` builds coboundaries by searching
 each row less one vertex among the rows below.  The reference loops at
-the end evaluate one point, pair, candidate or bar record at a time, the
-way the library did before it switched to array expressions; the array
-code must match them bit for bit.  ``foliation`` and ``symmetry`` evaluate
+the end evaluate one point, pair, candidate, matrix entry or bar record
+at a time, the way the library did before it switched to array
+expressions; the array code must match them bit for bit.  ``foliation`` and ``symmetry`` evaluate
 the dice descriptors die by die from their defining formulas, in exact
 fractions.  ``barcode_of`` builds a barcode from bar records.  The dice
 oracles take each die as a tuple of faces; ``dice_tuples`` reads them off
@@ -624,6 +624,11 @@ def barcode_csv_lines_loop(bc: Barcode) -> List[str]:
         f"{b.dim},{fmt(b.birth)},{fmt(b.death)},{int(b.open)}"
         for b in bc.bars + bc.zero_length
     ]
+
+
+def distance_csv_lines_loop(m: DistanceMatrix) -> List[str]:
+    """The matrix lines of a distance CSV, one ``fmt`` call per entry."""
+    return [",".join(fmt(v) for v in row) for row in m.entries.tolist()]
 
 
 def bar_stats_loop(bc: Barcode, dim: int) -> BarStats:

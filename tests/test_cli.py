@@ -598,12 +598,28 @@ def bad_bar(row):
          f"barcode-meta 'max_dim' out of range: {2**63}"),
         ("stats", barcode_file("0,0,1,1", BARCODE_META.replace("4,", "-1,")), 1,
          "barcode-meta 'n_points' out of range: -1"),
+        # Each distinct line is checked once: the first bad line of the file
+        # is named, at its first occurrence, among repeated lines.
+        ("stats", barcode_file("\n".join(["1,0.25,0.5,0"] * 1000 + ["1,0.5,0.4,0"])), 1003,
+         "need dim >= 0 and 0 <= birth <= death <= 1, got '1,0.5,0.4,0'"),
+        ("stats", barcode_file("1,0.25,0.5,0\n3,0.1,0.2,0\n1,0.25,0.5,0\n3,0.1,0.2,0\n"
+                               "1,0.5,0.4,0"), 4, "dim above max_dim 2: '3,0.1,0.2,0'"),
+        ("stats", barcode_file("\n".join(["0,0.2,0.5,1"] + ["1,0.25,0.5,0"] * 1000)), 3,
+         "open bar must die at 1: '0,0.2,0.5,1'"),
+        ("persist", "# metric m\n" + "0,1,1,1\n1,0,1,1\n1,1,0,1\n1,1,1e999,0\n", 5,
+         "non-finite value: '1e999'"),
+        # Blank lines inside the header block are skipped, as among the rows.
+        ("stats", "\n" + barcode_file("3,0.1,0.2,0"), 4, "dim above max_dim 2: '3,0.1,0.2,0'"),
+        ("persist", "# metric euclidean\n\n# labels a,b\n0,1,2\n1,0,1\n2,1,0\n", 3,
+         "2 labels for 3 points"),
     ],
     ids=["negative-dim", "death-before-birth", "death-past-1", "negative-birth",
          "string-boolean", "string-integer", "label-count", "open-bar-short",
          "open-bar-past-span-end", "dim-above-max-dim", "huge-dim", "huge-dim-below-max-dim",
          "dim-not-below-n-points", "no-meta",
-         "no-meta-huge-dim", "meta-field-missing", "max-dim-too-large", "negative-n-points"],
+         "no-meta-huge-dim", "meta-field-missing", "max-dim-too-large", "negative-n-points",
+         "bad-row-after-repeats", "repeated-bad-row", "bad-row-before-repeats",
+         "bad-token-after-repeats", "meta-after-blank-line", "labels-after-blank-line"],
 )
 def test_malformed_file_names_its_line(tmp_path, capsys, command, text, line, message):
     path = tmp_path / "bad.csv"
@@ -613,6 +629,19 @@ def test_malformed_file_names_its_line(tmp_path, capsys, command, text, line, me
     assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"input error: {path}:{line}: {message}")
     assert not out.exists()
+
+
+def test_blank_lines_in_header_block_are_skipped(tmp_path):
+    """A blank line before ``# barcode-meta`` or between ``# metric`` and
+    ``# labels`` leaves the file as it reads without it."""
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text(barcode_file("0,0,1,1\n1,0.25,0.5,0"))
+    blank.write_text("\n" + plain.read_text())
+    assert read_barcode_csv(str(blank)) == read_barcode_csv(str(plain))
+    dist = tmp_path / "dist.csv"
+    dist.write_text("# metric euclidean\n\n# labels a,b,c\n0,1,2\n1,0,1\n2,1,0\n")
+    m, _ = read_distance_csv(str(dist), fileio.read_lines(str(dist)))
+    assert (m.labels, m.metric) == (("a", "b", "c"), "euclidean")
 
 
 def test_barcode_meta_extra_key_is_ignored(tmp_path, capsys):

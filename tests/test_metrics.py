@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import distance_matrix_loop, sample_region_loop, validate_pseudometric
+from oracles import (
+    distance_csv_lines_loop,
+    distance_matrix_loop,
+    sample_region_loop,
+    validate_pseudometric,
+)
 from ripsbars.cloud import four_hole_disk, read_points_csv, sample_region
 from ripsbars.fileio import ParseError, read_lines
 from ripsbars.metrics import (
@@ -268,6 +273,32 @@ def test_distance_csv_round_trip(tmp_path):
     assert back.labels == ("a", "b", "c")
     assert back.metric == "euclidean"
     assert header["config"] == {"command": "test"}
+
+
+#: Ties, a signed zero, the smallest subnormal, and values whose 17 digits
+#: are easy to get wrong.
+DISTANCE_POOL = (0.0, -0.0, 5e-324, 1 / 3, 0.1 + 0.2, 0.3, 1.0, 1e300)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_distance_csv_lines_equal_per_entry_loop(tmp_path_factory, n, data):
+    """Each matrix line equals the per-entry reference, and the file reads
+    back bit for bit, off-diagonal -0.0 included."""
+    upper = data.draw(st.lists(
+        st.one_of(st.sampled_from(DISTANCE_POOL), st.floats(0.0, 1e6)),
+        min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
+    ))
+    entries = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, k=1)
+    entries[rows, cols] = entries[cols, rows] = upper
+    m = DistanceMatrix(entries)
+    path = tmp_path_factory.mktemp("csv") / "dist.csv"
+    write_distance_csv(str(path), m)
+    lines = read_lines(str(path))
+    assert lines[1:] == distance_csv_lines_loop(m)  # below the version line
+    back, _ = read_distance_csv(str(path), lines)
+    np.testing.assert_array_equal(back.entries.view(np.int64), entries.view(np.int64))
 
 
 def test_distance_csv_refuses_label_with_comma(tmp_path):
