@@ -120,6 +120,10 @@ def parse_float(path: str, line: int, token: str) -> float:
 
 
 def write_text(path: str, lines: List[str]) -> None:
+    """Write ``lines``, each followed by a newline.  They are written one by
+    one, not joined first, so a large output is held twice at most: as the
+    caller's text and as the encoded bytes of its longest line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")

@@ -19,8 +19,12 @@ order, the row-major order of the candidate rows, and each new row records
 its facets' rows: the one that drops the new vertex is its parent, and the
 one that drops vertex v is the parent's facet v extended by the new
 vertex, read from a running count of the candidate rows one dimension
-down.  One stable sort by birth per dimension then puts the rows in
-(birth, vertices) order.  The complex is all it holds: its
+down.  One stable sort per dimension then puts the rows in (birth,
+vertices) order: the edges by birth, and each higher dimension by the rank
+of its births among the distinct edge births, since every simplex is born
+with one of its edges.  Every index array, vertex rows and facet rows
+alike, is stored in the smallest unsigned dtype that holds the rows it
+indexes (``np.min_scalar_type``).  The complex is all it holds: its
 pairs, H0 included, come from :mod:`ripsbars.persistence`.
 """
 
@@ -55,11 +59,16 @@ class ThresholdSpan(NamedTuple):
 class Filtration:
     """A flag complex by dimension, as :func:`build_filtration` returns it.
 
-    ``vertices[k]`` holds one k-simplex per row, an (m_k, k + 1) int array,
-    and ``births[k]`` their births, both in (birth, vertices) order.
-    ``facets[k]`` is an (m_k, k + 1) intp array (no columns at k = 0) whose
-    column v holds the row in ``vertices[k - 1]`` of the facet that drops
-    the row's vertex v.  The three tuples end at dimension ``max_dim`` or
+    ``vertices[k]`` holds one k-simplex per row, an (m_k, k + 1) array of
+    point indices, and ``births[k]`` their births, both in (birth,
+    vertices) order.  ``facets[k]`` is an (m_k, k + 1) array (no columns at
+    k = 0) whose column v holds the row in ``vertices[k - 1]`` of the facet
+    that drops the row's vertex v.  Each index array has the smallest
+    unsigned dtype that holds its largest possible entry,
+    ``np.min_scalar_type(count - 1)``: the count is ``n_points`` for
+    ``vertices`` and for ``facets[0]`` and ``facets[1]``, and m_{k-1} for
+    ``facets[k]`` above, so 31 points take ``uint8`` rows and 300 take
+    ``uint16``.  The three tuples end at dimension ``max_dim`` or
     at the first dimension with no simplex, held as zero rows, whichever
     comes first, so on n points at most n + 1 dimensions are stored;
     ``max_dim`` stays the cap asked for, which the barcode records.
@@ -158,9 +167,13 @@ def build_filtration(
     # For dimension 1 it is ``adjacent``, a row per vertex.  Facets are
     # rows in that order until each dimension is sorted by birth below.
     p, w = np.divmod(np.flatnonzero(adjacent), n)  # the edges p < w
-    vertices = [np.arange(n)[:, None], np.column_stack((p, w))]
+    point = np.min_scalar_type(n - 1)
+    rows = np.empty((len(p), 2), dtype=point)
+    rows[:, 0] = p
+    rows[:, 1] = w
+    vertices = [np.arange(n, dtype=point)[:, None], rows]
     births = [np.zeros(n), m.entries[p, w]]
-    facets = [np.empty((n, 0), dtype=np.intp), np.column_stack((w, p))]
+    facets = [np.empty((n, 0), dtype=point), rows[:, ::-1].copy()]
     mask = adjacent
     while len(vertices) <= max_dim and len(vertices[-1]):
         # index[q, x]: the top dimension's row that is row q plus vertex
@@ -174,29 +187,46 @@ def build_filtration(
         mask = mask[p]
         mask &= adjacent[w]
         p, w = np.nonzero(mask)
-        faces = np.empty((len(p), len(vertices) + 1), dtype=np.intp)
+        k = len(vertices)  # the new dimension
+        faces = np.empty((len(p), k + 1), dtype=np.min_scalar_type(len(vertices[-1]) - 1))
         faces[:, -1] = p  # the facet that drops w is row p itself
-        for v in range(len(vertices)):
+        for v in range(k):
             # Row p less its vertex v, extended by w, is its facet v
             # extended by w.
-            faces[:, v] = index[facets[-1][p, v], w]
+            faces[:, v] = index[facets[-1][:, v][p], w]
         index = None  # freed before the rows are built
-        rows = np.column_stack((np.take(vertices[-1], p, axis=0), w))
+        rows = np.empty((len(p), k + 1), dtype=point)
+        np.take(vertices[-1], p, axis=0, out=rows[:, :-1])
+        rows[:, -1] = w
         born = births[-1][p]
-        for v in range(len(vertices)):
-            born = np.maximum(born, m.entries[rows[:, v], w])
+        # A flat read of entry (u, w): column-major, as the index w * n + u
+        # stays intp whatever the dtype of u.
+        by_column = m.entries.ravel(order="F")
+        column = w * n
+        for v in range(k):
+            np.maximum(born, by_column[column + rows[:, v]], out=born)
         vertices.append(rows)
         births.append(born)
         facets.append(faces)
     mask = None  # freed before the sort
-    lex = np.arange(n)  # the row of each rank in the dimension below
+    # Dimension 1 is sorted by birth; every higher birth is the birth of
+    # one of its edges, so the higher dimensions sort by that birth's rank
+    # among the distinct edge births, in the smallest unsigned dtype that
+    # holds it, which numpy radix-sorts when it is 8- or 16-bit.  Both
+    # sorts are stable, so equal births keep the lexicographic order, and
+    # -0.0 and 0.0 rank equal as they compare equal.
+    order = np.argsort(births[1], kind="stable")
+    distinct = births[1][order]
+    distinct = distinct[np.diff(distinct, prepend=-np.inf) > 0]
+    rank = np.min_scalar_type(len(distinct) - 1)
     for k in range(1, len(vertices)):
-        # Stable, so equal births keep the lexicographic order.
-        order = np.argsort(births[k], kind="stable")
+        if k > 1:  # the vertices keep their order, so the edges' facets do too
+            order = np.argsort(np.searchsorted(distinct, births[k]).astype(rank), kind="stable")
+            facets[k][:] = lex[facets[k]]
         for x in (vertices[k], births[k], facets[k]):
             x[:] = np.take(x, order, axis=0)  # in place: no unsorted copy stays
-        facets[k][:] = lex[facets[k]]
-        lex = np.empty_like(order)
+        # lex[r]: the row in sorted order of row r in lexicographic order
+        lex = np.empty(len(order), dtype=np.min_scalar_type(len(order) - 1))
         lex[order] = np.arange(len(order))
     return Filtration(
         n_points=n,
@@ -205,6 +235,6 @@ def build_filtration(
         vertices=tuple(vertices[: max_dim + 1]),
         births=tuple(births[: max_dim + 1]),
         facets=tuple(facets[: max_dim + 1]),
-        thresholds=births[1][np.diff(births[1], prepend=-np.inf) > 0].tolist(),
+        thresholds=distinct.tolist(),
         stopped_early=len(births[1]) < n * (n - 1) // 2,
     )

@@ -10,12 +10,12 @@ clearing: a simplex that killed a class in dimension k − 1 would reduce
 to zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson
 2011; Bauer 2021, *Ripser*).  The coboundary columns are the transpose of
 ``Filtration.facets[k + 1]``, the facet rows the clique expansion
-recorded, so no facet is searched for here; below 2**16 simplices the
-transpose sorts a ``uint16`` copy of the rows, which numpy radix-sorts.
-Most columns are apparent: the simplex is the latest facet of its
-earliest coface, and the two are a pair (Bauer 2021).  Array operations
-pair all of those at once, and only the other columns enter the
-reduction loop.  Working mod 2 drops orientation signs (and any torsion).
+recorded, so no facet is searched for here; the facet rows are 8- or
+16-bit up to 2**16 simplices, which numpy radix-sorts.  Most columns are
+apparent: the simplex is the latest facet of its earliest coface, and the
+two are a pair (Bauer 2021).  Array operations pair all of those at once
+and keep them as arrays, and only the other columns enter the reduction
+loop.  Working mod 2 drops orientation signs (and any torsion).
 
 The total boundary matrix over ``Filtration.simplices`` and its
 left-to-right reduction stay as the reference the tests compare these pairs
@@ -163,12 +163,11 @@ def coboundaries(facets: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Coboundary columns of the ``m`` simplices one dimension below
     ``facets`` (a ``Filtration.facets`` array) as CSR arrays: column j is
     ``cofaces[ptr[j]:ptr[j + 1]]``, the rows of ``facets`` that hold j,
-    ascending.  It is the transpose of ``facets``.  Below 2**16 simplices
-    the stable sort runs on a ``uint16`` copy, which numpy radix-sorts to
-    the same permutation."""
+    ascending.  It is the transpose of ``facets``, by a stable sort of its
+    rows, which numpy radix-sorts when they are 8- or 16-bit."""
     flat = facets.ravel()
     ptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
-    cofaces = np.argsort(flat.astype(np.uint16) if m <= 2**16 else flat, kind="stable")
+    cofaces = np.argsort(flat, kind="stable")
     cofaces //= facets.shape[1]
     return ptr, cofaces
 
@@ -183,20 +182,22 @@ def joins(n: int, edges: np.ndarray) -> np.ndarray:
     ``n`` points are connected, so no edge past that one is read.
     """
     parent = list(range(n))
-    merged: Dict[int, int] = {}
-    for k, ends in enumerate(zip(*edges.T.tolist())):
-        roots = []
-        for v in ends:
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            roots.append(v)
-        old, young = sorted(roots)
-        if old != young:
-            parent[young] = old
-            merged[young] = k
-            if len(merged) == n - 1:
+    young: List[int] = []
+    rows: List[int] = []
+    for k, (u, v) in enumerate(edges.tolist()):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            if u < v:
+                u, v = v, u
+            parent[u] = v
+            young.append(u)
+            rows.append(k)
+            if len(rows) == n - 1:
                 break
-    return np.array([list(merged), list(merged.values())], dtype=np.intp)
+    return np.array([young, rows], dtype=np.intp)
 
 
 def persistence_pairs(f: Filtration) -> List[np.ndarray]:
@@ -214,33 +215,43 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     latest facet of its pivot is apparent, and owns that pivot unreduced:
     the column of a later simplex sums only columns of simplices later
     still, and none of those is a facet of the pivot.  The apparent
-    columns are paired first, in one step; the others are reduced latest
-    first, and one becomes a list only when its pivot is already owned.
-    The top stored dimension has no cofaces: it is the cap, or it is empty.
+    columns are paired first, in one step, and stay arrays; the others are
+    reduced latest first, and one becomes a list only when its pivot is
+    already owned.  A pivot owned by an apparent column is owned by its
+    latest facet.  The top stored dimension has no cofaces: it is the cap,
+    or it is empty.
     """
     pairs = [joins(f.n_points, f.vertices[1])] if len(f.vertices) > 1 else []
     for k in range(1, len(f.vertices) - 1):
-        ptr, cofaces = coboundaries(f.facets[k + 1], len(f.vertices[k]))
+        facets = f.facets[k + 1]
+        ptr, cofaces = coboundaries(facets, len(f.vertices[k]))
         todo = ptr[1:] > ptr[:-1]
         todo[pairs[-1][1]] = False
         todo = np.flatnonzero(todo)[::-1]
         first = cofaces[ptr[todo]]
-        apparent = f.facets[k + 1][first].max(axis=1) == todo
-        owner = dict(zip(first[apparent].tolist(), todo[apparent].tolist()))
+        apparent = facets[first].max(axis=1) == todo
+        taken = np.zeros(len(facets), dtype=bool)  # the pivots of apparent columns
+        taken[first[apparent]] = True
+        owner: Dict[int, int] = {}  # the pivots of the reduced columns
         lists: Dict[int, Optional[List[int]]] = {}  # reduced columns; None: as built
         column = lambda j: lists.get(j) or cofaces[ptr[j]:ptr[j + 1]].tolist()
         rest = ~apparent
         for j, pivot in zip(todo[rest].tolist(), first[rest].tolist()):
             col = None
-            while pivot in owner:
-                col = _xor_sorted(col or column(j), column(owner[pivot]))
+            while pivot in owner or taken[pivot]:
+                other = owner[pivot] if pivot in owner else max(facets[pivot].tolist())
+                col = _xor_sorted(col or column(j), column(other))
                 if not col:
                     break
                 pivot = col[0]
             else:
                 owner[pivot] = j
                 lists[j] = col
-        pairs.append(np.array([list(owner.values()), list(owner)], dtype=np.intp))
+        pairs.append(np.concatenate(
+            (np.stack((todo[apparent], first[apparent])),
+             np.array([list(owner.values()), list(owner)], dtype=np.intp).reshape(2, -1)),
+            axis=1,
+        ))
     return pairs
 
 

@@ -20,6 +20,30 @@ def random_points(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.random((n, 2))
 
 
+def assert_index_rows_equal(f, facets):
+    """``f.facets`` equals ``facets`` in shape and in every value, and each
+    index array of the filtration ``f`` has the smallest unsigned dtype
+    that holds the largest row it may index: n − 1 for the vertex rows and
+    the facet rows of dimensions 0 and 1, m_{k−1} − 1 for those of
+    dimension k."""
+    point = np.min_scalar_type(f.n_points - 1)
+    assert all(rows.dtype == point for rows in f.vertices)
+    assert len(f.facets) == len(facets)
+    below = [f.n_points] + [len(rows) for rows in f.vertices]
+    for got, expected, count in zip(f.facets, facets, below):
+        assert got.dtype == np.min_scalar_type(count - 1)
+        np.testing.assert_array_equal(got.astype(np.intp), expected.astype(np.intp), strict=True)
+
+
+def assert_filtration_order(f):
+    """In every dimension of the filtration ``f`` the births never
+    decrease, and rows of equal birth (-0.0 and 0.0 compare equal) are in
+    lexicographic order of their vertices."""
+    for rows, born in zip(f.vertices, f.births):
+        keys = list(zip(born.tolist(), map(tuple, rows.tolist())))
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 coords = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 
 

@@ -6,10 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coords, coincident, dice_like, random_points
+from conftest import (
+    assert_filtration_order, assert_index_rows_equal, coords, coincident, dice_like,
+    random_points, symmetric,
+)
 from oracles import (
     boundary_pairs,
     edge_order_loop,
+    facets_by_lookup,
     flag_complex_brute,
     mst_edge_lengths,
     pair_sets,
@@ -269,12 +273,12 @@ def test_stopped_build_is_the_full_build_cut_at_the_longest_mst_edge(entries, ma
     cut = max(mst_edge_lengths(m), default=math.inf)
     k = len(stopped.vertices)
     assert len(full.vertices) >= k
-    for arrays, reference in [
-        (stopped.vertices, full.vertices), (stopped.births, full.births),
-        (stopped.facets, full.facets),
-    ]:
+    for arrays, reference in [(stopped.vertices, full.vertices), (stopped.births, full.births)]:
         for a, b, born in zip(arrays, reference, full.births):
             np.testing.assert_array_equal(a, b[born <= cut], strict=True)
+    # Each facet array takes the dtype of its own row count below.
+    cut_facets = [b[born <= cut] for b, born in zip(full.facets[:k], full.births)]
+    assert_index_rows_equal(stopped, cut_facets)
     # The stopped build ends at the cap or at its first empty dimension,
     # and the full one has nothing born by the cut above it.
     assert k == max_dim + 1 or not len(stopped.vertices[-1])
@@ -320,6 +324,41 @@ def test_h0_pairs_equal_boundary_reduction(entries, max_dim, stop):
                          stop_when_connected=stop)
     R, _ = reduce_matrix(total_boundary_matrix(f))
     assert pair_sets(persistence_pairs(f))[:1] == pair_sets(boundary_pairs(R, f))[:1]
+
+
+def signed_zeros(n, upper, negative):
+    """The symmetric (n, n) matrix with ``upper`` above the diagonal, row
+    by row, where each zero entry, above or below the diagonal, is -0.0
+    when its flag in ``negative`` is set.  It equals its transpose, as
+    -0.0 == 0.0."""
+    entries = symmetric(n, upper)
+    i, j = np.triu_indices(n, k=1)
+    rows, columns = np.concatenate((i, j)), np.concatenate((j, i))
+    flip = np.array(negative, dtype=bool) & (entries[rows, columns] == 0)
+    entries[rows[flip], columns[flip]] = -0.0
+    return entries
+
+
+signed_zero_ties = st.integers(2, 8).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0]), min_size=n * (n - 1) // 2,
+             max_size=n * (n - 1) // 2),
+    st.lists(st.booleans(), min_size=n * (n - 1), max_size=n * (n - 1)),
+).map(lambda t: signed_zeros(*t)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(signed_zero_ties, st.integers(1, 5), st.booleans())
+@example(signed_zeros(5, [0.0] * 10, [True, False] * 10), 4, False)
+@example(signed_zeros(5, [0.0, 1.0] * 5, [False, True, True] * 6 + [False, True]), 4, True)
+def test_rows_sorted_by_birth_then_vertices_with_signed_zero_ties(entries, max_dim, stop):
+    """In every dimension the births never decrease, and rows of equal
+    birth, -0.0 and 0.0 counted equal, are in lexicographic order of
+    their vertices; the facet rows still equal the dict lookup."""
+    f = build_filtration(DistanceMatrix(entries=entries), max_dim=max_dim,
+                         stop_when_connected=stop)
+    assert_filtration_order(f)
+    assert_index_rows_equal(f, facets_by_lookup(f))
 
 
 def test_incremental_matches_rebuild_from_scratch():

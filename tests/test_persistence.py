@@ -6,7 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import coincident, dice_like, random_points
+from conftest import (
+    assert_filtration_order, assert_index_rows_equal, coincident, dice_like, random_points,
+)
 from oracles import (
     apparent_pairs_brute,
     barcode_csv_lines_loop,
@@ -227,16 +229,15 @@ def boundary_barcode(f):
 def assert_facets_equal_lookup(f):
     """``f`` stores the dimensions up to its cap or up to its first empty
     one, whichever comes first; ``f.facets`` equals a dict lookup of every
-    facet by its vertices, and the coboundaries transposed from it equal the
-    search of each row less one vertex among the rows below."""
+    facet by its vertices, each index array in the dtype its size gives,
+    and the coboundaries transposed from it equal the search of each row
+    less one vertex among the rows below."""
     want = facets_by_lookup(f)
     top = len(f.vertices) - 1
     assert len(f.births) == len(f.facets) == len(want) == top + 1 <= f.max_dim + 1
     assert all(len(rows) for rows in f.vertices[:top])
     assert top == f.max_dim or not len(f.vertices[top])
-    for got, expected in zip(f.facets, want):
-        assert got.dtype == np.intp
-        np.testing.assert_array_equal(got, expected, strict=True)
+    assert_index_rows_equal(f, want)
     for k in range(1, top):
         got = persistence.coboundaries(f.facets[k + 1], len(f.vertices[k]))
         expected = coboundaries_by_search(f.vertices[k], f.vertices[k + 1])
@@ -282,14 +283,44 @@ def test_facets_and_cliques_on_tied_and_repeated_points(entries, max_dim, stop):
 
 def test_majority_dice_rows_and_facets_at_the_deep_cap():
     """The 31 majority dice under foliation-symmetry, stopped at cap 4, as
-    the deep dice benchmark builds them: rows per dimension, and facet rows
-    equal to the dict lookup."""
+    the deep dice benchmark builds them: rows per dimension, facet rows
+    equal to the dict lookup and coboundaries equal to the search."""
     m = _dice_matrices("majority")[2]
     assert m.metric == "foliation-symmetry"
     f = build_filtration(m, max_dim=4, stop_when_connected=True)
     assert [len(rows) for rows in f.vertices] == [31, 345, 2315, 10715, 36916]
-    for got, expected in zip(f.facets, facets_by_lookup(f)):
-        np.testing.assert_array_equal(got, expected, strict=True)
+    assert_facets_equal_lookup(f)
+
+
+@pytest.mark.parametrize("n", [256, 257])
+def test_vertex_rows_widen_past_256_points(n):
+    """Vertex rows, and the edges' facet rows, are 8-bit up to 256 points
+    and 16-bit from 257; either way the full 1-skeleton's facet rows equal
+    the dict lookup and its bars those of the boundary reduction."""
+    pts = random_points(np.random.default_rng(n), n)
+    f = build_filtration(build_distance_matrix(pts, "euclidean"), max_dim=1)
+    assert len(f.vertices[1]) == n * (n - 1) // 2
+    assert f.vertices[1].dtype == f.facets[1].dtype == (np.uint8 if n == 256 else np.uint16)
+    assert_facets_equal_lookup(f)
+    assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+def test_majority_dice_facet_rows_widen_to_32_bits():
+    """Foliation-symmetry on the 31 majority dice at cap 6: the 213,232
+    6-simplices index 99,092 5-simplices, so their facet rows are 32-bit,
+    and every coboundary below is a radix-sorted 16-bit transpose or that
+    32-bit one.  Facet rows and coboundaries equal the lookup and the
+    search, the rows are in filtration order through their many tied
+    births, and the pairs equal those of the same complex with intp facet
+    rows."""
+    f = build_filtration(_dice_matrices("majority")[2], max_dim=6, stop_when_connected=True)
+    assert [len(rows) for rows in f.vertices] == [31, 345, 2315, 10715, 36916, 99092, 213232]
+    assert_filtration_order(f)
+    assert [x.dtype for x in f.facets] == [np.uint8] * 2 + [np.uint16] * 4 + [np.uint32]
+    assert_facets_equal_lookup(f)
+    wide = dataclasses.replace(f, facets=tuple(x.astype(np.intp) for x in f.facets))
+    for a, b in zip(persistence_pairs(f), persistence_pairs(wide), strict=True):
+        np.testing.assert_array_equal(a, b, strict=True)
 
 
 @settings(max_examples=80, deadline=None)
