@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -119,10 +119,11 @@ def parse_float(path: str, line: int, token: str) -> float:
     return value
 
 
-def write_text(path: str, lines: List[str]) -> None:
+def write_text(path: str, lines: Iterable[str]) -> None:
     """Write ``lines``, each followed by a newline.  They are written one by
     one, not joined first, so a large output is held twice at most: as the
-    caller's text and as the encoded bytes of its longest line."""
+    caller's text and as the encoded bytes of its longest line.  ``lines``
+    may be an iterator that makes each line as it is read."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(line)

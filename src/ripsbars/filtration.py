@@ -150,9 +150,9 @@ def build_filtration(
     at distance ≤ the cut (∞ without a stop) are read, sorted and
     expanded.  Beside the arrays it returns, the expansion holds an
     (m_k, n) boolean candidate row per top simplex and, while it reads the
-    next dimension's facets, an int32 running count of the candidate rows
-    one dimension down (intp from 2**31 rows); neither is held during the
-    sort.
+    next dimension's facets, a running count of the candidate rows one
+    dimension down, in the smallest signed dtype that holds m_k; neither
+    is held during the sort.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -163,7 +163,8 @@ def build_filtration(
     # order.  At the top of each step, ``mask`` has a row per row of the
     # dimension below the top one, marking the vertices larger than, and
     # adjacent to, all of that row's vertices; its nonzeros (p, w) in
-    # row-major order are the top dimension's rows, row p plus vertex w.
+    # row-major order are the top dimension's rows, row p plus vertex w,
+    # read off its flat nonzeros p * n + w.
     # For dimension 1 it is ``adjacent``, a row per vertex.  Facets are
     # rows in that order until each dimension is sorted by birth below.
     p, w = np.divmod(np.flatnonzero(adjacent), n)  # the edges p < w
@@ -176,25 +177,32 @@ def build_filtration(
     facets = [np.empty((n, 0), dtype=point), rows[:, ::-1].copy()]
     mask = adjacent
     while len(vertices) <= max_dim and len(vertices[-1]):
-        # index[q, x]: the top dimension's row that is row q plus vertex
-        # x, the running count of the mask's nonzeros less one; exact in
-        # int32 while that dimension has fewer than 2**31 rows.
-        dtype = np.int32 if len(vertices[-1]) < 2**31 else np.intp
-        index = mask.cumsum(dtype=dtype).reshape(mask.shape)
+        # index[q * n + x]: the top dimension's row that is row q plus
+        # vertex x, the running count of the mask's nonzeros less one.  The
+        # count ends at the top dimension's row count m, so it takes the
+        # smallest signed dtype that holds m: the one that holds -1 - m.
+        index = mask.cumsum(dtype=np.min_scalar_type(-1 - len(vertices[-1])))
         index -= 1
         # A top row's candidates are its parent's less those not adjacent
         # to its last vertex w; ``adjacent`` keeps only vertices above w.
         mask = mask[p]
         mask &= adjacent[w]
-        p, w = np.nonzero(mask)
+        # Its flat nonzeros are p * n + w; numpy's floor division by the
+        # scalar n is far cheaper than its divmod.
+        w = np.flatnonzero(mask)
+        p = w // n
+        w -= p * n
         k = len(vertices)  # the new dimension
         faces = np.empty((len(p), k + 1), dtype=np.min_scalar_type(len(vertices[-1]) - 1))
         faces[:, -1] = p  # the facet that drops w is row p itself
         for v in range(k):
             # Row p less its vertex v, extended by w, is its facet v
-            # extended by w.
-            faces[:, v] = index[facets[-1][:, v][p], w]
-        index = None  # freed before the rows are built
+            # extended by w.  The flat index is taken in intp: the facet
+            # rows may be 8- or 16-bit, too narrow for q * n.
+            at = np.multiply(facets[-1][:, v][p], n, dtype=np.intp)
+            at += w
+            faces[:, v] = index[at]
+        index = at = None  # freed before the rows are built
         rows = np.empty((len(p), k + 1), dtype=point)
         np.take(vertices[-1], p, axis=0, out=rows[:, :-1])
         rows[:, -1] = w

@@ -10,8 +10,8 @@ clearing: a simplex that killed a class in dimension k − 1 would reduce
 to zero, so its column is skipped (de Silva, Morozov & Vejdemo-Johansson
 2011; Bauer 2021, *Ripser*).  The coboundary columns are the transpose of
 ``Filtration.facets[k + 1]``, the facet rows the clique expansion
-recorded, so no facet is searched for here; the facet rows are 8- or
-16-bit up to 2**16 simplices, which numpy radix-sorts.  Most columns are
+recorded, so no facet is searched for here: one sort of 32- or 64-bit
+keys, each a facet row packed above the row of its coface.  Most columns are
 apparent: the simplex is the latest facet of its earliest coface, and the
 two are a pair (Bauer 2021).  Array operations pair all of those at once
 and keep them as arrays, and only the other columns enter the reduction
@@ -26,6 +26,7 @@ born at its lowest 1.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -163,13 +164,25 @@ def coboundaries(facets: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Coboundary columns of the ``m`` simplices one dimension below
     ``facets`` (a ``Filtration.facets`` array) as CSR arrays: column j is
     ``cofaces[ptr[j]:ptr[j + 1]]``, the rows of ``facets`` that hold j,
-    ascending.  It is the transpose of ``facets``, by a stable sort of its
-    rows, which numpy radix-sorts when they are 8- or 16-bit."""
-    flat = facets.ravel()
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
-    cofaces = np.argsort(flat, kind="stable")
-    cofaces //= facets.shape[1]
-    return ptr, cofaces
+    ascending, in ``np.min_scalar_type(len(facets) - 1)``.
+
+    It is the transpose of ``facets`` by one sort of packed keys: entry j
+    of row r becomes ``j << b | r``, b the bit width of that dtype, in
+    ``uint32`` when that fits and ``uint64`` otherwise.  A row holds each
+    facet once, so the keys are distinct and any sort orders them as a
+    stable sort of the entries would: by column, then by row.  The cast of
+    the sorted keys to the cofaces' dtype keeps their low b bits, the rows."""
+    rows = len(facets)
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(facets.ravel(), minlength=m))))
+    coface = np.min_scalar_type(rows - 1)
+    b = 8 * coface.itemsize
+    key = np.uint32 if b + max(m - 1, 1).bit_length() <= 32 else np.uint64
+    keys = facets.astype(key)
+    keys <<= key(b)
+    keys |= np.arange(rows, dtype=key)[:, None]
+    keys = keys.ravel()
+    keys.sort()
+    return ptr, keys.astype(coface)
 
 
 def joins(n: int, edges: np.ndarray) -> np.ndarray:
@@ -229,7 +242,8 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
         todo[pairs[-1][1]] = False
         todo = np.flatnonzero(todo)[::-1]
         first = cofaces[ptr[todo]]
-        apparent = facets[first].max(axis=1) == todo
+        # The latest facet of each pivot, reduced along the long axis.
+        apparent = np.take(facets.T, first, axis=1).max(axis=0) == todo
         taken = np.zeros(len(facets), dtype=bool)  # the pivots of apparent columns
         taken[first[apparent]] = True
         owner: Dict[int, int] = {}  # the pivots of the reduced columns
@@ -260,31 +274,36 @@ def extract_pairs(
 ) -> Barcode:
     """Turn the pairs of :func:`persistence_pairs` into bars.
 
-    A simplex that kills no class births one, which dies at its killer's
-    birth or, unkilled, becomes an open bar: death is the last processed
-    threshold raw, or exactly 1.0 after normalization (the right edge of
-    the examined range).  Normalization divides births and deaths by the
-    maximum distance of the source matrix.
+    A simplex that kills no class births one (a simplex kills at most
+    one), which dies at its killer's birth or, unkilled, becomes an open
+    bar: death is the last processed threshold raw, or exactly 1.0 after
+    normalization (the right edge of the examined range).  Normalization
+    divides births and deaths by the maximum distance of the source matrix.
     """
     divisor = 1.0
     if normalize:
         if f.max_distance <= 0.0:
             raise ValueError("cannot normalize: no strictly positive distance")
         divisor = f.max_distance
-    columns = []
-    for k, born in enumerate(f.births):
-        death = np.full(len(born), np.nan)  # nan: the class never dies
-        if k < len(pairs):
-            death[pairs[k][0]] = f.births[k + 1][pairs[k][1]]
-        killers = pairs[k - 1][1] if k else []
-        born, death = np.delete(born, killers), np.delete(death, killers)
-        columns.append((np.full(len(born), k), born, death))
-    dim, birth, death = map(np.concatenate, zip(*columns))
+    # Every simplex of every dimension births a class, unless it kills one.
+    sizes = [len(born) for born in f.births]
+    starts = np.cumsum([0] + sizes).tolist()
+    birth = np.concatenate(f.births)
+    death = np.full(len(birth), np.nan)  # nan: the class never dies
+    keep = np.ones(len(birth), dtype=bool)
+    for k, (young, killer) in enumerate(pairs):
+        death[starts[k]:starts[k + 1]][young] = f.births[k + 1][killer]
+        keep[starts[k + 1]:starts[k + 2]][killer] = False
+        sizes[k + 1] -= len(killer)
+    birth, death = birth[keep], death[keep]
+    birth /= divisor
+    death /= divisor
     is_open = np.isnan(death)
+    death[is_open] = 1.0 if normalize else f.span_end
     return Barcode(
-        dim=dim,
-        birth=birth / divisor,
-        death=np.where(is_open, 1.0 if normalize else f.span_end, death / divisor),
+        dim=np.repeat(np.arange(len(sizes)), sizes),
+        birth=birth,
+        death=death,
         open=is_open,
         metric=metric,
         max_dim=f.max_dim,
@@ -300,6 +319,11 @@ def barcode(f: Filtration, normalize: bool = True, metric: str = "") -> Barcode:
 
 
 BARCODE_HEADER = "dim,birth,death,open"
+
+#: The most bar lines :func:`write_barcode_csv` joins into one string.  A
+#: line holds two floats of at most 23 characters each, so a piece of them
+#: stays under 64 KiB.
+_PIECE_LINES = 1024
 
 #: JSON type of each ``barcode-meta`` field: its name, and the Python types
 #: ``json.loads`` returns for it.
@@ -320,25 +344,34 @@ def write_barcode_csv(
 
     A sorted barcode of few distinct values is made of runs of equal bars,
     told apart by bit pattern (so -0.0 keeps its sign): each run's values are
-    formatted once, and its line is written once, repeated by its length."""
+    formatted once, and its line is repeated by its length.  The body is
+    written in pieces of at most ``_PIECE_LINES`` lines, cut between runs
+    and at every multiple of that count, so no more than one piece of it
+    is held as text at a time."""
     lines = fileio.metadata_lines(config)
     meta = {key: getattr(bc, key) for key in _META_TYPES}
     lines.append(f"# {BARCODE_META_KEY} " + json.dumps(meta, sort_keys=True))
+    lines.append(BARCODE_HEADER)
     n = len(bc.dim)
     bits = [np.asarray(x, dtype=np.float64).view(np.int64) for x in (bc.birth, bc.death)]
     starts = np.ones(n, dtype=bool)
     starts[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in (bc.dim, *bits, bc.open)])
+    starts[::_PIECE_LINES] = True
     starts = np.flatnonzero(starts)
     births, deaths = fileio.fmt_array(np.stack((bc.birth[starts], bc.death[starts]))).tolist()
-    runs = zip(
+    runs = (
         bc.dim[starts].tolist(), births, deaths, bc.open[starts].astype(np.int8).tolist(),
         np.diff(starts, append=n).tolist(),
     )
-    lines.append(BARCODE_HEADER + "".join(
-        [f"\n{dim},{birth},{death},{is_open}" * count
-         for dim, birth, death, is_open, count in runs]
-    ))
-    fileio.write_text(path, lines)
+    cuts = np.flatnonzero(starts % _PIECE_LINES == 0).tolist() + [len(starts)]
+    pieces = (  # write_text ends each with the newline it drops
+        "".join([
+            f"{dim},{birth},{death},{is_open}\n" * count
+            for dim, birth, death, is_open, count in zip(*(x[a:b] for x in runs))
+        ])[:-1]
+        for a, b in zip(cuts, cuts[1:])
+    )
+    fileio.write_text(path, itertools.chain(lines, pieces))
 
 
 def read_barcode_csv(path: str) -> Barcode:

@@ -11,9 +11,10 @@ which the tests keep as the reference for its coboundary reduction, and
 ``apparent_pairs_brute`` finds each simplex's earliest coface and latest
 facet from vertex tuples and births.
 ``facets_by_lookup`` finds each facet's row through a dict of vertex
-tuples, and ``coboundaries_by_search`` builds coboundaries by searching
-each row less one vertex among the rows below.  The reference loops at
-the end evaluate one point, pair, candidate, matrix entry or bar record
+tuples, ``coboundaries_by_search`` builds coboundaries by searching
+each row less one vertex among the rows below, and
+``coboundaries_by_argsort`` transposes facet rows by a stable argsort.
+The reference loops at the end evaluate one point, pair, candidate, matrix entry or bar record
 at a time, the way the library did before it switched to array
 expressions; the array code must match them bit for bit.  ``foliation`` and ``symmetry`` evaluate
 the dice descriptors die by die from their defining formulas, in exact
@@ -203,9 +204,18 @@ def coboundaries_by_search(lower: np.ndarray, upper: np.ndarray) -> Tuple[np.nda
     facets = np.column_stack([
         by_key[np.searchsorted(keys, _row_keys(np.delete(upper, i, axis=1)))]
         for i in range(upper.shape[1])
-    ]).ravel()
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(facets, minlength=len(lower)))))
-    return ptr, np.argsort(facets, kind="stable") // upper.shape[1]
+    ])
+    return coboundaries_by_argsort(facets, len(lower))
+
+
+def coboundaries_by_argsort(facets: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Coboundary columns of the ``m`` simplices below the facet rows
+    ``facets`` as CSR arrays, by a stable argsort of the flattened rows:
+    entries of one column keep their row-major order, so each column's
+    rows come out ascending.  The cofaces are intp."""
+    flat = facets.astype(np.intp).ravel()
+    ptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=m))))
+    return ptr, np.argsort(flat, kind="stable") // facets.shape[1]
 
 
 def barcode_of(bars: Sequence[Bar], zero_length: Sequence[Bar] = (), **meta) -> Barcode:

@@ -17,6 +17,7 @@ from oracles import (
     betti_numbers,
     bottleneck_distance,
     boundary_pairs,
+    coboundaries_by_argsort,
     coboundaries_by_search,
     facets_by_lookup,
     flag_complex_brute,
@@ -231,7 +232,8 @@ def assert_facets_equal_lookup(f):
     one, whichever comes first; ``f.facets`` equals a dict lookup of every
     facet by its vertices, each index array in the dtype its size gives,
     and the coboundaries transposed from it equal the search of each row
-    less one vertex among the rows below."""
+    less one vertex among the rows below, their cofaces in the smallest
+    dtype that holds the rows above."""
     want = facets_by_lookup(f)
     top = len(f.vertices) - 1
     assert len(f.births) == len(f.facets) == len(want) == top + 1 <= f.max_dim + 1
@@ -239,10 +241,11 @@ def assert_facets_equal_lookup(f):
     assert top == f.max_dim or not len(f.vertices[top])
     assert_index_rows_equal(f, want)
     for k in range(1, top):
-        got = persistence.coboundaries(f.facets[k + 1], len(f.vertices[k]))
-        expected = coboundaries_by_search(f.vertices[k], f.vertices[k + 1])
-        for a, b in zip(got, expected):
-            np.testing.assert_array_equal(a, b, strict=True)
+        ptr, cofaces = persistence.coboundaries(f.facets[k + 1], len(f.vertices[k]))
+        want_ptr, want_cofaces = coboundaries_by_search(f.vertices[k], f.vertices[k + 1])
+        np.testing.assert_array_equal(ptr, want_ptr, strict=True)
+        assert cofaces.dtype == np.min_scalar_type(len(f.vertices[k + 1]) - 1)
+        np.testing.assert_array_equal(cofaces.astype(np.intp), want_cofaces, strict=True)
 
 
 @settings(max_examples=80, deadline=None)
@@ -321,6 +324,28 @@ def test_majority_dice_facet_rows_widen_to_32_bits():
     wide = dataclasses.replace(f, facets=tuple(x.astype(np.intp) for x in f.facets))
     for a, b in zip(persistence_pairs(f), persistence_pairs(wide), strict=True):
         np.testing.assert_array_equal(a, b, strict=True)
+
+
+@pytest.mark.parametrize(
+    "rows, width, m",
+    [(2**16 + 1, 3, 2**16 + 1), (5000, 4, 300), (1, 2, 2), (0, 3, 7), (0, 2, 0)],
+    ids=["34-bit keys", "22-bit keys", "one row", "zero rows", "nothing"],
+)
+def test_coboundaries_equal_stable_argsort(rows, width, m):
+    """Synthetic facet rows, each of ``width`` distinct entries below
+    ``m``, in the dtype the filtration gives them: the packed-key transpose
+    equals a stable argsort of the flattened rows, whether its keys need
+    more than 32 bits or not, and with zero rows.  The cofaces take the
+    smallest dtype that holds the rows."""
+    rng = np.random.default_rng(rows + m)
+    start = rng.integers(0, max(m, 1), (rows, 1))
+    facets = (start + rng.permuted(np.tile(np.arange(width), (rows, 1)), axis=1)) % max(m, 1)
+    facets = facets.astype(np.min_scalar_type(max(m, 1) - 1))
+    ptr, cofaces = persistence.coboundaries(facets, m)
+    want_ptr, want_cofaces = coboundaries_by_argsort(facets, m)
+    np.testing.assert_array_equal(ptr, want_ptr, strict=True)
+    assert cofaces.dtype == np.min_scalar_type(rows - 1)
+    np.testing.assert_array_equal(cofaces.astype(np.intp), want_cofaces, strict=True)
 
 
 @settings(max_examples=80, deadline=None)
@@ -794,6 +819,29 @@ def test_barcode_csv_line_changes_with_any_one_field(tmp_path):
     bc = barcode_of(bars, [Bar(2, 0.75, 0.75)] * 2, metric="m", max_dim=2,
                     n_points=5, normalized=True, span_end=1.0)
     write_barcode_csv(str(tmp_path / "barcode.csv"), bc)
+    assert_csv_lines_equal_loop(tmp_path / "barcode.csv", bc)
+
+
+def test_barcode_csv_body_is_written_in_bounded_pieces(tmp_path, monkeypatch):
+    """A body of several thousand lines, with runs of equal bars that
+    cross the piece boundaries, is handed to the text layer in pieces of at
+    most ``_PIECE_LINES`` lines, and the file equals the per-record
+    reference."""
+    lengths = [1] * 1500 + [3000, 700, 1, 2500] + [1] * 300
+    bars = [Bar(1, i / 7000, 1.0, True) for i, count in enumerate(lengths) for _ in range(count)]
+    bc = barcode_of(bars, metric="m", max_dim=1, n_points=3, normalized=True, span_end=1.0)
+    pieces = []
+    write_text = persistence.fileio.write_text
+
+    def keep_pieces(path, lines):
+        lines = list(lines)
+        pieces.extend(lines[lines.index(BARCODE_HEADER) + 1:])
+        write_text(path, lines)
+
+    monkeypatch.setattr(persistence.fileio, "write_text", keep_pieces)
+    write_barcode_csv(str(tmp_path / "barcode.csv"), bc)
+    assert len(pieces) == -(-len(bars) // persistence._PIECE_LINES)
+    assert all(piece.count("\n") < persistence._PIECE_LINES for piece in pieces)
     assert_csv_lines_equal_loop(tmp_path / "barcode.csv", bc)
 
 
