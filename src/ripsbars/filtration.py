@@ -24,8 +24,15 @@ vertices) order: the edges by birth, and each higher dimension by the rank
 of its births among the distinct edge births, since every simplex is born
 with one of its edges.  Every index array, vertex rows and facet rows
 alike, is stored in the smallest unsigned dtype that holds the rows it
-indexes (``np.min_scalar_type``).  The complex is all it holds: its
-pairs, H0 included, come from :mod:`ripsbars.persistence`.
+indexes (``np.min_scalar_type``).
+
+The top dimension k, when it is the cap and at least 2, is counted and
+never built (:mod:`ripsbars.cofaces`): its births are the distinct
+thresholds repeated by a ``bincount`` of the ranks of its simplices, each
+a (k − 1)-row plus a larger common neighbour, with no row, facet row or
+sort of dimension k.  The complex is all it holds: its pairs, H0
+included, come from :mod:`ripsbars.persistence`, which pairs dimension
+k − 1 against these implicit cofaces.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
+from .cofaces import rank_matrix, top_ranks
 from .metrics import DistanceMatrix
 
 
@@ -70,12 +78,17 @@ class Filtration:
     ``facets[k]`` above, so 31 points take ``uint8`` rows and 300 take
     ``uint16``.  The three tuples end at dimension ``max_dim`` or
     at the first dimension with no simplex, held as zero rows, whichever
-    comes first, so on n points at most n + 1 dimensions are stored;
-    ``max_dim`` stays the cap asked for, which the barcode records.
-    ``simplices`` and ``spans`` merge the dimensions into the filtration
-    order (birth, dimension, vertices), which keeps every face in front of
-    its cofaces; they are read-only views derived on first access, and the
-    pipeline never builds them.
+    comes first, so on n points at most n + 1 dimensions are held;
+    ``max_dim`` stays the cap asked for, which the barcode records.  A
+    top dimension at a cap of 2 or more with simplices below it is counted:
+    ``births`` holds it, the distinct thresholds repeated by its simplices
+    per birth, and ``vertices`` and ``facets`` end one dimension lower.
+    ``ranks`` is the :func:`~ripsbars.cofaces.rank_matrix` of the kept
+    edges, derived on first access.  ``simplices`` and ``spans`` merge the
+    dimensions, a counted top one listed from its ranks, into the
+    filtration order (birth, dimension, vertices), which keeps every face
+    in front of its cofaces; they are read-only views derived on first
+    access, and the pipeline never builds them.
     ``max_distance`` is the maximum pairwise distance of the source matrix
     (before any stop), the normalization divisor for barcodes.
     """
@@ -95,12 +108,27 @@ class Filtration:
         return self.thresholds[-1] if self.thresholds else 0.0
 
     @cached_property
+    def ranks(self) -> np.ndarray:
+        """The :func:`~ripsbars.cofaces.rank_matrix` of the kept edges among
+        ``thresholds``."""
+        born = np.searchsorted(self.thresholds, self.births[1])
+        return rank_matrix(self.n_points, self.vertices[1], born, len(self.thresholds))
+
+    @cached_property
     def simplices(self) -> Tuple[Simplex, ...]:
         """Every simplex as a record, in filtration order."""
+        rows, births = list(self.vertices), list(self.births)
+        if len(births) > len(rows):  # the counted top dimension, listed from its ranks
+            below, count = rows[-1], len(self.thresholds)
+            born = np.searchsorted(self.thresholds, births[-2])
+            ranks = np.concatenate(list(top_ranks(below, born, self.ranks, count)))
+            j, w = np.nonzero(ranks < count)
+            rows.append(np.column_stack((below[j], w)))
+            births[-1] = np.array(self.thresholds)[ranks[j, w]]
         return tuple(sorted(
             Simplex(birth, k, tuple(row))
-            for k, (rows, births) in enumerate(zip(self.vertices, self.births))
-            for birth, row in zip(births.tolist(), rows.tolist())
+            for k, (table, born) in enumerate(zip(rows, births))
+            for birth, row in zip(born.tolist(), table.tolist())
         ))
 
     @cached_property
@@ -152,7 +180,8 @@ def build_filtration(
     (m_k, n) boolean candidate row per top simplex and, while it reads the
     next dimension's facets, a running count of the candidate rows one
     dimension down, in the smallest signed dtype that holds m_k; neither
-    is held during the sort.
+    is held during the sort.  A counted top dimension holds blocks of
+    :func:`~ripsbars.cofaces.top_ranks`.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -176,7 +205,7 @@ def build_filtration(
     births = [np.zeros(n), m.entries[p, w]]
     facets = [np.empty((n, 0), dtype=point), rows[:, ::-1].copy()]
     mask = adjacent
-    while len(vertices) <= max_dim and len(vertices[-1]):
+    while len(vertices) < max_dim and len(vertices[-1]):
         # index[q * n + x]: the top dimension's row that is row q plus
         # vertex x, the running count of the mask's nonzeros less one.  The
         # count ends at the top dimension's row count m, so it takes the
@@ -221,8 +250,7 @@ def build_filtration(
     # one of its edges, so the higher dimensions sort by that birth's rank
     # among the distinct edge births, in the smallest unsigned dtype that
     # holds it, which numpy radix-sorts when it is 8- or 16-bit.  Both
-    # sorts are stable, so equal births keep the lexicographic order, and
-    # -0.0 and 0.0 rank equal as they compare equal.
+    # sorts are stable, so equal births keep the lexicographic order.
     order = np.argsort(births[1], kind="stable")
     distinct = births[1][order]
     distinct = distinct[np.diff(distinct, prepend=-np.inf) > 0]
@@ -236,6 +264,15 @@ def build_filtration(
         # lex[r]: the row in sorted order of row r in lexicographic order
         lex = np.empty(len(order), dtype=np.min_scalar_type(len(order) - 1))
         lex[order] = np.arange(len(order))
+    if len(vertices) == max_dim and len(vertices[-1]):
+        # The top dimension is counted per birth rank, never built.
+        ranks = rank_matrix(n, vertices[1], np.searchsorted(distinct, births[1]), len(distinct))
+        born = np.searchsorted(distinct, births[-1])
+        counts = sum(
+            np.bincount(block[block < len(distinct)], minlength=len(distinct))
+            for block in top_ranks(vertices[-1], born, ranks, len(distinct))
+        )
+        births.append(np.repeat(distinct, counts))
     return Filtration(
         n_points=n,
         max_dim=max_dim,

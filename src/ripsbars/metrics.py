@@ -103,8 +103,10 @@ class DistanceMatrix:
     ``entries`` is an (n, n) float64 array, refused unless it is finite,
     exactly equal to its transpose (the filtration reads whole rows of it
     as well as its upper triangle), zero on the diagonal and nowhere
-    negative (``-0.0`` counts as zero).  ``labels``, when present, names each
-    point (used by the dice domain, where points are dice).
+    negative (``-0.0`` counts as zero, and is held as ``+0.0``, so a birth
+    read off the distinct entries is the entry itself).  ``labels``, when
+    present, names each point (used by the dice domain, where points are
+    dice).
     """
 
     entries: np.ndarray
@@ -123,6 +125,8 @@ class DistanceMatrix:
             raise ValueError("distance matrix is not symmetric")
         if arr.min() < 0.0 or np.diagonal(arr).any():
             raise ValueError("distance matrix has a negative entry or a nonzero diagonal")
+        if np.signbit(arr).any():
+            arr = arr + 0.0  # -0.0 + 0.0 is +0.0: every zero is held as +0.0
         object.__setattr__(self, "entries", arr)
         if self.labels is not None and len(self.labels) != arr.shape[0]:
             raise ValueError(

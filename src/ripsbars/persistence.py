@@ -17,6 +17,11 @@ two are a pair (Bauer 2021).  Array operations pair all of those at once
 and keep them as arrays, and only the other columns enter the reduction
 loop.  Working mod 2 drops orientation signs (and any torsion).
 
+A counted top dimension k has no rows, so dimension k − 1 is paired
+against implicit cofaces by :func:`ripsbars.cofaces.top_pairs`: the
+killers in dimension k are named by their vertices, and each takes a row
+of the counted births of its birth.
+
 The total boundary matrix over ``Filtration.simplices`` and its
 left-to-right reduction stay as the reference the tests compare these pairs
 against, and as the replay that counts column additions in the benchmark's
@@ -36,6 +41,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import fileio
+from .cofaces import top_pairs
 from .fileio import BARCODE_META_KEY, ParseError, fmt
 from .filtration import Filtration
 
@@ -168,20 +174,22 @@ def coboundaries(facets: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
 
     It is the transpose of ``facets`` by one sort of packed keys: entry j
     of row r becomes ``j << b | r``, b the bit width of that dtype, in
-    ``uint32`` when that fits and ``uint64`` otherwise.  A row holds each
-    facet once, so the keys are distinct and any sort orders them as a
-    stable sort of the entries would: by column, then by row.  The cast of
-    the sorted keys to the cofaces' dtype keeps their low b bits, the rows."""
+    ``uint32`` when ``m << b`` fits and ``uint64`` otherwise.  A row holds
+    each facet once, so the keys are distinct and any sort orders them as
+    a stable sort of the entries would: by column, then by row.  Column j
+    starts at the first key not below ``j << b``, a binary search of the
+    sorted keys, and the cast of those keys to the cofaces' dtype keeps
+    their low b bits, the rows."""
     rows = len(facets)
-    ptr = np.concatenate(([0], np.cumsum(np.bincount(facets.ravel(), minlength=m))))
     coface = np.min_scalar_type(rows - 1)
     b = 8 * coface.itemsize
-    key = np.uint32 if b + max(m - 1, 1).bit_length() <= 32 else np.uint64
+    key = np.uint32 if b + max(m, 1).bit_length() <= 32 else np.uint64
     keys = facets.astype(key)
     keys <<= key(b)
     keys |= np.arange(rows, dtype=key)[:, None]
     keys = keys.ravel()
     keys.sort()
+    ptr = np.searchsorted(keys, np.arange(m + 1, dtype=key) << key(b))
     return ptr, keys.astype(coface)
 
 
@@ -214,10 +222,12 @@ def joins(n: int, edges: np.ndarray) -> np.ndarray:
 
 
 def persistence_pairs(f: Filtration) -> List[np.ndarray]:
-    """Every finite pair of ``f``: per stored dimension k below the top one,
-    a (2, p_k) int array of the rows in ``f.vertices[k]`` of the classes that
+    """Every finite pair of ``f``: per dimension k below the top one, a
+    (2, p_k) int array of the rows in ``f.vertices[k]`` of the classes that
     die over the rows in ``f.vertices[k + 1]`` of the simplices that kill
-    them.
+    them.  When the top dimension is counted, not stored, its killers are
+    rows of its births instead, one per killer among those of its birth,
+    and the array has k + 2 more rows: the killers' vertices.
 
     H0 is :func:`joins` over the rows of ``f.vertices[1]``, in filtration
     order: the edge that merges a component into an older one kills the
@@ -231,8 +241,8 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     columns are paired first, in one step, and stay arrays; the others are
     reduced latest first, and one becomes a list only when its pivot is
     already owned.  A pivot owned by an apparent column is owned by its
-    latest facet.  The top stored dimension has no cofaces: it is the cap,
-    or it is empty.
+    latest facet.  A stored top dimension has no cofaces: it is the cap, or
+    it is empty.  A counted one is paired by :func:`ripsbars.cofaces.top_pairs`.
     """
     pairs = [joins(f.n_points, f.vertices[1])] if len(f.vertices) > 1 else []
     for k in range(1, len(f.vertices) - 1):
@@ -266,6 +276,8 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
              np.array([list(owner.values()), list(owner)], dtype=np.intp).reshape(2, -1)),
             axis=1,
         ))
+    if len(f.births) > len(f.vertices):
+        pairs.append(top_pairs(f, pairs[-1][1]))
     return pairs
 
 
@@ -277,8 +289,10 @@ def extract_pairs(
     A simplex that kills no class births one (a simplex kills at most
     one), which dies at its killer's birth or, unkilled, becomes an open
     bar: death is the last processed threshold raw, or exactly 1.0 after
-    normalization (the right edge of the examined range).  Normalization
-    divides births and deaths by the maximum distance of the source matrix.
+    normalization (the right edge of the examined range).  In a counted top
+    dimension each killer takes a row of its birth, so its open bars are
+    the counts less the killers at each birth.  Normalization divides
+    births and deaths by the maximum distance of the source matrix.
     """
     divisor = 1.0
     if normalize:
@@ -291,7 +305,7 @@ def extract_pairs(
     birth = np.concatenate(f.births)
     death = np.full(len(birth), np.nan)  # nan: the class never dies
     keep = np.ones(len(birth), dtype=bool)
-    for k, (young, killer) in enumerate(pairs):
+    for k, (young, killer, *_) in enumerate(pairs):
         death[starts[k]:starts[k + 1]][young] = f.births[k + 1][killer]
         keep[starts[k + 1]:starts[k + 2]][killer] = False
         sizes[k + 1] -= len(killer)

@@ -9,7 +9,8 @@ by matching, pseudometric axioms and live bars checked entry by entry.
 ``boundary_pairs`` reads the pairs off the library's boundary reduction,
 which the tests keep as the reference for its coboundary reduction, and
 ``apparent_pairs_brute`` finds each simplex's earliest coface and latest
-facet from vertex tuples and births.
+facet from vertex tuples and births; ``dimension_rows`` reads every
+dimension's rows, a counted top one included, off ``Filtration.simplices``.
 ``facets_by_lookup`` finds each facet's row through a dict of vertex
 tuples, ``coboundaries_by_search`` builds coboundaries by searching
 each row less one vertex among the rows below, and
@@ -123,51 +124,70 @@ def betti_numbers(f: Filtration, eps: float) -> List[int]:
     return [len(by_dim[k]) - ranks[k] - ranks[k + 1] for k in range(f.max_dim + 1)]
 
 
+def dimension_rows(f: Filtration) -> List[np.ndarray]:
+    """Per dimension k, top included whether stored or counted, the
+    (m_k, k + 1) vertex rows in filtration order, read off
+    ``f.simplices``."""
+    rows: List[List[Tuple[int, ...]]] = [[] for _ in f.births]
+    for s in f.simplices:
+        rows[s.dim].append(s.vertices)
+    return [np.array(r, dtype=np.intp).reshape(-1, k + 1) for k, r in enumerate(rows)]
+
+
 def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:
     """The pairs of a reduced boundary matrix in the shape ``extract_pairs``
-    reads: per stored dimension k below the top one, a (2, p_k) array of the
-    rows in ``f.vertices[k]`` of the classes that die over the rows in
-    ``f.vertices[k + 1]`` of their killers.  Nonzero column j kills the class
-    born at its lowest 1; a simplex's row is its rank among the simplices of
-    its dimension in ``f.simplices``."""
+    reads: per dimension k below the top one, an array whose rows 0 and 1
+    hold the rows in dimension k of the classes that die and the rows in
+    dimension k + 1 of their killers, and whose k + 2 further rows hold the
+    killers' vertices.  Nonzero column j kills the class born at its lowest
+    1; a simplex's row is its rank among the simplices of its dimension in
+    ``f.simplices``."""
     rank: List[int] = []
-    seen = [0] * len(f.vertices)
+    seen = [0] * len(f.births)
     for s in f.simplices:
         rank.append(seen[s.dim])
         seen[s.dim] += 1
-    pairs: List[List[Tuple[int, int]]] = [[] for _ in f.vertices[1:]]
+    pairs: List[List[List[int]]] = [[] for _ in f.births[1:]]
     for j, col in enumerate(R.columns):
         if col:
-            pairs[f.simplices[col[-1]].dim].append((rank[col[-1]], rank[j]))
-    return [np.array(p, dtype=np.intp).reshape(-1, 2).T for p in pairs]
+            pairs[f.simplices[col[-1]].dim].append(
+                [rank[col[-1]], rank[j], *f.simplices[j].vertices])
+    return [np.array(p, dtype=np.intp).reshape(-1, k + 4).T for k, p in enumerate(pairs)]
 
 
-def pair_sets(pairs: List[np.ndarray]) -> List[Set[Tuple[int, int]]]:
-    """Per dimension, the pairs as a set of (class row, killer row)."""
-    return [set(zip(*p.tolist())) for p in pairs]
+def pair_sets(f: Filtration, pairs: List[np.ndarray]) -> List[Set[Tuple[int, Tuple[int, ...]]]]:
+    """Per dimension k, the pairs as a set of (class row, killer's
+    vertices): from the array's rows 2 on when it lists them, else from the
+    killer's row in ``f.vertices[k + 1]``.  So the killers in a counted top
+    dimension are told apart by their vertices, not by their births."""
+    result = []
+    for k, p in enumerate(pairs):
+        killers = p[2:].T if len(p) > 2 else f.vertices[k + 1][p[1]]
+        result.append(set(zip(p[0].tolist(), map(tuple, np.sort(killers, axis=1).tolist()))))
+    return result
 
 
-def apparent_pairs_brute(f: Filtration) -> List[Set[Tuple[int, int]]]:
-    """Per stored dimension k below the top one, the apparent pairs (σ, τ)
-    as (row in ``f.vertices[k]``, row in ``f.vertices[k + 1]``): τ is σ's
-    earliest coface and σ is τ's latest facet, both in (birth, vertices)
-    order (Bauer 2021, *Ripser*).  Each (k + 1)-simplex's facets are its
-    vertex tuples less one vertex, looked up in a dict of births, with no
-    use of ``f.facets``."""
-    result: List[Set[Tuple[int, int]]] = []
-    for k in range(len(f.vertices) - 1):
-        lower = list(map(tuple, f.vertices[k].tolist()))
-        upper = list(map(tuple, f.vertices[k + 1].tolist()))
-        key = dict(zip(lower, zip(f.births[k].tolist(), lower)))
+def apparent_pairs_brute(f: Filtration) -> List[Set[Tuple[int, Tuple[int, ...]]]]:
+    """Per dimension k below the top one, the apparent pairs (σ, τ) as
+    (row in dimension k, vertices of τ): τ is σ's earliest coface and σ is
+    τ's latest facet, both in (birth, vertices) order (Bauer 2021,
+    *Ripser*).  The rows and births are read off ``f.simplices``, and each
+    (k + 1)-simplex's facets are its vertex tuples less one vertex, looked
+    up in a dict of births, with no use of ``f.facets``."""
+    rows = [list(map(tuple, r.tolist())) for r in dimension_rows(f)]
+    birth = {s.vertices: s.birth for s in f.simplices}
+    result: List[Set[Tuple[int, Tuple[int, ...]]]] = []
+    for lower, upper in zip(rows, rows[1:]):
+        key = {s: (birth[s], s) for s in lower}
         earliest: Dict[Tuple[int, ...], Tuple[float, Tuple[int, ...]]] = {}
         latest: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
-        for t, b in zip(upper, f.births[k + 1].tolist()):
+        for t in upper:
             facets = [t[:i] + t[i + 1:] for i in range(len(t))]
             latest[t] = max(facets, key=key.__getitem__)
             for s in facets:
-                earliest[s] = min(earliest.get(s, (b, t)), (b, t))
-        row, above = ({v: r for r, v in enumerate(x)} for x in (lower, upper))
-        result.append({(row[s], above[t]) for s, (_, t) in earliest.items() if latest[t] == s})
+                earliest[s] = min(earliest.get(s, (birth[t], t)), (birth[t], t))
+        row = {v: r for r, v in enumerate(lower)}
+        result.append({(row[s], t) for s, (_, t) in earliest.items() if latest[t] == s})
     return result
 
 

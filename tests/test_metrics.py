@@ -249,6 +249,7 @@ def test_distance_matrix_refuses_negative_entries_and_nonzero_diagonal():
         DistanceMatrix(entries=np.array([[0, 1], [1, 2]], dtype=float))
     m = DistanceMatrix(entries=np.array([[-0.0, 1.0], [1.0, -0.0]]))
     assert m.max_distance() == 1.0
+    assert not np.signbit(m.entries).any()
 
 
 def test_distance_matrix_shape_checks():
@@ -284,7 +285,8 @@ DISTANCE_POOL = (0.0, -0.0, 5e-324, 1 / 3, 0.1 + 0.2, 0.3, 1.0, 1e300)
 @given(st.integers(1, 7), st.data())
 def test_distance_csv_lines_equal_per_entry_loop(tmp_path_factory, n, data):
     """Each matrix line equals the per-entry reference, and the file reads
-    back bit for bit, off-diagonal -0.0 included."""
+    back bit for bit what the matrix holds: its entries, each -0.0 held as
+    +0.0."""
     upper = data.draw(st.lists(
         st.one_of(st.sampled_from(DISTANCE_POOL), st.floats(0.0, 1e6)),
         min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2,
@@ -298,7 +300,8 @@ def test_distance_csv_lines_equal_per_entry_loop(tmp_path_factory, n, data):
     lines = read_lines(str(path))
     assert lines[1:] == distance_csv_lines_loop(m)  # below the version line
     back, _ = read_distance_csv(str(path), lines)
-    np.testing.assert_array_equal(back.entries.view(np.int64), entries.view(np.int64))
+    np.testing.assert_array_equal(back.entries.view(np.int64), m.entries.view(np.int64))
+    np.testing.assert_array_equal(m.entries.view(np.int64), (entries + 0.0).view(np.int64))
 
 
 def test_distance_csv_refuses_label_with_comma(tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     assert_filtration_order, assert_index_rows_equal, coincident, dice_like, random_points,
+    symmetric,
 )
 from oracles import (
     apparent_pairs_brute,
@@ -19,6 +22,7 @@ from oracles import (
     boundary_pairs,
     coboundaries_by_argsort,
     coboundaries_by_search,
+    dimension_rows,
     facets_by_lookup,
     flag_complex_brute,
     in_dim,
@@ -228,19 +232,24 @@ def boundary_barcode(f):
 
 
 def assert_facets_equal_lookup(f):
-    """``f`` stores the dimensions up to its cap or up to its first empty
-    one, whichever comes first; ``f.facets`` equals a dict lookup of every
-    facet by its vertices, each index array in the dtype its size gives,
-    and the coboundaries transposed from it equal the search of each row
-    less one vertex among the rows below, their cofaces in the smallest
-    dtype that holds the rows above."""
+    """``f`` holds the dimensions up to its cap or up to its first empty
+    one, whichever comes first, and stores all of them but a top one at a
+    cap of 2 or more, which it counts: it has births and no rows.
+    ``f.facets`` equals a dict lookup of every facet by its vertices, each
+    index array in the dtype its size gives, and the coboundaries
+    transposed from it equal the search of each row less one vertex among
+    the rows below, their cofaces in the smallest dtype that holds the rows
+    above."""
     want = facets_by_lookup(f)
-    top = len(f.vertices) - 1
-    assert len(f.births) == len(f.facets) == len(want) == top + 1 <= f.max_dim + 1
-    assert all(len(rows) for rows in f.vertices[:top])
-    assert top == f.max_dim or not len(f.vertices[top])
+    top = len(f.births) - 1
+    assert len(f.facets) == len(want) == len(f.vertices) and top <= f.max_dim
+    counted = len(f.vertices) == top
+    assert counted == (top == f.max_dim >= 2 and len(f.births[top - 1]) > 0)
+    assert counted or len(f.vertices) == top + 1
+    assert all(len(born) for born in f.births[:top])
+    assert top == f.max_dim or not len(f.births[top])
     assert_index_rows_equal(f, want)
-    for k in range(1, top):
+    for k in range(1, len(f.vertices) - 1):
         ptr, cofaces = persistence.coboundaries(f.facets[k + 1], len(f.vertices[k]))
         want_ptr, want_cofaces = coboundaries_by_search(f.vertices[k], f.vertices[k + 1])
         np.testing.assert_array_equal(ptr, want_ptr, strict=True)
@@ -286,12 +295,14 @@ def test_facets_and_cliques_on_tied_and_repeated_points(entries, max_dim, stop):
 
 def test_majority_dice_rows_and_facets_at_the_deep_cap():
     """The 31 majority dice under foliation-symmetry, stopped at cap 4, as
-    the deep dice benchmark builds them: rows per dimension, facet rows
-    equal to the dict lookup and coboundaries equal to the search."""
+    the deep dice benchmark builds them: simplices per dimension, the top
+    one counted and not stored, facet rows equal to the dict lookup and
+    coboundaries equal to the search."""
     m = _dice_matrices("majority")[2]
     assert m.metric == "foliation-symmetry"
     f = build_filtration(m, max_dim=4, stop_when_connected=True)
-    assert [len(rows) for rows in f.vertices] == [31, 345, 2315, 10715, 36916]
+    assert [len(born) for born in f.births] == [31, 345, 2315, 10715, 36916]
+    assert len(f.vertices) == len(f.facets) == 4
     assert_facets_equal_lookup(f)
 
 
@@ -309,15 +320,16 @@ def test_vertex_rows_widen_past_256_points(n):
 
 
 def test_majority_dice_facet_rows_widen_to_32_bits():
-    """Foliation-symmetry on the 31 majority dice at cap 6: the 213,232
+    """Foliation-symmetry on the 31 majority dice at cap 7: the 213,232
     6-simplices index 99,092 5-simplices, so their facet rows are 32-bit,
     and every coboundary below is a radix-sorted 16-bit transpose or that
-    32-bit one.  Facet rows and coboundaries equal the lookup and the
-    search, the rows are in filtration order through their many tied
-    births, and the pairs equal those of the same complex with intp facet
-    rows."""
-    f = build_filtration(_dice_matrices("majority")[2], max_dim=6, stop_when_connected=True)
+    32-bit one; the 7-simplices are counted.  Facet rows and coboundaries
+    equal the lookup and the search, the rows are in filtration order
+    through their many tied births, and the pairs equal those of the same
+    complex with intp facet rows."""
+    f = build_filtration(_dice_matrices("majority")[2], max_dim=7, stop_when_connected=True)
     assert [len(rows) for rows in f.vertices] == [31, 345, 2315, 10715, 36916, 99092, 213232]
+    assert len(f.births[7]) == 374669
     assert_filtration_order(f)
     assert [x.dtype for x in f.facets] == [np.uint8] * 2 + [np.uint16] * 4 + [np.uint32]
     assert_facets_equal_lookup(f)
@@ -433,7 +445,7 @@ def test_deep_simplices_on_many_points_equal_boundary_reduction():
     assert math.comb(499, 10) > 2**63
     assert f.n_points == 500 and f.stopped_early
     # The cluster and point 488 form the only 12-clique.
-    assert [len(f.vertices[k]) for k in (9, 10)] == [math.comb(12, 10), math.comb(12, 11)]
+    assert [len(f.births[k]) for k in (9, 10)] == [math.comb(12, 10), math.comb(12, 11)]
     assert_facets_equal_lookup(f)
     assert barcode(f, normalize=False) == boundary_barcode(f)
 
@@ -457,7 +469,7 @@ def test_apparent_pairs_are_persistence_pairs(seed, n, metric, max_dim, stop, gr
     f = build_filtration(build_distance_matrix(pts, metric), max_dim=max_dim,
                          stop_when_connected=stop)
     R, _ = reduce_matrix(total_boundary_matrix(f))
-    for apparent, pairs in zip(apparent_pairs_brute(f), pair_sets(boundary_pairs(R, f))):
+    for apparent, pairs in zip(apparent_pairs_brute(f), pair_sets(f, boundary_pairs(R, f))):
         assert apparent <= pairs
 
 
@@ -467,11 +479,12 @@ def count_reduced_columns(f, pairs):
     in dimension k − 1 (cleared) nor lie in an apparent pair.  ``pairs``
     are the boundary reduction's."""
     apparent = apparent_pairs_brute(f)
+    rows = dimension_rows(f)
     count = 0
-    for k in range(1, len(f.vertices) - 1):
-        row = {v: r for r, v in enumerate(map(tuple, f.vertices[k].tolist()))}
+    for k in range(1, len(rows) - 1):
+        row = {v: r for r, v in enumerate(map(tuple, rows[k].tolist()))}
         with_coface = {row[t[:i] + t[i + 1:]]
-                       for t in map(tuple, f.vertices[k + 1].tolist()) for i in range(k + 2)}
+                       for t in map(tuple, rows[k + 1].tolist()) for i in range(k + 2)}
         cleared = set(pairs[k - 1][1].tolist())
         count += len(with_coface - cleared - {s for s, _ in apparent[k]})
     return count
@@ -497,7 +510,7 @@ def test_columns_that_are_not_apparent_are_reduced(source):
     R, _ = reduce_matrix(total_boundary_matrix(f))
     pairs = boundary_pairs(R, f)
     assert count_reduced_columns(f, pairs) > 0
-    assert pair_sets(persistence_pairs(f)) == pair_sets(pairs)
+    assert pair_sets(f, persistence_pairs(f)) == pair_sets(f, pairs)
 
 
 #: name → (distance matrix, cap)
@@ -514,8 +527,8 @@ DEGENERATE = {
 def test_degenerate_shapes_match_references(name, stop):
     """Thresholds, spans, simplices and the barcode of tiny, all-zero and
     over-capped inputs against brute-force cliques and the boundary
-    reduction; the dimensions stored end at the cap or at the first one
-    with no clique, whichever comes first."""
+    reduction; the dimensions held end at the cap or at the first one with
+    no clique, whichever comes first, and a top one at the cap is counted."""
     entries, max_dim = DEGENERATE[name]
     m = matrix_from(entries)
     f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
@@ -534,12 +547,116 @@ def test_degenerate_shapes_match_references(name, stop):
     assert f.spans[-1].end == len(f.simplices)
     assert all(s.birth == simplex_birth_brute(m, s.vertices) for s in f.simplices)
     first_empty = max(map(len, previous))
-    assert len(f.vertices) == len(f.births) == len(f.facets) == min(max_dim, first_empty) + 1
-    for k, (rows, births, facets) in enumerate(zip(f.vertices, f.births, f.facets)):
-        assert rows.shape == (len(births), k + 1)
-        assert facets.shape == (len(births), k + 1 if k else 0)
+    assert len(f.births) == min(max_dim, first_empty) + 1
+    # A top dimension at a cap of 2 or more, with simplices below it, is
+    # counted and not stored.
+    counted = max_dim >= 2 and first_empty >= max_dim
+    assert len(f.vertices) == len(f.facets) == len(f.births) - counted
+    for k, births in enumerate(f.births):
         assert len(births) == sum(len(v) == k + 1 for v in previous)
+    for k, (rows, facets) in enumerate(zip(f.vertices, f.facets)):
+        assert rows.shape == (len(f.births[k]), k + 1)
+        assert facets.shape == (len(f.births[k]), k + 1 if k else 0)
     assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+def test_top_column_that_cancels_on_a_reduced_column():
+    """Eight points at tied integer distances, stopped, at cap 2: an edge's
+    column, reduced against the implicit triangles, cancels to zero on the
+    column of a reduced owner, and the pairs and bars still equal the
+    boundary reduction's."""
+    upper = [2, 3, 1, 1, 3, 0, 0, 1, 2, 0, 3, 2, 2, 2, 3, 1, 1, 3, 0, 0, 0, 0, 0, 3, 2, 1, 2, 2]
+    f = build_filtration(DistanceMatrix(entries=symmetric(8, upper)), max_dim=2,
+                         stop_when_connected=True)
+    R, _ = reduce_matrix(total_boundary_matrix(f))
+    assert pair_sets(f, persistence_pairs(f)) == pair_sets(f, boundary_pairs(R, f))
+    assert barcode(f, normalize=False) == boundary_barcode(f)
+
+
+grid_clouds = st.tuples(
+    st.integers(min_value=0, max_value=2**32 - 1), st.integers(1, 9),
+    st.sampled_from(sorted(PLANAR_METRICS)),
+).map(lambda t: build_distance_matrix(
+    np.floor(random_points(np.random.default_rng(t[0]), t[1]) * 4), t[2]).entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dice_like, coincident, grid_clouds), st.integers(2, 5), st.booleans())
+@example(np.zeros((7, 7)), 5, False)
+@example(np.zeros((2, 2)), 2, True)
+def test_counted_top_dimension_equals_brute_force_cliques_per_birth(entries, max_dim, stop):
+    """Tied integer distances, coincident points and points on a 4 × 4
+    grid: the top dimension's births, counted per birth and never built,
+    are those of the brute-force cliques of its size by the last
+    threshold, each born with its longest edge.  A top dimension at the
+    cap, with simplices below it, has no vertex or facet rows."""
+    m = DistanceMatrix(entries=entries)
+    f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
+    top = len(f.births) - 1
+    cliques = [s for s in flag_complex_brute(m, f.span_end, max_dim) if len(s) == top + 1]
+    assert Counter(f.births[top].tolist()) == Counter(simplex_birth_brute(m, s) for s in cliques)
+    assert (np.diff(f.births[top]) >= 0).all()
+    counted = top == max_dim and len(f.births[top - 1]) > 0
+    assert len(f.vertices) == len(f.facets) == top + 1 - counted
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dice_like, coincident, grid_clouds), st.integers(2, 5), st.booleans())
+def test_pairs_equal_boundary_reduction_with_top_killers_by_vertices(entries, max_dim, stop):
+    """Pair by pair, the top dimension counted and its killers named by
+    their vertices, the pairs equal those of the boundary reduction on
+    tied, coincident and grid inputs."""
+    f = build_filtration(DistanceMatrix(entries=entries), max_dim=max_dim,
+                         stop_when_connected=stop)
+    R, _ = reduce_matrix(total_boundary_matrix(f))
+    assert pair_sets(f, persistence_pairs(f)) == pair_sets(f, boundary_pairs(R, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dice_like, st.integers(1, 5), st.booleans(), st.data())
+def test_negative_zero_entries_give_the_bytes_of_positive_zeros(
+    tmp_path_factory, entries, max_dim, stop, data
+):
+    """A matrix holding -0.0 gives the barcode file bytes of its copy that
+    holds +0.0 there: the matrix holds every zero as +0.0, so the counted
+    top dimension's births, read off the distinct edge births, are the
+    entries themselves."""
+    flip = data.draw(st.lists(st.booleans(), min_size=entries.size, max_size=entries.size))
+    negative = np.where((entries == 0) & np.reshape(flip, entries.shape), -0.0, entries)
+    written = []
+    for source in (negative, entries):
+        f = build_filtration(DistanceMatrix(entries=source), max_dim=max_dim,
+                             stop_when_connected=stop)
+        path = tmp_path_factory.mktemp("signed") / "barcode.csv"
+        write_barcode_csv(str(path), barcode(f, normalize=False))
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
+#: SHA-256 of the barcode columns (dim int64, birth and death float64,
+#: open bool) of the 31 majority dice, stopped at connectivity, per
+#: matrix and cap, as the engine gave them while it still built the top
+#: dimension.
+MAJORITY_DIGESTS = {
+    ("similarity", 4): "3c473880af4beb75bd08bd1a10d65782ea7b3315e31d56d47a88de92ad0c9074",
+    ("similarity", 6): "4f80d419db84ffd9954f983dc26573e3899e30a0f2f336652748c67124c58882",
+    ("euclidean", 4): "f98c9ccc961942970484a6cd1d624c1175f42cbbf7180c5a153cc2ec3719e58c",
+    ("euclidean", 6): "f98c9ccc961942970484a6cd1d624c1175f42cbbf7180c5a153cc2ec3719e58c",
+    ("foliation-symmetry", 4): "2d47e000b107f7c2f0e38551804464c70b98f11fde0ccade11972f8b290aee06",
+    ("foliation-symmetry", 6): "7d3a89c6b2c18a712f5a35594114a73121854af232f8b945413139fb604d45e6",
+}
+
+
+@pytest.mark.parametrize("cap", [4, 6])
+def test_majority_dice_barcode_digests_are_pinned(cap):
+    """The barcodes of the 31 majority dice under all three matrices keep
+    their pinned digests with the top dimension counted."""
+    for m in _dice_matrices("majority"):
+        bc = barcode(build_filtration(m, max_dim=cap, stop_when_connected=True), normalize=False)
+        digest = hashlib.sha256()
+        for column, dtype in zip((bc.dim, bc.birth, bc.death, bc.open), ("<i8", "<f8", "<f8", "?")):
+            digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
+        assert digest.hexdigest() == MAJORITY_DIGESTS[m.metric, cap]
 
 
 def test_pipeline_builds_no_simplex_records(square_matrix):
