@@ -1,7 +1,10 @@
 """The counted top dimension: its ranks, its births and its pairs.
 
 At a cap k of 2 or more the top dimension only serves as cofaces and open
-bars, and it is the largest one, so it is never built.  A k-simplex is a
+bars, and it is the largest one, so once dimension k − 1 has more than
+:data:`~ripsbars.filtration.COUNT_TOP_ABOVE` rows it is never built; below
+that, building it costs less than the fixed numpy calls here, and
+:mod:`ripsbars.filtration` stores it.  A k-simplex is a
 (k − 1)-row σ plus a vertex w adjacent to all of its vertices, and is born
 at the rank max(rank σ, max over v in σ of R[v, w]), R the
 :func:`rank_matrix` of the kept edges.  :func:`coface_ranks` lays those

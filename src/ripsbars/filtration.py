@@ -26,13 +26,16 @@ with one of its edges.  Every index array, vertex rows and facet rows
 alike, is stored in the smallest unsigned dtype that holds the rows it
 indexes (``np.min_scalar_type``).
 
-The top dimension k, when it is the cap and at least 2, is counted and
-never built (:mod:`ripsbars.cofaces`): its births are the distinct
-thresholds repeated by a ``bincount`` of the ranks of its simplices, each
-a (k − 1)-row plus a larger common neighbour, with no row, facet row or
-sort of dimension k.  The complex is all it holds: its pairs, H0
-included, come from :mod:`ripsbars.persistence`, which pairs dimension
-k − 1 against these implicit cofaces.
+The top dimension k, when it is the cap and at least 2, is routed by the
+row count m_{k−1} of the dimension below it.  Up to ``COUNT_TOP_ABOVE``
+rows it is built and stored like every dimension below it.  Above that it
+is counted and never built (:mod:`ripsbars.cofaces`): its births are the
+distinct thresholds repeated by a ``bincount`` of the ranks of its
+simplices, each a (k − 1)-row plus a larger common neighbour, with no
+row, facet row or sort of dimension k.  The complex is all it holds: its
+pairs, H0 included, come from :mod:`ripsbars.persistence`, which pairs
+dimension k − 1 against a stored top's coboundaries or against a counted
+top's implicit cofaces.
 """
 
 from __future__ import annotations
@@ -45,6 +48,15 @@ import numpy as np
 
 from .cofaces import rank_matrix, top_ranks
 from .metrics import DistanceMatrix
+
+#: A top dimension k ≥ 2 at the cap is counted when dimension k − 1 has
+#: more rows than this, and built and stored like the dimensions below it
+#: otherwise.  Counting it and pairing against its implicit cofaces
+#: (:mod:`ripsbars.cofaces`) takes a fixed count of numpy calls that costs
+#: more than building a small top dimension, which by Kruskal–Katona has
+#: at most about m_{k−1}^{(k+1)/k} rows.  The value is the crossover of the
+#: two routes measured on clouds of 15 to 60 points and on the dice.
+COUNT_TOP_ABOVE = 512
 
 
 class Simplex(NamedTuple):
@@ -80,9 +92,10 @@ class Filtration:
     at the first dimension with no simplex, held as zero rows, whichever
     comes first, so on n points at most n + 1 dimensions are held;
     ``max_dim`` stays the cap asked for, which the barcode records.  A
-    top dimension at a cap of 2 or more with simplices below it is counted:
-    ``births`` holds it, the distinct thresholds repeated by its simplices
-    per birth, and ``vertices`` and ``facets`` end one dimension lower.
+    top dimension at a cap of 2 or more is counted when the dimension
+    below it has more than ``COUNT_TOP_ABOVE`` rows: ``births`` holds it,
+    the distinct thresholds repeated by its simplices per birth, and
+    ``vertices`` and ``facets`` end one dimension lower.
     ``ranks`` is the :func:`~ripsbars.cofaces.rank_matrix` of the kept
     edges, derived on first access.  ``simplices`` and ``spans`` merge the
     dimensions, a counted top one listed from its ranks, into the
@@ -180,8 +193,9 @@ def build_filtration(
     (m_k, n) boolean candidate row per top simplex and, while it reads the
     next dimension's facets, a running count of the candidate rows one
     dimension down, in the smallest signed dtype that holds m_k; neither
-    is held during the sort.  A counted top dimension holds blocks of
-    :func:`~ripsbars.cofaces.top_ranks`.
+    is held during the sort.  A top dimension k ≥ 2 at the cap is built
+    when dimension k − 1 has at most ``COUNT_TOP_ABOVE`` rows, and counted
+    from blocks of :func:`~ripsbars.cofaces.top_ranks` when it has more.
     """
     if max_dim < 0:
         raise ValueError("max_dim must be >= 0")
@@ -205,7 +219,11 @@ def build_filtration(
     births = [np.zeros(n), m.entries[p, w]]
     facets = [np.empty((n, 0), dtype=point), rows[:, ::-1].copy()]
     mask = adjacent
-    while len(vertices) < max_dim and len(vertices[-1]):
+    counted = False  # whether the top dimension is counted, not built
+    while len(vertices) <= max_dim and len(vertices[-1]):
+        counted = len(vertices) == max_dim and len(vertices[-1]) > COUNT_TOP_ABOVE
+        if counted:
+            break
         # index[q * n + x]: the top dimension's row that is row q plus
         # vertex x, the running count of the mask's nonzeros less one.  The
         # count ends at the top dimension's row count m, so it takes the
@@ -264,8 +282,7 @@ def build_filtration(
         # lex[r]: the row in sorted order of row r in lexicographic order
         lex = np.empty(len(order), dtype=np.min_scalar_type(len(order) - 1))
         lex[order] = np.arange(len(order))
-    if len(vertices) == max_dim and len(vertices[-1]):
-        # The top dimension is counted per birth rank, never built.
+    if counted:  # per birth rank, never built
         ranks = rank_matrix(n, vertices[1], np.searchsorted(distinct, births[1]), len(distinct))
         born = np.searchsorted(distinct, births[-1])
         counts = sum(

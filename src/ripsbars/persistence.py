@@ -17,7 +17,10 @@ two are a pair (Bauer 2021).  Array operations pair all of those at once
 and keep them as arrays, and only the other columns enter the reduction
 loop.  Working mod 2 drops orientation signs (and any torsion).
 
-A counted top dimension k has no rows, so dimension k − 1 is paired
+A top dimension k at the cap is stored when dimension k − 1 has at most
+``filtration.COUNT_TOP_ABOVE`` rows, and dimension k − 1 is then paired
+through its coboundary columns like the rest.  Over more rows the top is
+counted and has no rows, so dimension k − 1 is paired
 against implicit cofaces by :func:`ripsbars.cofaces.top_pairs`: the
 killers in dimension k are named by their vertices, and each takes a row
 of the counted births of its birth.
@@ -225,9 +228,10 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     """Every finite pair of ``f``: per dimension k below the top one, a
     (2, p_k) int array of the rows in ``f.vertices[k]`` of the classes that
     die over the rows in ``f.vertices[k + 1]`` of the simplices that kill
-    them.  When the top dimension is counted, not stored, its killers are
-    rows of its births instead, one per killer among those of its birth,
-    and the array has k + 2 more rows: the killers' vertices.
+    them.  When the top dimension is counted, not stored (the dimension
+    below it has more than ``filtration.COUNT_TOP_ABOVE`` rows), its
+    killers are rows of its births instead, one per killer among those of
+    its birth, and the array has k + 2 more rows: the killers' vertices.
 
     H0 is :func:`joins` over the rows of ``f.vertices[1]``, in filtration
     order: the edge that merges a component into an older one kills the
@@ -242,7 +246,9 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     reduced latest first, and one becomes a list only when its pivot is
     already owned.  A pivot owned by an apparent column is owned by its
     latest facet.  A stored top dimension has no cofaces: it is the cap, or
-    it is empty.  A counted one is paired by :func:`ripsbars.cofaces.top_pairs`.
+    it is empty; the dimension below it is paired through
+    :func:`coboundaries` like the rest.  The dimension below a counted one
+    is paired by :func:`ripsbars.cofaces.top_pairs`.
     """
     pairs = [joins(f.n_points, f.vertices[1])] if len(f.vertices) > 1 else []
     for k in range(1, len(f.vertices) - 1):

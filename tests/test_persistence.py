@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import math
@@ -30,7 +31,7 @@ from oracles import (
     pair_sets,
     simplex_birth_brute,
 )
-from ripsbars import cli, dice, persistence
+from ripsbars import cli, dice, filtration, persistence
 from ripsbars.cloud import four_hole_disk, sample_region, write_points_csv
 from ripsbars.fileio import ParseError
 from ripsbars.filtration import build_filtration
@@ -231,10 +232,21 @@ def boundary_barcode(f):
     return extract_pairs(boundary_pairs(R, f), f, normalize=False)
 
 
+@contextlib.contextmanager
+def tops_counted_above(rows):
+    """Within the block, a top dimension at a cap of 2 or more is counted
+    when the dimension below it has more than ``rows`` rows: at 0 every one
+    with simplices below it, at ∞ none."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(filtration, "COUNT_TOP_ABOVE", rows)
+        yield
+
+
 def assert_facets_equal_lookup(f):
     """``f`` holds the dimensions up to its cap or up to its first empty
     one, whichever comes first, and stores all of them but a top one at a
-    cap of 2 or more, which it counts: it has births and no rows.
+    cap of 2 or more over more than ``COUNT_TOP_ABOVE`` rows, which it
+    counts: it has births and no rows.
     ``f.facets`` equals a dict lookup of every facet by its vertices, each
     index array in the dtype its size gives, and the coboundaries
     transposed from it equal the search of each row less one vertex among
@@ -244,7 +256,8 @@ def assert_facets_equal_lookup(f):
     top = len(f.births) - 1
     assert len(f.facets) == len(want) == len(f.vertices) and top <= f.max_dim
     counted = len(f.vertices) == top
-    assert counted == (top == f.max_dim >= 2 and len(f.births[top - 1]) > 0)
+    assert counted == (top == f.max_dim >= 2
+                       and len(f.births[top - 1]) > filtration.COUNT_TOP_ABOVE)
     assert counted or len(f.vertices) == top + 1
     assert all(len(born) for born in f.births[:top])
     assert top == f.max_dim or not len(f.births[top])
@@ -391,15 +404,17 @@ def test_cohomology_pairs_equal_boundary_reduction(seed, n, metric, max_dim, sto
 )
 def test_caps_past_the_points_give_the_same_bars(seed, n, metric, stop, grid):
     """No flag complex on n points has an n-simplex, so every cap from
-    n − 1 up gives the bars of the boundary reduction, and the same bars."""
+    n − 1 up gives the bars of the boundary reduction, and the same bars,
+    with every top dimension at the cap counted."""
     pts = random_points(np.random.default_rng(seed), n)
     if grid:
         pts = np.floor(pts * 4)
     m = build_distance_matrix(pts, metric)
     columns = []
     for cap in range(n - 1, n + 4):
-        f = build_filtration(m, max_dim=cap, stop_when_connected=stop)
-        assert_facets_equal_lookup(f)
+        with tops_counted_above(0):
+            f = build_filtration(m, max_dim=cap, stop_when_connected=stop)
+            assert_facets_equal_lookup(f)
         bc = barcode(f, normalize=False)
         assert bc == boundary_barcode(f)
         columns.append((bc.dim, bc.birth, bc.death, bc.open))
@@ -524,13 +539,15 @@ DEGENERATE = {
 
 @pytest.mark.parametrize("stop", [False, True])
 @pytest.mark.parametrize("name", sorted(DEGENERATE))
-def test_degenerate_shapes_match_references(name, stop):
+def test_degenerate_shapes_match_references(name, stop, monkeypatch):
     """Thresholds, spans, simplices and the barcode of tiny, all-zero and
     over-capped inputs against brute-force cliques and the boundary
     reduction; the dimensions held end at the cap or at the first one with
-    no clique, whichever comes first, and a top one at the cap is counted."""
+    no clique, whichever comes first, and a top one at the cap with
+    simplices below it, here routed to the counter, is counted."""
     entries, max_dim = DEGENERATE[name]
     m = matrix_from(entries)
+    monkeypatch.setattr(filtration, "COUNT_TOP_ABOVE", 0)
     f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
     distinct = sorted({float(x) for x in m.entries[np.triu_indices(m.n, 1)]})
     cut = max(mst_edge_lengths(m), default=0.0) if stop else math.inf
@@ -548,9 +565,10 @@ def test_degenerate_shapes_match_references(name, stop):
     assert all(s.birth == simplex_birth_brute(m, s.vertices) for s in f.simplices)
     first_empty = max(map(len, previous))
     assert len(f.births) == min(max_dim, first_empty) + 1
-    # A top dimension at a cap of 2 or more, with simplices below it, is
-    # counted and not stored.
-    counted = max_dim >= 2 and first_empty >= max_dim
+    # A top dimension at a cap of 2 or more, with more than COUNT_TOP_ABOVE
+    # simplices below it, is counted and not stored.
+    below = sum(len(v) == max_dim for v in previous)
+    counted = max_dim >= 2 and first_empty >= max_dim and below > filtration.COUNT_TOP_ABOVE
     assert len(f.vertices) == len(f.facets) == len(f.births) - counted
     for k, births in enumerate(f.births):
         assert len(births) == sum(len(v) == k + 1 for v in previous)
@@ -560,14 +578,16 @@ def test_degenerate_shapes_match_references(name, stop):
     assert barcode(f, normalize=False) == boundary_barcode(f)
 
 
-def test_top_column_that_cancels_on_a_reduced_column():
-    """Eight points at tied integer distances, stopped, at cap 2: an edge's
-    column, reduced against the implicit triangles, cancels to zero on the
-    column of a reduced owner, and the pairs and bars still equal the
-    boundary reduction's."""
+def test_top_column_that_cancels_on_a_reduced_column(monkeypatch):
+    """Eight points at tied integer distances, stopped, at cap 2 and the
+    triangles counted: an edge's column, reduced against the implicit
+    triangles, cancels to zero on the column of a reduced owner, and the
+    pairs and bars still equal the boundary reduction's."""
     upper = [2, 3, 1, 1, 3, 0, 0, 1, 2, 0, 3, 2, 2, 2, 3, 1, 1, 3, 0, 0, 0, 0, 0, 3, 2, 1, 2, 2]
+    monkeypatch.setattr(filtration, "COUNT_TOP_ABOVE", 0)
     f = build_filtration(DistanceMatrix(entries=symmetric(8, upper)), max_dim=2,
                          stop_when_connected=True)
+    assert len(f.vertices) == 2
     R, _ = reduce_matrix(total_boundary_matrix(f))
     assert pair_sets(f, persistence_pairs(f)) == pair_sets(f, boundary_pairs(R, f))
     assert barcode(f, normalize=False) == boundary_barcode(f)
@@ -589,9 +609,11 @@ def test_counted_top_dimension_equals_brute_force_cliques_per_birth(entries, max
     grid: the top dimension's births, counted per birth and never built,
     are those of the brute-force cliques of its size by the last
     threshold, each born with its longest edge.  A top dimension at the
-    cap, with simplices below it, has no vertex or facet rows."""
+    cap, with simplices below it, counted however few they are, has no
+    vertex or facet rows."""
     m = DistanceMatrix(entries=entries)
-    f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
+    with tops_counted_above(0):
+        f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
     top = len(f.births) - 1
     cliques = [s for s in flag_complex_brute(m, f.span_end, max_dim) if len(s) == top + 1]
     assert Counter(f.births[top].tolist()) == Counter(simplex_birth_brute(m, s) for s in cliques)
@@ -603,13 +625,61 @@ def test_counted_top_dimension_equals_brute_force_cliques_per_birth(entries, max
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(dice_like, coincident, grid_clouds), st.integers(2, 5), st.booleans())
 def test_pairs_equal_boundary_reduction_with_top_killers_by_vertices(entries, max_dim, stop):
-    """Pair by pair, the top dimension counted and its killers named by
-    their vertices, the pairs equal those of the boundary reduction on
-    tied, coincident and grid inputs."""
-    f = build_filtration(DistanceMatrix(entries=entries), max_dim=max_dim,
-                         stop_when_connected=stop)
+    """Pair by pair, the top dimension counted however small it is and its
+    killers named by their vertices, the pairs equal those of the boundary
+    reduction on tied, coincident and grid inputs."""
+    with tops_counted_above(0):
+        f = build_filtration(DistanceMatrix(entries=entries), max_dim=max_dim,
+                             stop_when_connected=stop)
     R, _ = reduce_matrix(total_boundary_matrix(f))
     assert pair_sets(f, persistence_pairs(f)) == pair_sets(f, boundary_pairs(R, f))
+
+
+def assert_routes_agree(m, max_dim, stop):
+    """Built with every top dimension counted and with every one stored,
+    ``m`` gives the same simplices and barcode columns equal bit for bit."""
+    built = []
+    for above in (0, math.inf):
+        with tops_counted_above(above):
+            built.append(build_filtration(m, max_dim=max_dim, stop_when_connected=stop))
+    counted, stored = built
+    assert len(stored.vertices) == len(stored.births) == len(counted.births)
+    assert counted.simplices == stored.simplices
+    bars = [barcode(f, normalize=False) for f in built]
+    for name in ("dim", "birth", "death", "open"):
+        a, b = (getattr(bc, name) for bc in bars)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert bars[0] == bars[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dice_like, coincident, grid_clouds), st.integers(2, 5), st.booleans())
+@example(np.zeros((7, 7)), 5, False)
+def test_counted_and_stored_tops_give_the_same_simplices_and_bars(entries, max_dim, stop):
+    """Tied, coincident and grid inputs at caps 2 to 5, stopped or not: a
+    top dimension counted and paired against implicit cofaces gives the
+    simplices and the barcode bits of the same dimension built and
+    stored."""
+    assert_routes_agree(DistanceMatrix(entries=entries), max_dim, stop)
+
+
+@pytest.mark.parametrize("dropped", [16, 15])
+def test_top_dimension_is_counted_past_count_top_above_rows(dropped):
+    """33 points at distances 1 and 2, all kept by the stop at 2 but for
+    ``dropped`` pairs at 3, at cap 2: 512 edges, as many as
+    ``COUNT_TOP_ABOVE``, store their triangles, and 513 count them; either
+    way both routes agree."""
+    assert filtration.COUNT_TOP_ABOVE == 512
+    entries = 1 + np.random.default_rng(dropped).integers(0, 2, (33, 33))
+    entries[:, 32] = 2  # only edges at 2 reach vertex 32, so the stop is at 2
+    entries[0, 1:dropped + 1] = 3
+    entries = np.triu(entries, 1)
+    m = DistanceMatrix(entries=(entries + entries.T).astype(float))
+    f = build_filtration(m, max_dim=2, stop_when_connected=True)
+    assert f.thresholds == [1.0, 2.0] and len(f.vertices[1]) == 528 - dropped
+    assert len(f.vertices) == (3 if dropped == 16 else 2)  # triangles stored or counted
+    assert_facets_equal_lookup(f)
+    assert_routes_agree(m, 2, True)
 
 
 @settings(max_examples=60, deadline=None)
@@ -618,15 +688,16 @@ def test_negative_zero_entries_give_the_bytes_of_positive_zeros(
     tmp_path_factory, entries, max_dim, stop, data
 ):
     """A matrix holding -0.0 gives the barcode file bytes of its copy that
-    holds +0.0 there: the matrix holds every zero as +0.0, so the counted
-    top dimension's births, read off the distinct edge births, are the
+    holds +0.0 there: the matrix holds every zero as +0.0, so the births
+    of a counted top dimension, read off the distinct edge births, are the
     entries themselves."""
     flip = data.draw(st.lists(st.booleans(), min_size=entries.size, max_size=entries.size))
     negative = np.where((entries == 0) & np.reshape(flip, entries.shape), -0.0, entries)
     written = []
     for source in (negative, entries):
-        f = build_filtration(DistanceMatrix(entries=source), max_dim=max_dim,
-                             stop_when_connected=stop)
+        with tops_counted_above(0):
+            f = build_filtration(DistanceMatrix(entries=source), max_dim=max_dim,
+                                 stop_when_connected=stop)
         path = tmp_path_factory.mktemp("signed") / "barcode.csv"
         write_barcode_csv(str(path), barcode(f, normalize=False))
         written.append(path.read_bytes())
