@@ -296,7 +296,7 @@ def _cmd_persist(args: argparse.Namespace) -> int:
     m, label, max_dim = _read_input(args.input_path, args.metric)
     bc = _barcode(args, m, label, max_dim, args.normalize)
     _write_barcodes(args, [(label, bc)])
-    alive = np.bincount(bc.dim[: bc.n_bars])
+    alive = np.bincount(bc.dim[: bc.n_bars], weights=bc.count[: bc.n_bars]).astype(np.int64)
     summary = ", ".join(f"H{d}: {count}" for d, count in enumerate(alive.tolist()) if count)
     print(f"bars ({label}): {summary if summary else 'none'}")
     return 0

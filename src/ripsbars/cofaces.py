@@ -88,7 +88,11 @@ def top_pairs(f: Filtration, cleared: np.ndarray) -> np.ndarray:
     as in :func:`ripsbars.persistence.persistence_pairs`, on (rank,
     vertices) keys computed from ``f.ranks`` alone; a pivot belongs to an
     apparent column exactly when its latest facet's pivot is that pivot,
-    and a cleared column never looks apparent, as its row kills a class."""
+    and a cleared column never looks apparent, as its row kills a class.
+    Each killer's row is the first row of its birth in ``f.births[k]``:
+    its death is that birth, and
+    :func:`~ripsbars.persistence.extract_pairs` subtracts the killers of
+    each birth from its count, so no killer needs a row of its own."""
     k = len(f.vertices)
     rows, ranks, count, n = f.vertices[k - 1], f.ranks, len(f.thresholds), f.n_points
     thresholds = np.array(f.thresholds)
@@ -186,8 +190,5 @@ def top_pairs(f: Filtration, cleared: np.ndarray) -> np.ndarray:
     out[0, :at], out[0, at:] = todo[apparent], list(owner.values())
     out[2:k + 2, :at], out[k + 2, :at] = simplex[:, apparent], first[apparent]
     out[2:, at:] = np.array([vertices(key) for key in keys], dtype=np.intp).reshape(-1, k + 1).T
-    # Killers of one birth take its rows in the counted births in turn.
-    kills = np.bincount(rank, minlength=count)
-    skip = f.births[k].searchsorted(thresholds) - kills.cumsum() + kills
-    out[1, rank.argsort(kind="stable")] = np.arange(len(rank)) + skip.repeat(kills)
+    out[1] = f.births[k].searchsorted(thresholds[rank])
     return out

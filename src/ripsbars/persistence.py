@@ -22,8 +22,9 @@ A top dimension k at the cap is stored when dimension k − 1 has at most
 through its coboundary columns like the rest.  Over more rows the top is
 counted and has no rows, so dimension k − 1 is paired
 against implicit cofaces by :func:`ripsbars.cofaces.top_pairs`: the
-killers in dimension k are named by their vertices, and each takes a row
-of the counted births of its birth.
+killers in dimension k are named by their vertices and by the first row of
+their birth in the counted births.  :func:`extract_pairs` then takes the
+top's open bars as runs, one per birth: its count less its killers.
 
 The total boundary matrix over ``Filtration.simplices`` and its
 left-to-right reduction stay as the reference the tests compare these pairs
@@ -113,23 +114,31 @@ class Bar(NamedTuple):
 class Barcode:
     """All bars of one pipeline run plus the metadata to interpret them.
 
-    ``dim``, ``birth``, ``death`` and ``open`` are aligned arrays with one
-    row per bar, given in any order.  The constructor sorts them: first the
-    ``n_bars`` bars, then the zero-length pairs (closed rows with birth =
-    death as stored, from simultaneous arrivals), which stay out of
-    statistics and plots, each part by (dim, birth, death, open).  So a
-    barcode read back from its file equals the one written, whatever the
-    row order.  ``bars`` and ``zero_length`` are read-only
-    views of the two parts as :class:`Bar` records, derived on first access;
-    the pipeline never builds them.  ``span_end`` is the last threshold
-    actually processed, in the same scale as the bars, and always a float:
-    a barcode file may give it as a JSON integer.
+    ``dim``, ``birth``, ``death``, ``open`` and ``count`` are aligned
+    arrays: each row stands for ``count`` (at least 1) equal bars, and the
+    rows are given in any order.  The constructor merges them into maximal
+    runs of equal bars, told apart by bit pattern (so -0.0 and +0.0 make
+    two runs), and sorts the runs: first the ``n_bars`` runs of bars, then
+    the runs of zero-length pairs (closed rows with birth = death as
+    stored, from simultaneous arrivals), which stay out of statistics and
+    plots, each part by (dim, birth, death, open), -0.0 before +0.0 (no
+    birth or death is below zero).  So the same bars give the same runs
+    whatever their order and grouping, and a barcode read back from its
+    file equals the one written.
+    ``n_bars`` counts runs, not bars: the bars number
+    ``count[:n_bars].sum()``.  ``bars`` and ``zero_length`` are read-only
+    views of the two parts as :class:`Bar` records, each run repeated
+    ``count`` times, derived on first access; the pipeline never builds
+    them.  ``span_end`` is the last threshold actually processed, in the
+    same scale as the bars, and always a float: a barcode file may give it
+    as a JSON integer.
     """
 
     dim: np.ndarray
     birth: np.ndarray
     death: np.ndarray
     open: np.ndarray
+    count: np.ndarray
     metric: str
     max_dim: int
     n_points: int
@@ -140,10 +149,25 @@ class Barcode:
     def __post_init__(self) -> None:
         object.__setattr__(self, "span_end", float(self.span_end))
         zero = ~self.open & (self.birth == self.death)
-        order = np.lexsort((self.open, self.death, self.birth, self.dim, zero))
-        for name in ("dim", "birth", "death", "open"):
-            object.__setattr__(self, name, getattr(self, name)[order])
-        object.__setattr__(self, "n_bars", int(np.count_nonzero(~zero)))
+        # No bar is below zero, where the bits of a float64 sort as its
+        # value does, -0.0 first: so the bits sort the rows, and equal
+        # keys are equal bits.
+        bits = [np.asarray(x, dtype=np.float64).view(np.int64) for x in (self.death, self.birth)]
+        keys = (self.open, *bits, self.dim)
+        order = np.lexsort(keys + (zero,))
+        keys = [x[order] for x in keys]
+        starts = np.ones(len(order), dtype=bool)  # where a run of equal rows starts
+        starts[1:] = keys[0][1:] != keys[0][:-1]
+        for x in keys[1:]:
+            starts[1:] |= x[1:] != x[:-1]
+        is_open, death, birth, dim = (x[starts] for x in keys)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "birth", birth.view(np.float64))
+        object.__setattr__(self, "death", death.view(np.float64))
+        object.__setattr__(self, "open", is_open)
+        object.__setattr__(self, "count", np.add.reduceat(self.count[order], np.flatnonzero(starts)))
+        bars = len(order) - np.count_nonzero(zero)  # the rows before the zero-length ones
+        object.__setattr__(self, "n_bars", int(np.count_nonzero(starts[:bars])))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Barcode):
@@ -153,8 +177,9 @@ class Barcode:
         )
 
     def _records(self, rows: slice) -> Tuple[Bar, ...]:
+        count = self.count[rows]
         columns = (self.dim, self.birth, self.death, self.open)
-        return tuple(map(Bar._make, zip(*(x[rows].tolist() for x in columns))))
+        return tuple(map(Bar._make, zip(*(x[rows].repeat(count).tolist() for x in columns))))
 
     @cached_property
     def bars(self) -> Tuple[Bar, ...]:
@@ -229,9 +254,10 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     (2, p_k) int array of the rows in ``f.vertices[k]`` of the classes that
     die over the rows in ``f.vertices[k + 1]`` of the simplices that kill
     them.  When the top dimension is counted, not stored (the dimension
-    below it has more than ``filtration.COUNT_TOP_ABOVE`` rows), its
-    killers are rows of its births instead, one per killer among those of
-    its birth, and the array has k + 2 more rows: the killers' vertices.
+    below it has more than ``filtration.COUNT_TOP_ABOVE`` rows), each of
+    its killers is the first row of its birth in ``f.births[k + 1]``
+    instead, shared by the killers of that birth, and the array has k + 2
+    more rows: the killers' vertices.
 
     H0 is :func:`joins` over the rows of ``f.vertices[1]``, in filtration
     order: the edge that merges a component into an older one kills the
@@ -295,27 +321,43 @@ def extract_pairs(
     A simplex that kills no class births one (a simplex kills at most
     one), which dies at its killer's birth or, unkilled, becomes an open
     bar: death is the last processed threshold raw, or exactly 1.0 after
-    normalization (the right edge of the examined range).  In a counted top
-    dimension each killer takes a row of its birth, so its open bars are
-    the counts less the killers at each birth.  Normalization divides
-    births and deaths by the maximum distance of the source matrix.
+    normalization (the right edge of the examined range).  Each stored
+    simplex gives a row of count 1.  A counted top dimension gives one row
+    per birth, its open bars: the simplices of that birth, less the killers
+    born with it, counted from the births alone, so none of its bars is
+    built one at a time.  Normalization divides births and deaths by the
+    maximum distance of the source matrix.
     """
     divisor = 1.0
     if normalize:
         if f.max_distance <= 0.0:
             raise ValueError("cannot normalize: no strictly positive distance")
         divisor = f.max_distance
-    # Every simplex of every dimension births a class, unless it kills one.
-    sizes = [len(born) for born in f.births]
+    # Every stored simplex of every dimension births a class, unless it kills one.
+    stored = len(f.vertices)
+    sizes = [len(born) for born in f.births[:stored]]
     starts = np.cumsum([0] + sizes).tolist()
-    birth = np.concatenate(f.births)
+    birth = np.concatenate(f.births[:stored])
     death = np.full(len(birth), np.nan)  # nan: the class never dies
     keep = np.ones(len(birth), dtype=bool)
     for k, (young, killer, *_) in enumerate(pairs):
         death[starts[k]:starts[k + 1]][young] = f.births[k + 1][killer]
-        keep[starts[k + 1]:starts[k + 2]][killer] = False
-        sizes[k + 1] -= len(killer)
+        if k + 1 < stored:
+            keep[starts[k + 1]:starts[k + 2]][killer] = False
+            sizes[k + 1] -= len(killer)
     birth, death = birth[keep], death[keep]
+    count = np.ones(len(birth), dtype=np.intp)
+    if len(f.births) > stored:  # the counted top: its births less its killers'
+        top, thresholds = f.births[stored], np.array(f.thresholds)
+        alive = np.diff(top.searchsorted(thresholds), append=len(top))
+        alive -= np.bincount(
+            thresholds.searchsorted(top[pairs[stored - 1][1]]), minlength=len(alive)
+        )
+        born = np.flatnonzero(alive)
+        sizes.append(len(born))
+        birth = np.concatenate((birth, thresholds[born]))
+        death = np.concatenate((death, np.full(len(born), np.nan)))
+        count = np.concatenate((count, alive[born]))
     birth /= divisor
     death /= divisor
     is_open = np.isnan(death)
@@ -325,6 +367,7 @@ def extract_pairs(
         birth=birth,
         death=death,
         open=is_open,
+        count=count,
         metric=metric,
         max_dim=f.max_dim,
         n_points=f.n_points,
@@ -362,25 +405,26 @@ def write_barcode_csv(
     """CSV with one bar per line; zero-length pairs included and marked by
     birth = death, so the reader can reconstruct the full object.
 
-    A sorted barcode of few distinct values is made of runs of equal bars,
-    told apart by bit pattern (so -0.0 keeps its sign): each run's values are
-    formatted once, and its line is repeated by its length.  The body is
-    written in pieces of at most ``_PIECE_LINES`` lines, cut between runs
-    and at every multiple of that count, so no more than one piece of it
-    is held as text at a time."""
+    Each run of the barcode is formatted once, and its line repeated by its
+    ``count``.  The body is written in pieces of at most ``_PIECE_LINES``
+    lines, cut at every multiple of that count, a run that crosses one
+    split there, so no more than one piece of it is held as text at a
+    time."""
     lines = fileio.metadata_lines(config)
     meta = {key: getattr(bc, key) for key in _META_TYPES}
     lines.append(f"# {BARCODE_META_KEY} " + json.dumps(meta, sort_keys=True))
     lines.append(BARCODE_HEADER)
-    n = len(bc.dim)
-    bits = [np.asarray(x, dtype=np.float64).view(np.int64) for x in (bc.birth, bc.death)]
-    starts = np.ones(n, dtype=bool)
-    starts[1:] = np.logical_or.reduce([x[1:] != x[:-1] for x in (bc.dim, *bits, bc.open)])
-    starts[::_PIECE_LINES] = True
-    starts = np.flatnonzero(starts)
-    births, deaths = fileio.fmt_array(np.stack((bc.birth[starts], bc.death[starts]))).tolist()
+    ends = np.cumsum(bc.count)
+    n = int(ends[-1]) if len(ends) else 0
+    # The line each part of a run starts at, and the run it lies in.  The
+    # merge of two sorted arrays is a stable sort's best case.
+    starts = np.concatenate((ends - bc.count, np.arange(0, n, _PIECE_LINES)))
+    starts.sort(kind="stable")
+    starts = starts[np.diff(starts, append=n) > 0]
+    run = ends.searchsorted(starts, side="right")
+    births, deaths = fileio.fmt_array(np.stack((bc.birth[run], bc.death[run]))).tolist()
     runs = (
-        bc.dim[starts].tolist(), births, deaths, bc.open[starts].astype(np.int8).tolist(),
+        bc.dim[run].tolist(), births, deaths, bc.open[run].astype(np.int8).tolist(),
         np.diff(starts, append=n).tolist(),
     )
     cuts = np.flatnonzero(starts % _PIECE_LINES == 0).tolist() + [len(starts)]
@@ -402,7 +446,9 @@ def read_barcode_csv(path: str) -> Barcode:
     has k + 1 vertices), ``birth < 0``, ``death < birth``, in a normalized
     barcode ``death > 1``, or an open bar that does not die at the right
     edge (1 when normalized, else the meta ``span_end``).  Meta keys outside
-    ``_META_TYPES`` are ignored."""
+    ``_META_TYPES`` are ignored.  The constructor gets one row per run of
+    consecutive identical lines, with the run's length as its ``count``,
+    and merges the runs of equal bars that other lines separate."""
     lines = fileio.read_lines(path)
     header = fileio.parse_metadata(path, lines)
     if BARCODE_META_KEY not in header:
@@ -462,13 +508,22 @@ def read_barcode_csv(path: str) -> Barcode:
             raise ParseError(path, lineno, f"open bar must die at {fmt(open_end)}: {text!r}")
         row_of[raw] = len(rows)
         rows.append((dim, birth, death, is_open))
-    order = np.fromiter(map(row_of.__getitem__, body), dtype=np.intp, count=len(body))
+    # Each run of consecutive identical lines is one row with its count.
+    index = np.fromiter(map(row_of.__getitem__, body), dtype=np.intp, count=len(body))
+    starts = np.empty(len(body), dtype=bool)
+    starts[:1] = True
+    np.not_equal(index[1:], index[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    count = np.diff(starts, append=len(body))
+    index = index[starts]
+    bars = index >= 0
     table = np.array(rows, dtype=[("dim", int), ("birth", float), ("death", float), ("open", bool)])
-    table = table[order[order >= 0]]
+    table = table[index[bars]]
     return Barcode(
         dim=table["dim"],
         birth=table["birth"],
         death=table["death"],
         open=table["open"],
+        count=count[bars],
         **{key: meta[key] for key in _META_TYPES},
     )

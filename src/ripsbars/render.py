@@ -27,7 +27,9 @@ _PALETTE = (
 
 
 def barcode_svg(bc: Barcode, config: Optional[Dict[str, Any]] = None) -> str:
-    """Render one barcode as a standalone SVG document string."""
+    """Render one barcode as a standalone SVG document string: a line per
+    bar, so a run of ``count`` equal bars takes ``count`` slots of its
+    band."""
     groups = max(bc.top_dim(), 0) + 1
     height = BAND_HEIGHT * groups
     domain = 1.0 if bc.normalized else max(bc.span_end, 1e-300)
@@ -53,7 +55,8 @@ def barcode_svg(bc: Barcode, config: Optional[Dict[str, Any]] = None) -> str:
             f'<text x="6" y="{top + 24}" font-family="monospace" '
             f'font-size="13" fill="{color}">H{dim}</text>'
         )
-        rows = np.flatnonzero(bc.dim[: bc.n_bars] == dim)
+        runs = np.flatnonzero(bc.dim[: bc.n_bars] == dim)
+        rows = runs.repeat(bc.count[runs])  # a line per bar
         slot = BAND_HEIGHT / (len(rows) + 1)
         x1, x2, ys = fileio.fmt_array(np.stack((
             MARGIN_X + span * np.minimum(bc.birth[rows], domain) / domain,

@@ -40,21 +40,23 @@ def bar_stats(bc: Barcode, dim: int) -> BarStats:
 
 
 def _stats_by_dim(bc: Barcode, dims: Sequence[int]) -> List[BarStats]:
-    """:func:`bar_stats` of each dimension in ``dims``.  The bars are
-    already sorted by dimension, so each dimension is one slice of them.
-    The average is a left-to-right sum over the bars in order, so its bits
+    """:func:`bar_stats` of each dimension in ``dims``.  The runs are
+    already sorted by dimension, so each dimension is one slice of them; a
+    run counts ``count`` bars.  The average is a left-to-right sum over the
+    bars in order, each run's span repeated ``count`` times, so its bits
     do not depend on how a Python version's ``sum`` rounds."""
     if not bc.normalized:
         raise ValueError("bar statistics require a normalized barcode")
     n = bc.n_bars
-    dim = bc.dim[:n]
+    dim, count = bc.dim[:n], bc.count[:n]
     span = np.where(bc.open[:n], 1.0 - bc.birth[:n], bc.death[:n] - bc.birth[:n])
     cells = []
     for d, lo, hi in zip(dims, np.searchsorted(dim, dims), np.searchsorted(dim, dims, "right")):
-        s = span[lo:hi]
+        s, bars = span[lo:hi], int(count[lo:hi].sum())
         cells.append(
-            BarStats(d, len(s), float(np.cumsum(s)[-1]) / len(s), float(s.min()), float(s.max()))
-            if len(s) else BarStats(d, 0, None, None, None)
+            BarStats(d, bars, float(np.cumsum(s.repeat(count[lo:hi]))[-1]) / bars,
+                     float(s.min()), float(s.max()))
+            if bars else BarStats(d, 0, None, None, None)
         )
     return cells
 

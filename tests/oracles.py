@@ -19,7 +19,8 @@ The reference loops at the end evaluate one point, pair, candidate, matrix entry
 at a time, the way the library did before it switched to array
 expressions; the array code must match them bit for bit.  ``foliation`` and ``symmetry`` evaluate
 the dice descriptors die by die from their defining formulas, in exact
-fractions.  ``barcode_of`` builds a barcode from bar records.  The dice
+fractions.  ``barcode_of`` builds a barcode from bar records, and
+``bar_rows`` lists a filtration's bars one row per bar.  The dice
 oracles take each die as a tuple of faces; ``dice_tuples`` reads them off
 the rows of a face array.
 """
@@ -40,7 +41,9 @@ from ripsbars.dice import BeatingGraph
 from ripsbars.filtration import Filtration
 from ripsbars.metrics import TRIANGLE_TOL, DistanceMatrix
 from ripsbars.fileio import fmt
-from ripsbars.persistence import Bar, Barcode, SparseBinaryMatrix
+from ripsbars.persistence import (
+    Bar, Barcode, SparseBinaryMatrix, reduce_matrix, total_boundary_matrix,
+)
 from ripsbars.stats import BarStats
 
 Die = Tuple[int, ...]
@@ -248,8 +251,31 @@ def barcode_of(bars: Sequence[Bar], zero_length: Sequence[Bar] = (), **meta) -> 
         birth=np.array([b.birth for b in rows], dtype=float),
         death=np.array([b.death for b in rows], dtype=float),
         open=np.array([b.open for b in rows], dtype=bool),
+        count=np.ones(len(rows), dtype=np.intp),
         **meta,
     )
+
+
+def bar_rows(f: Filtration, normalize: bool) -> List[Tuple[int, float, float, bool]]:
+    """One (dim, birth, death, open) row per bar and per zero-length pair
+    of ``f``, read off the reduced total boundary matrix simplex by
+    simplex: a zero column births a class, which dies at the birth of the
+    column whose lowest 1 it is, or stays open to the right edge.  Sorted
+    in barcode order: the bars, then the zero-length pairs, each by
+    (dim, birth, death, open)."""
+    R, _ = reduce_matrix(total_boundary_matrix(f))
+    killer = {col[-1]: j for j, col in enumerate(R.columns) if col}
+    divisor = f.max_distance if normalize else 1.0
+    end = 1.0 if normalize else f.span_end
+    rows = []
+    for i, (birth, dim, _) in enumerate(f.simplices):
+        if R.columns[i]:
+            continue  # it kills a class, and births none
+        if i in killer:
+            rows.append((dim, birth / divisor, f.simplices[killer[i]].birth / divisor, False))
+        else:
+            rows.append((dim, birth / divisor, end, True))
+    return sorted(rows, key=lambda row: (not row[3] and row[1] == row[2], row))
 
 
 def in_dim(bc: Barcode, dim: int) -> Tuple[Bar, ...]:

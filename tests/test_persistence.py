@@ -15,6 +15,7 @@ from conftest import (
 )
 from oracles import (
     apparent_pairs_brute,
+    bar_rows,
     barcode_csv_lines_loop,
     barcode_of,
     bars_alive,
@@ -39,6 +40,7 @@ from ripsbars.metrics import PLANAR_METRICS, DistanceMatrix, build_distance_matr
 from ripsbars.persistence import (
     BARCODE_HEADER,
     Bar,
+    Barcode,
     SparseBinaryMatrix,
     barcode,
     extract_pairs,
@@ -646,7 +648,7 @@ def assert_routes_agree(m, max_dim, stop):
     assert len(stored.vertices) == len(stored.births) == len(counted.births)
     assert counted.simplices == stored.simplices
     bars = [barcode(f, normalize=False) for f in built]
-    for name in ("dim", "birth", "death", "open"):
+    for name in ("dim", "birth", "death", "open", "count"):
         a, b = (getattr(bc, name) for bc in bars)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     assert bars[0] == bars[1]
@@ -661,6 +663,42 @@ def test_counted_and_stored_tops_give_the_same_simplices_and_bars(entries, max_d
     simplices and the barcode bits of the same dimension built and
     stored."""
     assert_routes_agree(DistanceMatrix(entries=entries), max_dim, stop)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(dice_like, coincident, grid_clouds), st.integers(1, 5), st.booleans(),
+       st.sampled_from([0, filtration.COUNT_TOP_ABOVE]), st.booleans(), st.data())
+def test_runs_expand_to_the_rows_of_one_bar_each(entries, max_dim, stop, above, normalize, data):
+    """Tied, coincident and grid inputs, every top dimension counted or
+    only those past ``COUNT_TOP_ABOVE``: the barcode's runs are maximal,
+    and repeated by their ``count`` they are the sorted rows of the
+    one-row-per-bar reference bit for bit.  Those rows, shuffled and each
+    given count 1, build a barcode equal to the pipeline's."""
+    with tops_counted_above(above):
+        f = build_filtration(DistanceMatrix(entries=entries), max_dim=max_dim,
+                             stop_when_connected=stop)
+    normalize = normalize and f.max_distance > 0
+    bc = barcode(f, normalize=normalize)
+    rows = bar_rows(f, normalize)
+    want = [np.array([row[i] for row in rows], dtype=dtype)
+            for i, dtype in enumerate((np.int64, np.float64, np.float64, bool))]
+    got = (bc.dim, bc.birth, bc.death, bc.open)
+    assert (bc.count > 0).all()
+    for a, b in zip(got, want):
+        a = a.repeat(bc.count)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    same = np.ones(len(bc.dim) - 1, dtype=bool)
+    for x in (bc.dim, bc.birth.view(np.int64), bc.death.view(np.int64), bc.open):
+        same &= x[1:] == x[:-1]
+    assert not same.any()
+    assert bc.count[: bc.n_bars].sum() == len(bc.bars) == sum(
+        row[3] or row[1] != row[2] for row in rows)
+    order = data.draw(st.permutations(range(len(rows))))
+    shuffled = Barcode(
+        *(x[order] for x in want), count=np.ones(len(rows), dtype=np.intp), metric="",
+        max_dim=f.max_dim, n_points=f.n_points, normalized=normalize, span_end=bc.span_end,
+    )
+    assert shuffled == bc
 
 
 @pytest.mark.parametrize("dropped", [16, 15])
@@ -705,9 +743,9 @@ def test_negative_zero_entries_give_the_bytes_of_positive_zeros(
 
 
 #: SHA-256 of the barcode columns (dim int64, birth and death float64,
-#: open bool) of the 31 majority dice, stopped at connectivity, per
-#: matrix and cap, as the engine gave them while it still built the top
-#: dimension.
+#: open bool), one row per bar, of the 31 majority dice, stopped at
+#: connectivity, per matrix and cap, as the engine gave them while it
+#: still built the top dimension and held a row per bar.
 MAJORITY_DIGESTS = {
     ("similarity", 4): "3c473880af4beb75bd08bd1a10d65782ea7b3315e31d56d47a88de92ad0c9074",
     ("similarity", 6): "4f80d419db84ffd9954f983dc26573e3899e30a0f2f336652748c67124c58882",
@@ -721,12 +759,13 @@ MAJORITY_DIGESTS = {
 @pytest.mark.parametrize("cap", [4, 6])
 def test_majority_dice_barcode_digests_are_pinned(cap):
     """The barcodes of the 31 majority dice under all three matrices keep
-    their pinned digests with the top dimension counted."""
+    their pinned digests with the top dimension counted, their runs
+    expanded by ``count``."""
     for m in _dice_matrices("majority"):
         bc = barcode(build_filtration(m, max_dim=cap, stop_when_connected=True), normalize=False)
         digest = hashlib.sha256()
         for column, dtype in zip((bc.dim, bc.birth, bc.death, bc.open), ("<i8", "<f8", "<f8", "?")):
-            digest.update(np.ascontiguousarray(column, dtype=dtype).tobytes())
+            digest.update(column.repeat(bc.count).astype(dtype).tobytes())
         assert digest.hexdigest() == MAJORITY_DIGESTS[m.metric, cap]
 
 
@@ -762,7 +801,7 @@ def test_pipeline_builds_no_bar_records(tmp_path, monkeypatch, square_points):
     assert all(cli.main(argv) == 0 for argv in chain)
     assert len(made) == 1 + 3 + 3
     assert not any("bars" in vars(bc) or "zero_length" in vars(bc) for bc in made)
-    assert len(made[0].bars) + len(made[0].zero_length) == len(made[0].dim)
+    assert len(made[0].bars) + len(made[0].zero_length) == made[0].count.sum()
 
 
 def test_barcode_equality_compares_every_field(square_matrix):
@@ -773,11 +812,12 @@ def test_barcode_equality_compares_every_field(square_matrix):
     death[0] = np.nextafter(death[0], 0.0)
     assert bc != dataclasses.replace(bc, death=death)
     assert bc != dataclasses.replace(bc, open=~bc.open)
+    assert bc != dataclasses.replace(bc, count=bc.count + 1)
     k = np.flatnonzero(~bc.open[: bc.n_bars])[0]
     death = bc.death.copy()
     death[k] = bc.birth[k]
     shorter = dataclasses.replace(bc, death=death)
-    assert len(shorter.zero_length) == len(bc.zero_length) + 1
+    assert len(shorter.zero_length) == len(bc.zero_length) + bc.count[k]
     assert bc != shorter
     assert bc != dataclasses.replace(bc, span_end=0.5)
     assert bc != barcode(f, metric="taxicab")
@@ -1012,12 +1052,14 @@ def test_barcode_csv_line_changes_with_any_one_field(tmp_path):
 
 def test_barcode_csv_body_is_written_in_bounded_pieces(tmp_path, monkeypatch):
     """A body of several thousand lines, with runs of equal bars that
-    cross the piece boundaries, is handed to the text layer in pieces of at
-    most ``_PIECE_LINES`` lines, and the file equals the per-record
-    reference."""
-    lengths = [1] * 1500 + [3000, 700, 1, 2500] + [1] * 300
+    cross the piece boundaries, the last a run of 5,000 as in the counted
+    top dimension of the majority dice, is handed to the text layer in
+    pieces of at most ``_PIECE_LINES`` lines, and the file equals the
+    per-record reference."""
+    lengths = [1] * 1500 + [3000, 700, 1, 2500] + [1] * 300 + [5000]
     bars = [Bar(1, i / 7000, 1.0, True) for i, count in enumerate(lengths) for _ in range(count)]
     bc = barcode_of(bars, metric="m", max_dim=1, n_points=3, normalized=True, span_end=1.0)
+    assert bc.count.tolist() == lengths
     pieces = []
     write_text = persistence.fileio.write_text
 
@@ -1057,6 +1099,29 @@ META = (
     '# barcode-meta {"max_dim": 2, "metric": "m", "n_points": 4, '
     '"normalized": true, "span_end": 1.0}\n'
 )
+
+
+def test_signed_zero_rows_in_a_shuffled_file_form_one_run_each(tmp_path):
+    """A file holding -0 rows among 0 rows, shuffled and cut by a comment:
+    rows of equal bits form one run whatever lies between them, -0 before
+    0; the file reads back equal to the barcode of its rows, one each, and
+    is written back as the per-record reference in barcode order."""
+    lines = (["0,0,0.5,0"] * 5 + ["0,-0,0.5,0"] * 4 + ["0,0,1,1"] * 3
+             + ["1,0,0,0"] * 3 + ["1,-0,-0,0"] * 2)
+    np.random.default_rng(5).shuffle(lines)
+    lines.insert(8, "# a comment between rows")
+    path = tmp_path / "barcode.csv"
+    path.write_text(META + BARCODE_HEADER + "\n" + "\n".join(lines) + "\n")
+    bc = read_barcode_csv(str(path))
+    assert bc.count.tolist() == [4, 5, 3, 2, 3] and bc.n_bars == 3
+    assert np.signbit(bc.birth).tolist() == [True, False, False, True, False]
+    rows = [line.split(",") for line in lines if not line.startswith("#")]
+    bars = [Bar(int(d), float(b), float(e), o == "1") for d, b, e, o in rows]
+    meta = dict(metric="m", max_dim=2, n_points=4, normalized=True, span_end=1.0)
+    assert bc == barcode_of(bars, **meta)
+    write_barcode_csv(str(path), bc)
+    assert_csv_lines_equal_loop(path, bc)
+    assert read_barcode_csv(str(path)) == bc
 
 
 def test_barcode_csv_rejects_garbage(tmp_path):
