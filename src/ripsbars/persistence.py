@@ -110,21 +110,24 @@ class Bar(NamedTuple):
     open: bool = False
 
 
-@dataclass(frozen=True, eq=False)  # __eq__ compares the arrays by value
+@dataclass(frozen=True, eq=False)  # __eq__ compares the arrays by bits
 class Barcode:
     """All bars of one pipeline run plus the metadata to interpret them.
 
-    ``dim``, ``birth``, ``death``, ``open`` and ``count`` are aligned
-    arrays: each row stands for ``count`` (at least 1) equal bars, and the
-    rows are given in any order.  The constructor merges them into maximal
-    runs of equal bars, told apart by bit pattern (so -0.0 and +0.0 make
-    two runs), and sorts the runs: first the ``n_bars`` runs of bars, then
-    the runs of zero-length pairs (closed rows with birth = death as
-    stored, from simultaneous arrivals), which stay out of statistics and
-    plots, each part by (dim, birth, death, open), -0.0 before +0.0 (no
-    birth or death is below zero).  So the same bars give the same runs
-    whatever their order and grouping, and a barcode read back from its
-    file equals the one written.
+    ``dim``, ``birth``, ``death`` and ``open`` are aligned arrays, and
+    ``count``, when given, says how many equal bars each row stands for
+    (at least 1; by default each row is one bar).  The rows are given in
+    any order.  The constructor merges them into maximal runs of equal
+    bars, told apart by bit pattern (so -0.0 and +0.0 make two runs), and
+    sorts the runs: first the ``n_bars`` runs of bars, then the runs of
+    zero-length pairs (closed rows with birth = death as stored, from
+    simultaneous arrivals), which stay out of statistics and plots, each
+    part by (dim, birth, death, open), -0.0 before +0.0 (no birth or death
+    is below zero).  So the same bars give the same runs whatever their
+    order and grouping, and a barcode read back from its file equals the
+    one written.  ``==`` compares births and deaths by bit pattern too, as
+    the runs are told apart: a barcode with a -0.0 differs from one with
+    +0.0 in its place, though their :class:`Bar` records compare equal.
     ``n_bars`` counts runs, not bars: the bars number
     ``count[:n_bars].sum()``.  ``bars`` and ``zero_length`` are read-only
     views of the two parts as :class:`Bar` records, each run repeated
@@ -138,16 +141,18 @@ class Barcode:
     birth: np.ndarray
     death: np.ndarray
     open: np.ndarray
-    count: np.ndarray
     metric: str
     max_dim: int
     n_points: int
     normalized: bool
     span_end: float
+    count: Optional[np.ndarray] = None
     n_bars: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "span_end", float(self.span_end))
+        if self.count is not None and self.count.min(initial=1) < 1:
+            raise ValueError("every row of a barcode stands for at least one bar")
         zero = ~self.open & (self.birth == self.death)
         # No bar is below zero, where the bits of a float64 sort as its
         # value does, -0.0 first: so the bits sort the rows, and equal
@@ -156,25 +161,34 @@ class Barcode:
         keys = (self.open, *bits, self.dim)
         order = np.lexsort(keys + (zero,))
         keys = [x[order] for x in keys]
-        starts = np.ones(len(order), dtype=bool)  # where a run of equal rows starts
-        starts[1:] = keys[0][1:] != keys[0][:-1]
+        starts = np.empty(len(order), dtype=bool)  # where a run of equal rows starts
+        starts[:1] = True
+        np.not_equal(keys[0][1:], keys[0][:-1], out=starts[1:])
         for x in keys[1:]:
             starts[1:] |= x[1:] != x[:-1]
-        is_open, death, birth, dim = (x[starts] for x in keys)
+        starts = np.flatnonzero(starts)
+        count = np.ones(len(order), dtype=np.intp) if self.count is None else self.count[order]
+        if len(starts) < len(order):  # merge the runs
+            keys = [x[starts] for x in keys]
+            count = np.add.reduceat(count, starts)
+        is_open, death, birth, dim = keys
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "birth", birth.view(np.float64))
         object.__setattr__(self, "death", death.view(np.float64))
         object.__setattr__(self, "open", is_open)
-        object.__setattr__(self, "count", np.add.reduceat(self.count[order], np.flatnonzero(starts)))
+        object.__setattr__(self, "count", count)
         bars = len(order) - np.count_nonzero(zero)  # the rows before the zero-length ones
-        object.__setattr__(self, "n_bars", int(np.count_nonzero(starts[:bars])))
+        object.__setattr__(self, "n_bars", int(starts.searchsorted(bars)))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Barcode):
             return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self)
-        )
+        def columns(bc: Barcode) -> List[object]:
+            floats = ("birth", "death")
+            rest = [getattr(bc, f.name) for f in fields(bc) if f.name not in floats]
+            return [getattr(bc, name).view(np.int64) for name in floats] + rest
+
+        return all(map(np.array_equal, columns(self), columns(other)))
 
     def _records(self, rows: slice) -> Tuple[Bar, ...]:
         count = self.count[rows]
@@ -346,7 +360,7 @@ def extract_pairs(
             keep[starts[k + 1]:starts[k + 2]][killer] = False
             sizes[k + 1] -= len(killer)
     birth, death = birth[keep], death[keep]
-    count = np.ones(len(birth), dtype=np.intp)
+    count = None  # a bar per row
     if len(f.births) > stored:  # the counted top: its births less its killers'
         top, thresholds = f.births[stored], np.array(f.thresholds)
         alive = np.diff(top.searchsorted(thresholds), append=len(top))
@@ -355,9 +369,9 @@ def extract_pairs(
         )
         born = np.flatnonzero(alive)
         sizes.append(len(born))
+        count = np.concatenate((np.ones(len(birth), dtype=np.intp), alive[born]))
         birth = np.concatenate((birth, thresholds[born]))
         death = np.concatenate((death, np.full(len(born), np.nan)))
-        count = np.concatenate((count, alive[born]))
     birth /= divisor
     death /= divisor
     is_open = np.isnan(death)
@@ -409,25 +423,32 @@ def write_barcode_csv(
     ``count``.  The body is written in pieces of at most ``_PIECE_LINES``
     lines, cut at every multiple of that count, a run that crosses one
     split there, so no more than one piece of it is held as text at a
-    time."""
+    time.  A body of at most ``_PIECE_LINES`` lines is one piece, and its
+    parts are the runs."""
     lines = fileio.metadata_lines(config)
     meta = {key: getattr(bc, key) for key in _META_TYPES}
     lines.append(f"# {BARCODE_META_KEY} " + json.dumps(meta, sort_keys=True))
     lines.append(BARCODE_HEADER)
-    ends = np.cumsum(bc.count)
-    n = int(ends[-1]) if len(ends) else 0
-    # The line each part of a run starts at, and the run it lies in.  The
-    # merge of two sorted arrays is a stable sort's best case.
-    starts = np.concatenate((ends - bc.count, np.arange(0, n, _PIECE_LINES)))
-    starts.sort(kind="stable")
-    starts = starts[np.diff(starts, append=n) > 0]
-    run = ends.searchsorted(starts, side="right")
+    # Each part is a run, or the piece of one between two cuts: the run it
+    # lies in, its length, and the parts each piece of the body starts at.
+    run, lengths = slice(None), bc.count
+    n = int(lengths.sum())
+    cuts = [0, len(lengths)] if n else [0]
+    if n > _PIECE_LINES:
+        # The line each part starts at.  The merge of two sorted arrays is
+        # a stable sort's best case.
+        ends = np.cumsum(lengths)
+        starts = np.concatenate((ends - lengths, np.arange(0, n, _PIECE_LINES)))
+        starts.sort(kind="stable")
+        starts = starts[np.diff(starts, append=n) > 0]
+        run = ends.searchsorted(starts, side="right")
+        lengths = np.diff(starts, append=n)
+        cuts = np.flatnonzero(starts % _PIECE_LINES == 0).tolist() + [len(starts)]
     births, deaths = fileio.fmt_array(np.stack((bc.birth[run], bc.death[run]))).tolist()
     runs = (
         bc.dim[run].tolist(), births, deaths, bc.open[run].astype(np.int8).tolist(),
-        np.diff(starts, append=n).tolist(),
+        lengths.tolist(),
     )
-    cuts = np.flatnonzero(starts % _PIECE_LINES == 0).tolist() + [len(starts)]
     pieces = (  # write_text ends each with the newline it drops
         "".join([
             f"{dim},{birth},{death},{is_open}\n" * count
@@ -446,9 +467,8 @@ def read_barcode_csv(path: str) -> Barcode:
     has k + 1 vertices), ``birth < 0``, ``death < birth``, in a normalized
     barcode ``death > 1``, or an open bar that does not die at the right
     edge (1 when normalized, else the meta ``span_end``).  Meta keys outside
-    ``_META_TYPES`` are ignored.  The constructor gets one row per run of
-    consecutive identical lines, with the run's length as its ``count``,
-    and merges the runs of equal bars that other lines separate."""
+    ``_META_TYPES`` are ignored.  The constructor gets one row per bar
+    line and merges equal bars into runs."""
     lines = fileio.read_lines(path)
     header = fileio.parse_metadata(path, lines)
     if BARCODE_META_KEY not in header:
@@ -508,22 +528,13 @@ def read_barcode_csv(path: str) -> Barcode:
             raise ParseError(path, lineno, f"open bar must die at {fmt(open_end)}: {text!r}")
         row_of[raw] = len(rows)
         rows.append((dim, birth, death, is_open))
-    # Each run of consecutive identical lines is one row with its count.
-    index = np.fromiter(map(row_of.__getitem__, body), dtype=np.intp, count=len(body))
-    starts = np.empty(len(body), dtype=bool)
-    starts[:1] = True
-    np.not_equal(index[1:], index[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
-    count = np.diff(starts, append=len(body))
-    index = index[starts]
-    bars = index >= 0
+    order = np.fromiter(map(row_of.__getitem__, body), dtype=np.intp, count=len(body))
     table = np.array(rows, dtype=[("dim", int), ("birth", float), ("death", float), ("open", bool)])
-    table = table[index[bars]]
+    table = table[order[order >= 0]]
     return Barcode(
         dim=table["dim"],
         birth=table["birth"],
         death=table["death"],
         open=table["open"],
-        count=count[bars],
         **{key: meta[key] for key in _META_TYPES},
     )

@@ -52,11 +52,10 @@ def _stats_by_dim(bc: Barcode, dims: Sequence[int]) -> List[BarStats]:
     span = np.where(bc.open[:n], 1.0 - bc.birth[:n], bc.death[:n] - bc.birth[:n])
     cells = []
     for d, lo, hi in zip(dims, np.searchsorted(dim, dims), np.searchsorted(dim, dims, "right")):
-        s, bars = span[lo:hi], int(count[lo:hi].sum())
+        s = span[lo:hi].repeat(count[lo:hi])  # a span per bar
         cells.append(
-            BarStats(d, bars, float(np.cumsum(s.repeat(count[lo:hi]))[-1]) / bars,
-                     float(s.min()), float(s.max()))
-            if bars else BarStats(d, 0, None, None, None)
+            BarStats(d, len(s), float(np.cumsum(s)[-1]) / len(s), float(s.min()), float(s.max()))
+            if len(s) else BarStats(d, 0, None, None, None)
         )
     return cells
 

@@ -251,7 +251,6 @@ def barcode_of(bars: Sequence[Bar], zero_length: Sequence[Bar] = (), **meta) -> 
         birth=np.array([b.birth for b in rows], dtype=float),
         death=np.array([b.death for b in rows], dtype=float),
         open=np.array([b.open for b in rows], dtype=bool),
-        count=np.ones(len(rows), dtype=np.intp),
         **meta,
     )
 

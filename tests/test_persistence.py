@@ -1105,7 +1105,8 @@ def test_signed_zero_rows_in_a_shuffled_file_form_one_run_each(tmp_path):
     """A file holding -0 rows among 0 rows, shuffled and cut by a comment:
     rows of equal bits form one run whatever lies between them, -0 before
     0; the file reads back equal to the barcode of its rows, one each, and
-    is written back as the per-record reference in barcode order."""
+    is written back as the per-record reference in barcode order.  ``==``
+    tells the signs apart as the runs do, though the records are equal."""
     lines = (["0,0,0.5,0"] * 5 + ["0,-0,0.5,0"] * 4 + ["0,0,1,1"] * 3
              + ["1,0,0,0"] * 3 + ["1,-0,-0,0"] * 2)
     np.random.default_rng(5).shuffle(lines)
@@ -1119,9 +1120,30 @@ def test_signed_zero_rows_in_a_shuffled_file_form_one_run_each(tmp_path):
     bars = [Bar(int(d), float(b), float(e), o == "1") for d, b, e, o in rows]
     meta = dict(metric="m", max_dim=2, n_points=4, normalized=True, span_end=1.0)
     assert bc == barcode_of(bars, **meta)
+    unsigned = [b._replace(birth=abs(b.birth), death=abs(b.death)) for b in bars]
+    plus = barcode_of(unsigned, **meta)
+    minus = barcode_of([b._replace(birth=-0.0) for b in unsigned], **meta)  # every birth is 0
+    assert plus.count.tolist() == minus.count.tolist() == [9, 3, 5]
+    assert plus.bars == minus.bars == bc.bars
+    assert plus != bc and plus != minus
     write_barcode_csv(str(path), bc)
     assert_csv_lines_equal_loop(path, bc)
     assert read_barcode_csv(str(path)) == bc
+
+
+def test_barcode_rows_stand_for_at_least_one_bar():
+    """A row's ``count`` must be at least 1; without one, each row is one
+    bar, and ``count`` comes last, so positional arguments keep their
+    meaning."""
+    meta = dict(metric="m", max_dim=1, n_points=2, normalized=True, span_end=1.0)
+    rows = dict(dim=np.array([0, 0]), birth=np.zeros(2), death=np.full(2, 0.5),
+                open=np.zeros(2, dtype=bool))
+    bc = Barcode(**rows, **meta)
+    assert bc.count.tolist() == [2] and bc.n_bars == 1
+    assert Barcode(*rows.values(), *meta.values()) == bc
+    for count in ([1, 0], [2, -1]):
+        with pytest.raises(ValueError, match="at least one bar"):
+            Barcode(**rows, **meta, count=np.array(count))
 
 
 def test_barcode_csv_rejects_garbage(tmp_path):
