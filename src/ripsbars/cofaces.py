@@ -7,10 +7,11 @@ that, building it costs less than the fixed numpy calls here, and
 :mod:`ripsbars.filtration` stores it.  A k-simplex is a
 (k − 1)-row σ plus a vertex w adjacent to all of its vertices, and is born
 at the rank max(rank σ, max over v in σ of R[v, w]), R the
-:func:`rank_matrix` of the kept edges.  :func:`coface_ranks` lays those
-ranks out as an (m_{k−1}, n) array: counted over the w above each row's
-last vertex (:func:`top_ranks`), they give the dimension's births, and
-over every w they give each column of dimension k − 1 its cofaces, which
+:func:`rank_matrix` of the kept edges, ranks as ``Filtration.births``
+holds them.  :func:`coface_ranks` lays those ranks out as an
+(m_{k−1}, n) array: counted over the w above each row's last vertex
+(:func:`top_ranks`), they give the dimension's births, and over every w
+they give each column of dimension k − 1 its cofaces, which
 :func:`top_pairs` pairs against with no row of dimension k (Bauer 2021,
 *Ripser*).
 """
@@ -41,13 +42,14 @@ def coface_ranks(rows: np.ndarray, born: np.ndarray, ranks: np.ndarray) -> np.nd
     """The birth ranks of the (m, k) vertex ``rows``, of ranks ``born``,
     each extended by one vertex, under the :func:`rank_matrix` ``ranks``:
     entry (j, w) is the largest of ``born[j]`` and ``ranks[v, w]`` over the
-    vertices v of row j, an (m, n) array in the dtype of ``ranks``.  It is
-    the sentinel of ``ranks`` exactly where row j plus w is no simplex: w
-    lies in row j, or misses an edge to one of its vertices."""
+    vertices v of row j, an (m, n) array in the dtype of ``ranks``, which
+    ``born`` shares.  It is the sentinel of ``ranks`` exactly where row j
+    plus w is no simplex: w lies in row j, or misses an edge to one of its
+    vertices."""
     out = ranks.take(rows[:, 0], axis=0)
     for v in range(1, rows.shape[1]):
         np.maximum(out, ranks.take(rows[:, v], axis=0), out=out)
-    np.maximum(out, born.astype(out.dtype)[:, None], out=out)
+    np.maximum(out, born[:, None], out=out)
     return out
 
 
@@ -89,17 +91,15 @@ def top_pairs(f: Filtration, cleared: np.ndarray) -> np.ndarray:
     vertices) keys computed from ``f.ranks`` alone; a pivot belongs to an
     apparent column exactly when its latest facet's pivot is that pivot,
     and a cleared column never looks apparent, as its row kills a class.
-    Each killer's row is the first row of its birth in ``f.births[k]``:
-    its death is that birth, and
+    Each killer's row is the first row of its rank in ``f.births[k]``, and
     :func:`~ripsbars.persistence.extract_pairs` subtracts the killers of
-    each birth from its count, so no killer needs a row of its own."""
+    each rank from its count, so no killer needs a row of its own."""
     k = len(f.vertices)
     rows, ranks, count, n = f.vertices[k - 1], f.ranks, len(f.thresholds), f.n_points
-    thresholds = np.array(f.thresholds)
     todo = np.ones(len(rows), dtype=bool)
     todo[cleared] = False
     todo = todo.nonzero()[0][::-1]
-    born = thresholds.searchsorted(f.births[k - 1][todo]).astype(ranks.dtype)
+    born = f.births[k - 1][todo]
     # The pivot of each column is its smallest (rank, w).
     grown = coface_ranks(rows[todo], born, ranks)
     first = grown.argmin(axis=1)
@@ -116,9 +116,8 @@ def top_pairs(f: Filtration, cleared: np.ndarray) -> np.ndarray:
     for v in range(1, k):
         np.maximum(before[v - 1], edges[v - 1], out=before[v])
         np.maximum(after[-v], edges[-v], out=after[-v - 1])
-    below = thresholds.searchsorted(f.births[k - 2]).astype(ranks.dtype)
     facet = np.maximum(before, after, out=before)
-    np.maximum(facet, below[np.ascontiguousarray(f.facets[k - 1][todo].T)], out=facet)
+    np.maximum(facet, f.births[k - 2][np.ascontiguousarray(f.facets[k - 1][todo].T)], out=facet)
     apparent = ((facet < born) | (facet == born) & (simplex > first)).all(axis=0)
 
     # The reduction keys a k-simplex of rank r by r << n less the sum of
@@ -190,5 +189,5 @@ def top_pairs(f: Filtration, cleared: np.ndarray) -> np.ndarray:
     out[0, :at], out[0, at:] = todo[apparent], list(owner.values())
     out[2:k + 2, :at], out[k + 2, :at] = simplex[:, apparent], first[apparent]
     out[2:, at:] = np.array([vertices(key) for key in keys], dtype=np.intp).reshape(-1, k + 1).T
-    out[1] = f.births[k].searchsorted(thresholds[rank])
+    out[1] = f.births[k].searchsorted(rank)
     return out

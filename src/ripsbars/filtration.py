@@ -7,11 +7,14 @@ three steps.  First it finds the cut: for a stopped filtration, the first
 threshold at which the neighborhood graph is connected, the longest edge
 of a minimum spanning tree (:func:`connectivity_cut`, Prim's scan on the
 dense matrix); otherwise ∞.  The pairs at distance ≤ the cut are the kept
-edges, dimension 1, and only they are read and expanded.  Each dimension
-k + 1 grows from dimension k with numpy (Zomorodian 2010): a k-simplex is
-extended by every larger vertex adjacent to all of its vertices, so each
-simplex is created once, born at the largest of its parent's birth and the
-new vertex's distances, and growth stops at the first empty dimension.
+edges, dimension 1, and only they are read and expanded.  Each birth is
+held as its rank among their distinct distances, the thresholds, which
+orders the filtration as the distances do (Bauer 2021, *Ripser*).  Each
+dimension k + 1 grows from dimension k with numpy (Zomorodian 2010): a
+k-simplex is extended by every larger vertex adjacent to all of its
+vertices, so each simplex is created once, born at the largest of its
+parent's birth and the ranks of the new vertex's edges, and growth stops
+at the first empty dimension.
 Each k-simplex carries those candidates as a boolean row over the points,
 its parent's row ANDed with the upper neighbours of its last vertex, so no
 step rereads all k + 1 vertices.  The rows are grown in lexicographic
@@ -19,23 +22,21 @@ order, the row-major order of the candidate rows, and each new row records
 its facets' rows: the one that drops the new vertex is its parent, and the
 one that drops vertex v is the parent's facet v extended by the new
 vertex, read from a running count of the candidate rows one dimension
-down.  One stable sort per dimension then puts the rows in (birth,
-vertices) order: the edges by birth, and each higher dimension by the rank
-of its births among the distinct edge births, since every simplex is born
-with one of its edges.  Every index array, vertex rows and facet rows
-alike, is stored in the smallest unsigned dtype that holds the rows it
+down.  One stable sort of its birth ranks per dimension then puts the
+rows in (birth, vertices) order.  Every index array, vertex rows and facet
+rows alike, is stored in the smallest unsigned dtype that holds the rows it
 indexes (``np.min_scalar_type``).
 
 The top dimension k, when it is the cap and at least 2, is routed by the
 row count m_{k−1} of the dimension below it.  Up to ``COUNT_TOP_ABOVE``
 rows it is built and stored like every dimension below it.  Above that it
 is counted and never built (:mod:`ripsbars.cofaces`): its births are the
-distinct thresholds repeated by a ``bincount`` of the ranks of its
-simplices, each a (k − 1)-row plus a larger common neighbour, with no
-row, facet row or sort of dimension k.  The complex is all it holds: its
-pairs, H0 included, come from :mod:`ripsbars.persistence`, which pairs
-dimension k − 1 against a stored top's coboundaries or against a counted
-top's implicit cofaces.
+ranks repeated by a ``bincount`` of its simplices per rank, each a
+(k − 1)-row plus a larger common neighbour, with no row, facet row or
+sort of dimension k.  The complex is all it holds: its pairs, H0
+included, come from :mod:`ripsbars.persistence`, which pairs dimension
+k − 1 against a stored top's coboundaries or against a counted top's
+implicit cofaces.
 """
 
 from __future__ import annotations
@@ -81,9 +82,12 @@ class Filtration:
 
     ``vertices[k]`` holds one k-simplex per row, an (m_k, k + 1) array of
     point indices, and ``births[k]`` their births, both in (birth,
-    vertices) order.  ``facets[k]`` is an (m_k, k + 1) array (no columns at
-    k = 0) whose column v holds the row in ``vertices[k - 1]`` of the facet
-    that drops the row's vertex v.  Each index array has the smallest
+    vertices) order.  A birth is held as its rank among ``thresholds``, in
+    the dtype of ``ranks`` in every dimension: rank r is born at
+    ``thresholds[r]``, but the vertices hold rank 0 and are born at 0.0.
+    ``facets[k]`` is an (m_k, k + 1) array (no columns at k = 0) whose
+    column v holds the row in ``vertices[k - 1]`` of the facet that drops
+    the row's vertex v.  Each index array has the smallest
     unsigned dtype that holds its largest possible entry,
     ``np.min_scalar_type(count - 1)``: the count is ``n_points`` for
     ``vertices`` and for ``facets[0]`` and ``facets[1]``, and m_{k-1} for
@@ -94,14 +98,14 @@ class Filtration:
     ``max_dim`` stays the cap asked for, which the barcode records.  A
     top dimension at a cap of 2 or more is counted when the dimension
     below it has more than ``COUNT_TOP_ABOVE`` rows: ``births`` holds it,
-    the distinct thresholds repeated by its simplices per birth, and
-    ``vertices`` and ``facets`` end one dimension lower.
-    ``ranks`` is the :func:`~ripsbars.cofaces.rank_matrix` of the kept
-    edges, derived on first access.  ``simplices`` and ``spans`` merge the
-    dimensions, a counted top one listed from its ranks, into the
+    one rank per simplex, and ``vertices`` and ``facets`` end one
+    dimension lower.  ``ranks`` is the
+    :func:`~ripsbars.cofaces.rank_matrix` of the kept edges, in
+    ``np.min_scalar_type(len(thresholds))``.  ``simplices`` and ``spans``
+    merge the dimensions, a counted top one listed from ``ranks``, into the
     filtration order (birth, dimension, vertices), which keeps every face
-    in front of its cofaces; they are read-only views derived on first
-    access, and the pipeline never builds them.
+    in front of its cofaces, births as distances; they are read-only views
+    derived on first access, and the pipeline never builds them.
     ``max_distance`` is the maximum pairwise distance of the source matrix
     (before any stop), the normalization divisor for barcodes.
     """
@@ -112,6 +116,7 @@ class Filtration:
     vertices: Tuple[np.ndarray, ...]
     births: Tuple[np.ndarray, ...]
     facets: Tuple[np.ndarray, ...]
+    ranks: np.ndarray
     thresholds: List[float]
     stopped_early: bool
 
@@ -121,23 +126,16 @@ class Filtration:
         return self.thresholds[-1] if self.thresholds else 0.0
 
     @cached_property
-    def ranks(self) -> np.ndarray:
-        """The :func:`~ripsbars.cofaces.rank_matrix` of the kept edges among
-        ``thresholds``."""
-        born = np.searchsorted(self.thresholds, self.births[1])
-        return rank_matrix(self.n_points, self.vertices[1], born, len(self.thresholds))
-
-    @cached_property
     def simplices(self) -> Tuple[Simplex, ...]:
         """Every simplex as a record, in filtration order."""
-        rows, births = list(self.vertices), list(self.births)
+        rows, births, count = list(self.vertices), list(self.births), len(self.thresholds)
         if len(births) > len(rows):  # the counted top dimension, listed from its ranks
-            below, count = rows[-1], len(self.thresholds)
-            born = np.searchsorted(self.thresholds, births[-2])
-            ranks = np.concatenate(list(top_ranks(below, born, self.ranks, count)))
+            ranks = np.concatenate(list(top_ranks(rows[-1], births[-2], self.ranks, count)))
             j, w = np.nonzero(ranks < count)
-            rows.append(np.column_stack((below[j], w)))
-            births[-1] = np.array(self.thresholds)[ranks[j, w]]
+            rows.append(np.column_stack((rows[-1][j], w)))
+            births[-1] = ranks[j, w]
+        values = np.array(self.thresholds)
+        births = [np.zeros(len(births[0]))] + [values[born] for born in births[1:]]
         return tuple(sorted(
             Simplex(birth, k, tuple(row))
             for k, (table, born) in enumerate(zip(rows, births))
@@ -147,7 +145,10 @@ class Filtration:
     @cached_property
     def spans(self) -> Tuple[ThresholdSpan, ...]:
         """Slices of ``simplices``: the vertices, then those born at each threshold."""
-        ends = sum(np.searchsorted(b, self.thresholds, side="right") for b in self.births)
+        # The simplices born by each threshold; the vertices, born by every
+        # one, count at rank 0.
+        count = len(self.thresholds)
+        ends = sum(np.bincount(born, minlength=count)[:count] for born in self.births).cumsum()
         ends = [0, self.n_points] + ends.tolist()
         return tuple(map(ThresholdSpan, [0.0] + self.thresholds, ends[:-1], ends[1:]))
 
@@ -188,8 +189,9 @@ def build_filtration(
     minimum-spanning-tree edge (that threshold is processed completely);
     connectivity follows the graph even when ``max_dim`` is 0 and no edge
     simplex is kept.  Stopped or not, one path builds it: only the pairs
-    at distance ≤ the cut (∞ without a stop) are read, sorted and
-    expanded.  Beside the arrays it returns, the expansion holds an
+    at distance ≤ the cut (∞ without a stop) are read, ranked once, sorted
+    and expanded, every higher birth a maximum over the rank matrix of
+    their ranks.  Beside the arrays it returns, the expansion holds an
     (m_k, n) boolean candidate row per top simplex and, while it reads the
     next dimension's facets, a running count of the candidate rows one
     dimension down, in the smallest signed dtype that holds m_k; neither
@@ -215,8 +217,14 @@ def build_filtration(
     rows = np.empty((len(p), 2), dtype=point)
     rows[:, 0] = p
     rows[:, 1] = w
+    # Births are ranks among the thresholds, the distinct edge births, in a
+    # dtype that also holds their count: the rank matrix's sentinel.
+    distinct, born = np.unique(m.entries[p, w], return_inverse=True)
+    rank = np.min_scalar_type(len(distinct))
+    born = born.astype(rank)
+    ranks = rank_matrix(n, rows, born, len(distinct))
     vertices = [np.arange(n, dtype=point)[:, None], rows]
-    births = [np.zeros(n), m.entries[p, w]]
+    births = [np.zeros(n, dtype=rank), born]
     facets = [np.empty((n, 0), dtype=point), rows[:, ::-1].copy()]
     mask = adjacent
     counted = False  # whether the top dimension is counted, not built
@@ -254,28 +262,20 @@ def build_filtration(
         np.take(vertices[-1], p, axis=0, out=rows[:, :-1])
         rows[:, -1] = w
         born = births[-1][p]
-        # A flat read of entry (u, w): column-major, as the index w * n + u
-        # stays intp whatever the dtype of u.
-        by_column = m.entries.ravel(order="F")
-        column = w * n
+        # Entry (u, w) read flat at w * n + u, where the symmetric matrix
+        # holds it too; the index stays intp whatever the dtype of u.
+        flat, column = ranks.ravel(), w * n
         for v in range(k):
-            np.maximum(born, by_column[column + rows[:, v]], out=born)
+            np.maximum(born, flat[column + rows[:, v]], out=born)
         vertices.append(rows)
         births.append(born)
         facets.append(faces)
     mask = None  # freed before the sort
-    # Dimension 1 is sorted by birth; every higher birth is the birth of
-    # one of its edges, so the higher dimensions sort by that birth's rank
-    # among the distinct edge births, in the smallest unsigned dtype that
-    # holds it, which numpy radix-sorts when it is 8- or 16-bit.  Both
-    # sorts are stable, so equal births keep the lexicographic order.
-    order = np.argsort(births[1], kind="stable")
-    distinct = births[1][order]
-    distinct = distinct[np.diff(distinct, prepend=-np.inf) > 0]
-    rank = np.min_scalar_type(len(distinct) - 1)
+    # Stable sorts of the birth ranks, which numpy radix-sorts in 8 or 16
+    # bits, keep equal births in lexicographic order.
     for k in range(1, len(vertices)):
+        order = np.argsort(births[k], kind="stable")
         if k > 1:  # the vertices keep their order, so the edges' facets do too
-            order = np.argsort(np.searchsorted(distinct, births[k]).astype(rank), kind="stable")
             facets[k][:] = lex[facets[k]]
         for x in (vertices[k], births[k], facets[k]):
             x[:] = np.take(x, order, axis=0)  # in place: no unsorted copy stays
@@ -283,13 +283,11 @@ def build_filtration(
         lex = np.empty(len(order), dtype=np.min_scalar_type(len(order) - 1))
         lex[order] = np.arange(len(order))
     if counted:  # per birth rank, never built
-        ranks = rank_matrix(n, vertices[1], np.searchsorted(distinct, births[1]), len(distinct))
-        born = np.searchsorted(distinct, births[-1])
         counts = sum(
             np.bincount(block[block < len(distinct)], minlength=len(distinct))
-            for block in top_ranks(vertices[-1], born, ranks, len(distinct))
+            for block in top_ranks(vertices[-1], births[-1], ranks, len(distinct))
         )
-        births.append(np.repeat(distinct, counts))
+        births.append(np.arange(len(distinct), dtype=rank).repeat(counts))
     return Filtration(
         n_points=n,
         max_dim=max_dim,
@@ -297,6 +295,7 @@ def build_filtration(
         vertices=tuple(vertices[: max_dim + 1]),
         births=tuple(births[: max_dim + 1]),
         facets=tuple(facets[: max_dim + 1]),
+        ranks=ranks,
         thresholds=distinct.tolist(),
         stopped_early=len(births[1]) < n * (n - 1) // 2,
     )

@@ -24,7 +24,8 @@ counted and has no rows, so dimension k − 1 is paired
 against implicit cofaces by :func:`ripsbars.cofaces.top_pairs`: the
 killers in dimension k are named by their vertices and by the first row of
 their birth in the counted births.  :func:`extract_pairs` then takes the
-top's open bars as runs, one per birth: its count less its killers.
+top's open bars as runs, one per birth: its count less its killers.  Both
+work on the birth ranks the filtration holds, and only the bars get values.
 
 The total boundary matrix over ``Filtration.simplices`` and its
 left-to-right reduction stay as the reference the tests compare these pairs
@@ -337,10 +338,12 @@ def extract_pairs(
     bar: death is the last processed threshold raw, or exactly 1.0 after
     normalization (the right edge of the examined range).  Each stored
     simplex gives a row of count 1.  A counted top dimension gives one row
-    per birth, its open bars: the simplices of that birth, less the killers
-    born with it, counted from the births alone, so none of its bars is
-    built one at a time.  Normalization divides births and deaths by the
-    maximum distance of the source matrix.
+    per birth, its open bars: a ``bincount`` of its births less one of its
+    killers', so none of its bars is built one at a time.  Births and
+    deaths are ranks among ``f.thresholds``, ``len(f.thresholds)`` for a
+    class that never dies, until one gather of ``thresholds`` over the
+    maximum distance of the source matrix, the normalization divisor,
+    turns them into values; the vertices are born at 0.0.
     """
     divisor = 1.0
     if normalize:
@@ -348,11 +351,11 @@ def extract_pairs(
             raise ValueError("cannot normalize: no strictly positive distance")
         divisor = f.max_distance
     # Every stored simplex of every dimension births a class, unless it kills one.
-    stored = len(f.vertices)
+    stored, never = len(f.vertices), len(f.thresholds)
     sizes = [len(born) for born in f.births[:stored]]
     starts = np.cumsum([0] + sizes).tolist()
     birth = np.concatenate(f.births[:stored])
-    death = np.full(len(birth), np.nan)  # nan: the class never dies
+    death = np.full(len(birth), never, dtype=birth.dtype)  # never: the class never dies
     keep = np.ones(len(birth), dtype=bool)
     for k, (young, killer, *_) in enumerate(pairs):
         death[starts[k]:starts[k + 1]][young] = f.births[k + 1][killer]
@@ -362,20 +365,18 @@ def extract_pairs(
     birth, death = birth[keep], death[keep]
     count = None  # a bar per row
     if len(f.births) > stored:  # the counted top: its births less its killers'
-        top, thresholds = f.births[stored], np.array(f.thresholds)
-        alive = np.diff(top.searchsorted(thresholds), append=len(top))
-        alive -= np.bincount(
-            thresholds.searchsorted(top[pairs[stored - 1][1]]), minlength=len(alive)
-        )
+        top = f.births[stored]
+        alive = np.bincount(top, minlength=never)
+        alive -= np.bincount(top[pairs[stored - 1][1]], minlength=never)
         born = np.flatnonzero(alive)
         sizes.append(len(born))
         count = np.concatenate((np.ones(len(birth), dtype=np.intp), alive[born]))
-        birth = np.concatenate((birth, thresholds[born]))
-        death = np.concatenate((death, np.full(len(born), np.nan)))
-    birth /= divisor
-    death /= divisor
-    is_open = np.isnan(death)
-    death[is_open] = 1.0 if normalize else f.span_end
+        birth = np.concatenate((birth, born))
+        death = np.concatenate((death, np.full(len(born), never)))
+    is_open = death == never
+    values = np.append(np.array(f.thresholds) / divisor, 1.0 if normalize else f.span_end)
+    birth, death = values[birth], values[death]
+    birth[:sizes[0]] = 0.0  # the vertices
     return Barcode(
         dim=np.repeat(np.arange(len(sizes)), sizes),
         birth=birth,

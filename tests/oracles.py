@@ -10,7 +10,8 @@ by matching, pseudometric axioms and live bars checked entry by entry.
 which the tests keep as the reference for its coboundary reduction, and
 ``apparent_pairs_brute`` finds each simplex's earliest coface and latest
 facet from vertex tuples and births; ``dimension_rows`` reads every
-dimension's rows, a counted top one included, off ``Filtration.simplices``.
+dimension's rows, a counted top one included, off ``Filtration.simplices``,
+and ``birth_values`` reads a dimension's births as distances.
 ``facets_by_lookup`` finds each facet's row through a dict of vertex
 tuples, ``coboundaries_by_search`` builds coboundaries by searching
 each row less one vertex among the rows below, and
@@ -135,6 +136,14 @@ def dimension_rows(f: Filtration) -> List[np.ndarray]:
     for s in f.simplices:
         rows[s.dim].append(s.vertices)
     return [np.array(r, dtype=np.intp).reshape(-1, k + 1) for k, r in enumerate(rows)]
+
+
+def birth_values(f: Filtration, k: int) -> np.ndarray:
+    """The births of dimension k of ``f`` as distances: each rank in
+    ``f.births[k]`` looked up in ``f.thresholds``, the vertices at 0.0."""
+    if k == 0:
+        return np.zeros(len(f.births[0]))
+    return np.asarray(f.thresholds)[f.births[k]]
 
 
 def boundary_pairs(R: SparseBinaryMatrix, f: Filtration) -> List[np.ndarray]:

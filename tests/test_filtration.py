@@ -11,6 +11,7 @@ from conftest import (
     random_points, symmetric,
 )
 from oracles import (
+    birth_values,
     boundary_pairs,
     edge_order_loop,
     facets_by_lookup,
@@ -69,7 +70,7 @@ def test_sorted_edges_match_tuple_sort(pts, metric):
     f = build_filtration(m, max_dim=1)
     ref = edge_order_loop(m)
     assert f.vertices[1].shape == (len(ref), 2)
-    assert np.array_equal(f.births[1], [t[0] for t in ref])
+    assert np.array_equal(birth_values(f, 1), [t[0] for t in ref])
     assert np.array_equal(f.vertices[1][:, 0], [t[1] for t in ref])
     assert np.array_equal(f.vertices[1][:, 1], [t[2] for t in ref])
     assert f.thresholds == sorted({t[0] for t in ref})
@@ -273,17 +274,18 @@ def test_stopped_build_is_the_full_build_cut_at_the_longest_mst_edge(entries, ma
     cut = max(mst_edge_lengths(m), default=math.inf)
     k = len(stopped.vertices)
     assert len(full.vertices) >= k and len(full.births) >= len(stopped.births)
-    for arrays, reference in [(stopped.vertices, full.vertices), (stopped.births, full.births)]:
-        for a, b, born in zip(arrays, reference, full.births):
+    values = [[birth_values(g, d) for d in range(len(g.births))] for g in (stopped, full)]
+    for arrays, reference in [(stopped.vertices, full.vertices), values]:
+        for a, b, born in zip(arrays, reference, values[1]):
             np.testing.assert_array_equal(a, b[born <= cut], strict=True)
     # Each facet array takes the dtype of its own row count below.
-    cut_facets = [b[born <= cut] for b, born in zip(full.facets[:k], full.births)]
+    cut_facets = [b[born <= cut] for b, born in zip(full.facets[:k], values[1])]
     assert_index_rows_equal(stopped, cut_facets)
     # The stopped build ends at the cap or at its first empty dimension,
     # and the full one has nothing born by the cut above it.
     top = len(stopped.births) - 1
     assert top == max_dim or not len(stopped.births[top])
-    assert all(not (born <= cut).any() for born in full.births[top + 1:])
+    assert all(not (born <= cut).any() for born in values[1][top + 1:])
     h0 = [persistence_pairs(g)[:1] for g in (stopped, full)]
     assert len(h0[0]) == len(h0[1]) == min(max_dim, 1)
     for a, b in zip(*h0):
@@ -307,7 +309,7 @@ def test_merges_are_the_union_find_over_the_kept_edges(pts, metric, max_dim, sto
         return
     assert pairs[0].shape == (2, m.n - 1)
     assert sorted(pairs[0][0].tolist()) == list(range(1, m.n))
-    assert sorted(f.births[1][pairs[0][1]]) == sorted(mst_edge_lengths(m))
+    assert sorted(birth_values(f, 1)[pairs[0][1]]) == sorted(mst_edge_lengths(m))
 
 
 @settings(max_examples=120, deadline=None)

@@ -20,6 +20,7 @@ from oracles import (
     barcode_of,
     bars_alive,
     betti_numbers,
+    birth_values,
     bottleneck_distance,
     boundary_pairs,
     coboundaries_by_argsort,
@@ -612,14 +613,17 @@ def test_counted_top_dimension_equals_brute_force_cliques_per_birth(entries, max
     are those of the brute-force cliques of its size by the last
     threshold, each born with its longest edge.  A top dimension at the
     cap, with simplices below it, counted however few they are, has no
-    vertex or facet rows."""
+    vertex or facet rows.  Every dimension holds its births as ranks
+    among the thresholds, in the one dtype that also holds their count."""
     m = DistanceMatrix(entries=entries)
     with tops_counted_above(0):
         f = build_filtration(m, max_dim=max_dim, stop_when_connected=stop)
     top = len(f.births) - 1
     cliques = [s for s in flag_complex_brute(m, f.span_end, max_dim) if len(s) == top + 1]
-    assert Counter(f.births[top].tolist()) == Counter(simplex_birth_brute(m, s) for s in cliques)
-    assert (np.diff(f.births[top]) >= 0).all()
+    born = birth_values(f, top)
+    assert Counter(born.tolist()) == Counter(simplex_birth_brute(m, s) for s in cliques)
+    assert (np.diff(born) >= 0).all()
+    assert all(b.dtype == np.min_scalar_type(len(f.thresholds)) for b in f.births)
     counted = top == max_dim and len(f.births[top - 1]) > 0
     assert len(f.vertices) == len(f.facets) == top + 1 - counted
 
@@ -718,6 +722,27 @@ def test_top_dimension_is_counted_past_count_top_above_rows(dropped):
     assert len(f.vertices) == (3 if dropped == 16 else 2)  # triangles stored or counted
     assert_facets_equal_lookup(f)
     assert_routes_agree(m, 2, True)
+
+
+@pytest.mark.parametrize("distinct, dtype", [(255, np.uint8), (256, np.uint16)])
+def test_birth_ranks_widen_when_the_sentinel_leaves_8_bits(distinct, dtype):
+    """24 points at cap 2, their 276 edges at ``distinct`` distinct
+    distances: the births of every dimension and the rank matrix, whose
+    sentinel is the count of thresholds, are 8-bit at 255 thresholds and
+    16-bit at 256.  With the triangles stored, as by default, and counted,
+    the pairs equal the boundary reduction's and the barcodes are equal."""
+    upper = 1 + np.random.default_rng(distinct).permutation(276) % distinct
+    m = DistanceMatrix(entries=symmetric(24, upper.astype(float)))
+    bars = []
+    for above in (filtration.COUNT_TOP_ABOVE, 0):
+        with tops_counted_above(above):
+            f = build_filtration(m, max_dim=2)
+        assert len(f.thresholds) == distinct and len(f.vertices) == (3 if above else 2)
+        assert f.ranks.dtype == dtype and all(born.dtype == dtype for born in f.births)
+        R, _ = reduce_matrix(total_boundary_matrix(f))
+        assert pair_sets(f, persistence_pairs(f)) == pair_sets(f, boundary_pairs(R, f))
+        bars.append(barcode(f, normalize=False))
+    assert bars[0] == bars[1]
 
 
 @settings(max_examples=60, deadline=None)
