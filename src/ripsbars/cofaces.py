@@ -1,4 +1,6 @@
-"""The counted top dimension: its ranks, its births and its pairs.
+"""The counted top dimension: its ranks, its births and its pairs; and
+:func:`reduce_columns`, which reduces the columns that are not apparent,
+of stored cofaces and counted ones alike.
 
 At a cap k of 2 or more the top dimension only serves as cofaces and open
 bars, and it is the largest one, so once dimension k − 1 has more than
@@ -18,7 +20,7 @@ they give each column of dimension k − 1 its cofaces, which
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Set
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Set
 
 import numpy as np
 
@@ -74,6 +76,29 @@ def top_ranks(
         yield coface_ranks(rows[start:start + step], born[start:start + step], upper)
 
 
+def reduce_columns(
+    loop: List[int], cols: List[Set[int]], settle: Callable[[List[Set[int]]], None]
+) -> Dict[int, int]:
+    """The pivots the coboundary columns ``cols`` of the simplices ``loop``,
+    latest first, own once reduced, each over its simplex.  A column is a
+    set of coface ids, which sort in filtration order: its pivot is the
+    smallest.  ``settle`` adds to each column of a list, in place, the
+    apparent columns that own its pivot, until none does; a column then
+    adds the reduced column that owns its pivot and settles again."""
+    settle(cols)
+    owner: Dict[int, int] = {}
+    reduced: Dict[int, Set[int]] = {}  # each owned pivot's column
+    for j, col in zip(loop, cols):
+        while col:
+            pivot = min(col)
+            if pivot not in owner:
+                owner[pivot], reduced[pivot] = j, col
+                break
+            col ^= reduced[pivot]
+            settle([col])
+    return owner
+
+
 def top_pairs(f: Filtration, cleared: np.ndarray) -> np.ndarray:
     """The pairs of the counted top dimension k against the rows of
     dimension k − 1 that ``cleared`` does not list, in the shape
@@ -86,11 +111,12 @@ def top_pairs(f: Filtration, cleared: np.ndarray) -> np.ndarray:
     The column is apparent when its row is the latest facet of that pivot:
     each other facet, the pivot less a vertex u of the row, ranks lower, or
     ties with u > w, and its rank is the larger of its facet's in
-    ``f.facets[k - 1]`` and its edges to w.  The other columns are reduced
-    as in :func:`ripsbars.persistence.persistence_pairs`, on (rank,
-    vertices) keys computed from ``f.ranks`` alone; a pivot belongs to an
-    apparent column exactly when its latest facet's pivot is that pivot,
-    and a cleared column never looks apparent, as its row kills a class.
+    ``f.facets[k - 1]`` and its edges to w.  The other columns go through
+    :func:`reduce_columns` as sets of (rank, vertices) keys computed from
+    ``f.ranks`` alone; a pivot belongs to an apparent column exactly when
+    its latest facet's pivot is that pivot, which ``settle`` tests for all
+    the columns of a round at once, and a cleared column never looks
+    apparent, as its row kills a class.
     Each killer's row is the first row of its rank in ``f.births[k]``, and
     :func:`~ripsbars.persistence.extract_pairs` subtracts the killers of
     each rank from its count, so no killer needs a row of its own."""
@@ -166,20 +192,9 @@ def top_pairs(f: Filtration, cleared: np.ndarray) -> np.ndarray:
                 col ^= other
             cols = [col for col in cols if col]
 
-    # The other columns, latest first: each adds the apparent columns that
-    # own its pivot, then the reduced columns, until its pivot is its own.
     loop = todo[~apparent]
     cols = columns(rows[loop], coface_ranks(rows[loop], born[~apparent], ranks))
-    settle(cols)
-    owner: Dict[int, int] = {}  # the pivots of the reduced columns
-    lists: Dict[int, Set[int]] = {}  # reduced columns
-    for j, col in zip(loop.tolist(), cols):
-        while col and min(col) in owner:
-            col ^= lists[owner[min(col)]]
-            settle([col])
-        if col:
-            owner[min(col)] = j
-            lists[j] = col
+    owner = reduce_columns(loop.tolist(), cols, settle)
     # The killers: the apparent pivots, each its column's row plus w, then
     # the pivots the loop owns.
     keys = list(owner)

@@ -15,17 +15,19 @@ keys, each a facet row packed above the row of its coface.  Most columns are
 apparent: the simplex is the latest facet of its earliest coface, and the
 two are a pair (Bauer 2021).  Array operations pair all of those at once
 and keep them as arrays, and only the other columns enter the reduction
-loop.  Working mod 2 drops orientation signs (and any torsion).
+loop, :func:`ripsbars.cofaces.reduce_columns`, as sets of cofaces.  Working
+mod 2 drops orientation signs (and any torsion).
 
 A top dimension k at the cap is stored when dimension k − 1 has at most
 ``filtration.COUNT_TOP_ABOVE`` rows, and dimension k − 1 is then paired
 through its coboundary columns like the rest.  Over more rows the top is
 counted and has no rows, so dimension k − 1 is paired
-against implicit cofaces by :func:`ripsbars.cofaces.top_pairs`: the
-killers in dimension k are named by their vertices and by the first row of
-their birth in the counted births.  :func:`extract_pairs` then takes the
-top's open bars as runs, one per birth: its count less its killers.  Both
-work on the birth ranks the filtration holds, and only the bars get values.
+against implicit cofaces by :func:`ripsbars.cofaces.top_pairs`, through
+the same loop: the killers in dimension k are named by their vertices and
+by the first row of their birth in the counted births.
+:func:`extract_pairs` then takes the top's open bars as runs, one per
+birth: its count less its killers.  Both work on the birth ranks the
+filtration holds, and only the bars get values.
 
 The total boundary matrix over ``Filtration.simplices`` and its
 left-to-right reduction stay as the reference the tests compare these pairs
@@ -41,12 +43,12 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Set, Tuple
 
 import numpy as np
 
 from . import fileio
-from .cofaces import top_pairs
+from .cofaces import reduce_columns, top_pairs
 from .fileio import BARCODE_META_KEY, ParseError, fmt
 from .filtration import Filtration
 
@@ -66,11 +68,6 @@ def total_boundary_matrix(f: Filtration) -> SparseBinaryMatrix:
         for _, dim, v in f.simplices
     ]
     return SparseBinaryMatrix(columns=columns)
-
-
-def _xor_sorted(a: List[int], b: List[int]) -> List[int]:
-    """Symmetric difference of two sorted index lists, sorted."""
-    return sorted(set(a).symmetric_difference(b))
 
 
 def reduce_matrix(
@@ -94,7 +91,7 @@ def reduce_matrix(
             if k is None:
                 owner[low] = j
                 break
-            col = _xor_sorted(col, cols[k])
+            col = sorted(set(col).symmetric_difference(cols[k]))
             if ops is not None:
                 ops.append((k, j))
         cols[j] = col
@@ -284,9 +281,10 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
     the column of a later simplex sums only columns of simplices later
     still, and none of those is a facet of the pivot.  The apparent
     columns are paired first, in one step, and stay arrays; the others are
-    reduced latest first, and one becomes a list only when its pivot is
-    already owned.  A pivot owned by an apparent column is owned by its
-    latest facet.  A stored top dimension has no cofaces: it is the cap, or
+    sets of coface rows, reduced latest first by
+    :func:`ripsbars.cofaces.reduce_columns`.  A pivot owned by an apparent
+    column is owned by its latest facet, which is how ``settle`` finds that
+    column.  A stored top dimension has no cofaces: it is the cap, or
     it is empty; the dimension below it is paired through
     :func:`coboundaries` like the rest.  The dimension below a counted one
     is paired by :func:`ripsbars.cofaces.top_pairs`.
@@ -303,21 +301,15 @@ def persistence_pairs(f: Filtration) -> List[np.ndarray]:
         apparent = np.take(facets.T, first, axis=1).max(axis=0) == todo
         taken = np.zeros(len(facets), dtype=bool)  # the pivots of apparent columns
         taken[first[apparent]] = True
-        owner: Dict[int, int] = {}  # the pivots of the reduced columns
-        lists: Dict[int, Optional[List[int]]] = {}  # reduced columns; None: as built
-        column = lambda j: lists.get(j) or cofaces[ptr[j]:ptr[j + 1]].tolist()
-        rest = ~apparent
-        for j, pivot in zip(todo[rest].tolist(), first[rest].tolist()):
-            col = None
-            while pivot in owner or taken[pivot]:
-                other = owner[pivot] if pivot in owner else max(facets[pivot].tolist())
-                col = _xor_sorted(col or column(j), column(other))
-                if not col:
-                    break
-                pivot = col[0]
-            else:
-                owner[pivot] = j
-                lists[j] = col
+        column = lambda j: set(cofaces[ptr[j]:ptr[j + 1]].tolist())
+
+        def settle(cols: List[Set[int]]) -> None:  # adds the apparent owners, latest facets
+            for col in cols:
+                while col and taken[pivot := min(col)]:
+                    col ^= column(max(facets[pivot].tolist()))
+
+        loop = todo[~apparent].tolist()
+        owner = reduce_columns(loop, [column(j) for j in loop], settle)
         pairs.append(np.concatenate(
             (np.stack((todo[apparent], first[apparent])),
              np.array([list(owner.values()), list(owner)], dtype=np.intp).reshape(2, -1)),
@@ -424,40 +416,31 @@ def write_barcode_csv(
     ``count``.  The body is written in pieces of at most ``_PIECE_LINES``
     lines, cut at every multiple of that count, a run that crosses one
     split there, so no more than one piece of it is held as text at a
-    time.  A body of at most ``_PIECE_LINES`` lines is one piece, and its
-    parts are the runs."""
+    time.  One loop over the runs fills the pieces, whatever the size of
+    the body, and no piece is empty."""
     lines = fileio.metadata_lines(config)
     meta = {key: getattr(bc, key) for key in _META_TYPES}
     lines.append(f"# {BARCODE_META_KEY} " + json.dumps(meta, sort_keys=True))
     lines.append(BARCODE_HEADER)
-    # Each part is a run, or the piece of one between two cuts: the run it
-    # lies in, its length, and the parts each piece of the body starts at.
-    run, lengths = slice(None), bc.count
-    n = int(lengths.sum())
-    cuts = [0, len(lengths)] if n else [0]
-    if n > _PIECE_LINES:
-        # The line each part starts at.  The merge of two sorted arrays is
-        # a stable sort's best case.
-        ends = np.cumsum(lengths)
-        starts = np.concatenate((ends - lengths, np.arange(0, n, _PIECE_LINES)))
-        starts.sort(kind="stable")
-        starts = starts[np.diff(starts, append=n) > 0]
-        run = ends.searchsorted(starts, side="right")
-        lengths = np.diff(starts, append=n)
-        cuts = np.flatnonzero(starts % _PIECE_LINES == 0).tolist() + [len(starts)]
-    births, deaths = fileio.fmt_array(np.stack((bc.birth[run], bc.death[run]))).tolist()
-    runs = (
-        bc.dim[run].tolist(), births, deaths, bc.open[run].astype(np.int8).tolist(),
-        lengths.tolist(),
-    )
-    pieces = (  # write_text ends each with the newline it drops
-        "".join([
-            f"{dim},{birth},{death},{is_open}\n" * count
-            for dim, birth, death, is_open, count in zip(*(x[a:b] for x in runs))
-        ])[:-1]
-        for a, b in zip(cuts, cuts[1:])
-    )
-    fileio.write_text(path, itertools.chain(lines, pieces))
+    births, deaths = fileio.fmt_array(np.stack((bc.birth, bc.death))).tolist()
+    runs = zip(bc.dim.tolist(), births, deaths, bc.open.astype(np.int8).tolist(), bc.count.tolist())
+
+    def pieces() -> Iterator[str]:  # write_text ends each with the newline it drops
+        piece: List[str] = []
+        room = _PIECE_LINES  # the lines the piece has left
+        for dim, birth, death, is_open, count in runs:
+            line = f"{dim},{birth},{death},{is_open}\n"
+            while count >= room:
+                piece.append(line * room)
+                yield "".join(piece)[:-1]
+                piece, count, room = [], count - room, _PIECE_LINES
+            if count:
+                piece.append(line * count)
+                room -= count
+        if piece:
+            yield "".join(piece)[:-1]
+
+    fileio.write_text(path, itertools.chain(lines, pieces()))
 
 
 def read_barcode_csv(path: str) -> Barcode:
@@ -468,8 +451,9 @@ def read_barcode_csv(path: str) -> Barcode:
     has k + 1 vertices), ``birth < 0``, ``death < birth``, in a normalized
     barcode ``death > 1``, or an open bar that does not die at the right
     edge (1 when normalized, else the meta ``span_end``).  Meta keys outside
-    ``_META_TYPES`` are ignored.  The constructor gets one row per bar
-    line and merges equal bars into runs."""
+    ``_META_TYPES`` are ignored.  The constructor gets one row per distinct
+    bar line, whose ``count`` is the number of lines that repeat it, and
+    merges the rows of equal bars, such as ``0.5`` and ``0.50``."""
     lines = fileio.read_lines(path)
     header = fileio.parse_metadata(path, lines)
     if BARCODE_META_KEY not in header:
@@ -531,11 +515,11 @@ def read_barcode_csv(path: str) -> Barcode:
         rows.append((dim, birth, death, is_open))
     order = np.fromiter(map(row_of.__getitem__, body), dtype=np.intp, count=len(body))
     table = np.array(rows, dtype=[("dim", int), ("birth", float), ("death", float), ("open", bool)])
-    table = table[order[order >= 0]]
     return Barcode(
         dim=table["dim"],
         birth=table["birth"],
         death=table["death"],
         open=table["open"],
+        count=np.bincount(order + 1, minlength=len(rows) + 1)[1:],  # -1: blank or comment
         **{key: meta[key] for key in _META_TYPES},
     )

@@ -1076,15 +1076,20 @@ def test_barcode_csv_line_changes_with_any_one_field(tmp_path):
 
 
 def test_barcode_csv_body_is_written_in_bounded_pieces(tmp_path, monkeypatch):
-    """A body of several thousand lines, with runs of equal bars that
-    cross the piece boundaries, the last a run of 5,000 as in the counted
-    top dimension of the majority dice, is handed to the text layer in
-    pieces of at most ``_PIECE_LINES`` lines, and the file equals the
-    per-record reference."""
-    lengths = [1] * 1500 + [3000, 700, 1, 2500] + [1] * 300 + [5000]
-    bars = [Bar(1, i / 7000, 1.0, True) for i, count in enumerate(lengths) for _ in range(count)]
-    bc = barcode_of(bars, metric="m", max_dim=1, n_points=3, normalized=True, span_end=1.0)
-    assert bc.count.tolist() == lengths
+    """Bodies of runs of equal bars are handed to the text layer in pieces
+    cut at every multiple of ``_PIECE_LINES``, none of them empty (an empty
+    piece writes a blank line), and the file equals the per-record
+    reference: several thousand lines with runs that cross the cuts, the
+    last a run of 5,000 as in the counted top dimension of the majority
+    dice; exactly one and two pieces of lines, the second with a run
+    across the cut; and one run of exactly three pieces."""
+    size = persistence._PIECE_LINES
+    layouts = [
+        [1] * 1500 + [3000, 700, 1, 2500] + [1] * 300 + [5000],
+        [1] * size,
+        [size // 2, size, size // 2],
+        [3 * size],
+    ]
     pieces = []
     write_text = persistence.fileio.write_text
 
@@ -1094,10 +1099,16 @@ def test_barcode_csv_body_is_written_in_bounded_pieces(tmp_path, monkeypatch):
         write_text(path, lines)
 
     monkeypatch.setattr(persistence.fileio, "write_text", keep_pieces)
-    write_barcode_csv(str(tmp_path / "barcode.csv"), bc)
-    assert len(pieces) == -(-len(bars) // persistence._PIECE_LINES)
-    assert all(piece.count("\n") < persistence._PIECE_LINES for piece in pieces)
-    assert_csv_lines_equal_loop(tmp_path / "barcode.csv", bc)
+    for lengths in layouts:
+        bars = [Bar(1, i / 7000, 1.0, True) for i, n in enumerate(lengths) for _ in range(n)]
+        bc = barcode_of(bars, metric="m", max_dim=1, n_points=3, normalized=True, span_end=1.0)
+        assert bc.count.tolist() == lengths
+        pieces.clear()
+        write_barcode_csv(str(tmp_path / "barcode.csv"), bc)
+        assert all(pieces)
+        full, rest = divmod(len(bars), size)
+        assert [piece.count("\n") + 1 for piece in pieces] == [size] * full + [rest] * (rest > 0)
+        assert_csv_lines_equal_loop(tmp_path / "barcode.csv", bc)
 
 
 @pytest.mark.parametrize("normalize", [False, True])
@@ -1154,6 +1165,21 @@ def test_signed_zero_rows_in_a_shuffled_file_form_one_run_each(tmp_path):
     write_barcode_csv(str(path), bc)
     assert_csv_lines_equal_loop(path, bc)
     assert read_barcode_csv(str(path)) == bc
+
+
+def test_equal_bars_on_differently_written_lines_read_as_one_run(tmp_path):
+    """One bar written as ``0.5`` and as ``0.50``, each line repeated and
+    cut by a blank line and a comment: the reader's rows, one per distinct
+    line, merge into one run, and the counts sum to the bar lines."""
+    lines = ["0,0,0.5,0"] * 3 + ["0,0,0.50,0", "", "0,0,1,1", "# a comment"]
+    lines += ["0,0,0.50,0", "0,0,0.5,0", "0,0,1,1"]
+    path = tmp_path / "barcode.csv"
+    path.write_text(META + BARCODE_HEADER + "\n" + "\n".join(lines) + "\n")
+    bc = read_barcode_csv(str(path))
+    assert bc.count.tolist() == [6, 2] and bc.n_bars == 2
+    assert bc.count.sum() == sum(1 for line in lines if line and not line.startswith("#"))
+    meta = dict(metric="m", max_dim=2, n_points=4, normalized=True, span_end=1.0)
+    assert bc == barcode_of([Bar(0, 0.0, 0.5)] * 6 + [Bar(0, 0.0, 1.0, True)] * 2, **meta)
 
 
 def test_barcode_rows_stand_for_at_least_one_bar():
